@@ -7,6 +7,7 @@
 // pair once instead of re-descending the tree per probe.
 
 #include <cmath>
+#include <limits>
 
 #include "bench/bench_common.h"
 #include "util/stats.h"
@@ -15,6 +16,8 @@
 
 namespace simq {
 namespace {
+
+constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
 void Run() {
   bench::PrintHeader(
@@ -30,7 +33,7 @@ void Run() {
     const std::vector<TimeSeries> market = workload::StockMarket(options);
     const auto db = bench::BuildDatabase(market);
     const Relation* relation = db->GetRelation("r");
-    const RTree& tree = relation->index();
+    const PackedRTree& tree = relation->packed_index();
     const double epsilon = 0.45;
 
     // Strategy 1: index nested loop (method c).
@@ -47,8 +50,10 @@ void Run() {
     // dimensions of the polar layout (dims 2 and 4) must be within epsilon
     // (|delta mag| <= |delta coeff| <= epsilon); angle and statistics
     // dimensions cannot prune without wrap-aware logic, so they pass.
+    // The predicate leaves those dimensions unbounded, so the join runs
+    // with slack = +inf (no plane sweep; see PackedRTree::JoinWith).
     const int mag_dims[] = {2, 4};
-    auto pair_predicate = [&](const Rect& a, const Rect& b) {
+    auto pair_predicate = [&](const auto& a, const auto& b) {
       for (const int d : mag_dims) {
         if (a.lo(d) > b.hi(d) + epsilon || b.lo(d) > a.hi(d) + epsilon) {
           return false;
@@ -62,20 +67,21 @@ void Run() {
     const double sync_ms = bench::MedianMillis(
         [&] {
           sync_checks = sync_pairs = 0;
-          tree.ResetNodeAccesses();
-          tree.JoinWith(tree, pair_predicate, [&](int64_t i, int64_t j) {
-            if (i == j) {
-              return;
-            }
-            ++sync_checks;
-            const double distance = EuclideanDistanceEarlyAbandon(
-                relation->record(i).features.normal_spectrum,
-                relation->record(j).features.normal_spectrum, epsilon);
-            if (distance <= epsilon) {
-              ++sync_pairs;
-            }
-          });
-          sync_nodes = tree.node_accesses();
+          sync_nodes = tree.JoinWith(
+              tree, pair_predicate,
+              [&](int64_t i, int64_t j) {
+                if (i == j) {
+                  return;
+                }
+                ++sync_checks;
+                const double distance = EuclideanDistanceEarlyAbandon(
+                    relation->record(i).features.normal_spectrum,
+                    relation->record(j).features.normal_spectrum, epsilon);
+                if (distance <= epsilon) {
+                  ++sync_pairs;
+                }
+              },
+              kInfinity);
         },
         5);
 

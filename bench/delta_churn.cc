@@ -1,15 +1,12 @@
-// [DELTA] Mutation churn with the per-shard delta layer vs the legacy
-// rebuild-per-query engine, on the 12000 x 128 scale-up workload.
+// [DELTA] Mutation churn through the per-shard delta layer, on the
+// 12000 x 128 scale-up workload.
 //
 // Churn schedule: interleaved {insert one series, run one index range
-// query}, the access pattern that used to hit the worst case -- every
-// insert invalidated the shard's packed snapshot, so every following
-// index query recompiled it from the pointer tree. With the delta layer
-// (the default), inserts land in the exactly-scanned delta and the
-// snapshot stands; queries pay one extra exact check per delta row
-// instead of a full recompile.
+// query}. Inserts land in the exactly-scanned delta and the shard's packed
+// tree stands, so each query pays one extra exact check per delta row
+// instead of a tree rebuild.
 //
-// Reported per config (shards 1 and 4, delta on/off):
+// Reported per shard count (1 and 4):
 //   churn_ms       wall time of the whole schedule
 //   ops_per_sec    schedule throughput (one op = insert + query)
 // plus the recompaction cost profile: build (runs under the service's
@@ -17,12 +14,11 @@
 // section) percentiles across repeated folds -- publish p99 is the MVCC
 // pause bound readers can ever observe.
 //
-// Self-checks (reported in BENCH_delta.json and grepped by CI):
-//   * answer identity: a delta-on database and a rebuild-every-time
-//     oracle run the schedule in lockstep at both shard counts; every
-//     query must match bit for bit ("mismatch": true fails the build,
-//     and the process exits nonzero);
-//   * acceptance: churn_speedup_1shard >= 2x over rebuild-per-query.
+// Self-check (reported in BENCH_delta.json and grepped by CI): answer
+// identity. After every churn op, and after a final fold, the churned
+// database's answer must match, bit for bit, the answer of a fresh
+// database bulk-loaded from the same rows at both shard counts
+// ("mismatch": true fails the build, and the process exits nonzero).
 //
 // Usage: delta_churn [count] [out.json]   (default 12000 BENCH_delta.json)
 
@@ -56,7 +52,6 @@ double NowMs() {
 
 struct ConfigResult {
   int shards = 1;
-  bool delta = false;
   double churn_ms = 0.0;
   double ops_per_sec = 0.0;
 };
@@ -77,14 +72,11 @@ double Percentile(std::vector<double> samples, double q) {
 }
 
 std::unique_ptr<Database> BuildDb(const std::vector<TimeSeries>& series,
-                                  int shards, bool delta) {
+                                  int shards) {
   ShardingOptions sharding;
   sharding.num_shards = shards;
   auto db = std::make_unique<Database>(FeatureConfig(), RTree::Options(),
                                        sharding);
-  DeltaOptions options;
-  options.enabled = delta;
-  db->set_delta_options(options);
   SIMQ_CHECK(db->CreateRelation("r").ok());
   SIMQ_CHECK(db->BulkLoad("r", series).ok());
   return db;
@@ -120,11 +112,10 @@ std::vector<TimeSeries> ChurnSeries(int ops, int length, uint64_t seed) {
 }
 
 ConfigResult RunChurn(const std::vector<TimeSeries>& base, int shards,
-                      bool delta, double epsilon) {
+                      double epsilon) {
   ConfigResult result;
   result.shards = shards;
-  result.delta = delta;
-  std::unique_ptr<Database> db = BuildDb(base, shards, delta);
+  std::unique_ptr<Database> db = BuildDb(base, shards);
   const std::vector<TimeSeries> fresh = ChurnSeries(kChurnOps, 128, 71);
   const int64_t count = static_cast<int64_t>(base.size());
   // Warm: compile the snapshot the first query would otherwise pay for.
@@ -140,49 +131,54 @@ ConfigResult RunChurn(const std::vector<TimeSeries>& base, int shards,
   return result;
 }
 
-bool IdentityHolds(const std::vector<TimeSeries>& base, int shards,
-                   double epsilon) {
-  std::unique_ptr<Database> subject = BuildDb(base, shards, /*delta=*/true);
-  std::unique_ptr<Database> oracle = BuildDb(base, shards, /*delta=*/false);
-  const std::vector<TimeSeries> fresh = ChurnSeries(kIdentityOps, 128, 72);
-  const int64_t count = static_cast<int64_t>(base.size());
-  for (int i = 0; i < kIdentityOps; ++i) {
-    const int64_t probe = (static_cast<int64_t>(i) * 41) % count;
-    const QueryResult a =
-        ChurnOp(subject.get(), fresh[static_cast<size_t>(i)], probe, epsilon);
-    const QueryResult b =
-        ChurnOp(oracle.get(), fresh[static_cast<size_t>(i)], probe, epsilon);
-    if (a.matches.size() != b.matches.size()) {
-      return false;
-    }
-    for (size_t m = 0; m < a.matches.size(); ++m) {
-      if (a.matches[m].id != b.matches[m].id ||
-          a.matches[m].distance != b.matches[m].distance) {
-        return false;
-      }
-    }
-  }
-  // Fold everything, then the answers must still be the oracle's.
-  SIMQ_CHECK(subject->Recompact("r").ok());
-  const int64_t probe = 3 % count;
-  Result<QueryResult> a = subject->Execute(RangeQuery(probe, epsilon));
-  Result<QueryResult> b = oracle->Execute(RangeQuery(probe, epsilon));
-  SIMQ_CHECK(a.ok() && b.ok());
-  if (a.value().matches.size() != b.value().matches.size()) {
+bool SameMatches(const QueryResult& a, const QueryResult& b) {
+  if (a.matches.size() != b.matches.size()) {
     return false;
   }
-  for (size_t m = 0; m < a.value().matches.size(); ++m) {
-    if (a.value().matches[m].id != b.value().matches[m].id ||
-        a.value().matches[m].distance != b.value().matches[m].distance) {
+  for (size_t m = 0; m < a.matches.size(); ++m) {
+    if (a.matches[m].id != b.matches[m].id ||
+        a.matches[m].name != b.matches[m].name ||
+        a.matches[m].distance != b.matches[m].distance) {
       return false;
     }
   }
   return true;
 }
 
+// The identity oracle: a fresh bulk load of the subject's rows (no
+// deletes happen here, so ids line up) answers every churn query.
+bool IdentityHolds(const std::vector<TimeSeries>& base, int shards,
+                   double epsilon) {
+  std::unique_ptr<Database> subject = BuildDb(base, shards);
+  std::vector<TimeSeries> rows = base;
+  const std::vector<TimeSeries> fresh = ChurnSeries(kIdentityOps, 128, 72);
+  const int64_t count = static_cast<int64_t>(base.size());
+  const auto oracle_answer = [&](int64_t probe) {
+    Result<QueryResult> result =
+        BuildDb(rows, shards)->Execute(RangeQuery(probe, epsilon));
+    SIMQ_CHECK(result.ok()) << result.status().ToString();
+    return std::move(result).value();
+  };
+  for (int i = 0; i < kIdentityOps; ++i) {
+    const int64_t probe = (static_cast<int64_t>(i) * 41) % count;
+    const QueryResult got =
+        ChurnOp(subject.get(), fresh[static_cast<size_t>(i)], probe, epsilon);
+    rows.push_back(fresh[static_cast<size_t>(i)]);
+    if (!SameMatches(got, oracle_answer(probe))) {
+      return false;
+    }
+  }
+  // Fold everything, then the answers must still be the oracle's.
+  SIMQ_CHECK(subject->Recompact("r").ok());
+  const int64_t probe = 3 % count;
+  Result<QueryResult> got = subject->Execute(RangeQuery(probe, epsilon));
+  SIMQ_CHECK(got.ok());
+  return SameMatches(got.value(), oracle_answer(probe));
+}
+
 FoldProfile ProfileRecompaction(const std::vector<TimeSeries>& base,
                                 int shards) {
-  std::unique_ptr<Database> db = BuildDb(base, shards, /*delta=*/true);
+  std::unique_ptr<Database> db = BuildDb(base, shards);
   SIMQ_CHECK(db->Execute(RangeQuery(0, 1.0)).ok());  // compile once
   const std::vector<TimeSeries> fresh = ChurnSeries(kFolds * 4, 128, 73);
   std::vector<double> build_ms;
@@ -211,14 +207,14 @@ FoldProfile ProfileRecompaction(const std::vector<TimeSeries>& base,
 
 void Run(int count, const std::string& out_path) {
   bench::PrintHeader(
-      "DELTA: mutation churn with the delta layer vs rebuild-per-query",
-      "claims: >= 2x churn throughput at 1 shard on the 12000x128 "
-      "workload, answers bit-identical, publish pause bounded");
+      "DELTA: mutation churn through the delta layer",
+      "claims: answers bit-identical to a fresh bulk load of the same "
+      "rows, publish pause bounded");
 
   workload::StockMarketOptions options;
   options.num_series = count;
   const std::vector<TimeSeries> base = workload::StockMarket(options);
-  std::unique_ptr<Database> calibration = BuildDb(base, 1, true);
+  std::unique_ptr<Database> calibration = BuildDb(base, 1);
   const double epsilon = bench::CalibrateRangeEpsilon(
       *calibration, "r", /*probe_id=*/0, nullptr, /*target_answers=*/24);
   calibration.reset();
@@ -228,44 +224,24 @@ void Run(int count, const std::string& out_path) {
 
   std::vector<ConfigResult> configs;
   for (const int shards : {1, 4}) {
-    for (const bool delta : {true, false}) {
-      configs.push_back(RunChurn(base, shards, delta, epsilon));
-    }
+    configs.push_back(RunChurn(base, shards, epsilon));
   }
-  const auto churn_of = [&](int shards, bool delta) {
-    for (const ConfigResult& config : configs) {
-      if (config.shards == shards && config.delta == delta) {
-        return config.churn_ms;
-      }
-    }
-    return 0.0;
-  };
-  const double speedup_1 = churn_of(1, true) > 0.0
-                               ? churn_of(1, false) / churn_of(1, true)
-                               : 0.0;
-  const double speedup_4 = churn_of(4, true) > 0.0
-                               ? churn_of(4, false) / churn_of(4, true)
-                               : 0.0;
 
   const FoldProfile folds = ProfileRecompaction(base, 1);
 
-  TablePrinter table({"shards", "delta", "churn_ms", "ops_per_sec"});
+  TablePrinter table({"shards", "churn_ms", "ops_per_sec"});
   for (const ConfigResult& config : configs) {
     table.AddRow({std::to_string(config.shards),
-                  config.delta ? "on" : "off",
                   TablePrinter::FormatDouble(config.churn_ms, 2),
                   TablePrinter::FormatDouble(config.ops_per_sec, 1)});
   }
   table.Print();
   std::printf(
-      "churn speedup (delta vs rebuild-per-query): x%.2f @1 shard, "
-      "x%.2f @4 shards\n"
       "recompaction @1 shard: build p50/p99 = %.3f/%.3f ms, "
       "publish p50/p99 = %.3f/%.3f ms\n"
       "answers %s\n",
-      speedup_1, speedup_4, folds.build_p50_ms, folds.build_p99_ms,
-      folds.publish_p50_ms, folds.publish_p99_ms,
-      mismatch ? "MISMATCH" : "identical");
+      folds.build_p50_ms, folds.build_p99_ms, folds.publish_p50_ms,
+      folds.publish_p99_ms, mismatch ? "MISMATCH" : "identical");
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   SIMQ_CHECK(out != nullptr) << "cannot write " << out_path;
@@ -283,10 +259,9 @@ void Run(int count, const std::string& out_path) {
   for (size_t i = 0; i < configs.size(); ++i) {
     const ConfigResult& config = configs[i];
     std::fprintf(out,
-                 "    {\"shards\": %d, \"delta\": %s, \"churn_ms\": %.4f, "
+                 "    {\"shards\": %d, \"churn_ms\": %.4f, "
                  "\"ops_per_sec\": %.2f}%s\n",
-                 config.shards, config.delta ? "true" : "false",
-                 config.churn_ms, config.ops_per_sec,
+                 config.shards, config.churn_ms, config.ops_per_sec,
                  i + 1 < configs.size() ? "," : "");
   }
   std::fprintf(out,
@@ -294,13 +269,11 @@ void Run(int count, const std::string& out_path) {
                "  \"recompaction\": {\"folds\": %d, "
                "\"build_p50_ms\": %.4f, \"build_p99_ms\": %.4f, "
                "\"publish_p50_ms\": %.4f, \"publish_p99_ms\": %.4f},\n"
-               "  \"churn_speedup_1shard\": %.3f,\n"
-               "  \"churn_speedup_4shard\": %.3f,\n"
                "  \"mismatch\": %s\n"
                "}\n",
                kFolds, folds.build_p50_ms, folds.build_p99_ms,
-               folds.publish_p50_ms, folds.publish_p99_ms, speedup_1,
-               speedup_4, mismatch ? "true" : "false");
+               folds.publish_p50_ms, folds.publish_p99_ms,
+               mismatch ? "true" : "false");
   std::fclose(out);
   std::printf("wrote %s\n", out_path.c_str());
   if (mismatch) {

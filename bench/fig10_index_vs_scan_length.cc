@@ -18,9 +18,9 @@ void Run() {
       "claim: the index is much faster than scanning and the advantage "
       "grows with the sequence length");
 
-  TablePrinter table({"length", "index_ms", "ptr_index_ms", "scan_ms",
-                      "speedup", "engine_x", "index_candidates", "answers",
-                      "index_node_io", "scan_page_io", "io_advantage"});
+  TablePrinter table({"length", "index_ms", "scan_ms", "speedup",
+                      "index_candidates", "answers", "index_node_io",
+                      "scan_page_io", "io_advantage"});
   const int kNumSeries = 1000;
   const int kQueries = 20;
 
@@ -66,15 +66,8 @@ void Run() {
       answers = local_answers / kQueries;
     };
 
-    // `index_ms` is the packed engine (the default); `ptr_index_ms` reruns
-    // the identical queries on the pointer tree. Answer sets and node
-    // accesses are engine-invariant, so the other columns apply to both.
     const double index_ms = bench::MedianMillis(
         [&] { run_queries(ExecutionStrategy::kIndex); }, 5) / kQueries;
-    db->set_index_engine(IndexEngine::kPointer);
-    const double ptr_index_ms = bench::MedianMillis(
-        [&] { run_queries(ExecutionStrategy::kIndex); }, 5) / kQueries;
-    db->set_index_engine(IndexEngine::kPacked);
     const double scan_ms = bench::MedianMillis(
         [&] { run_queries(ExecutionStrategy::kScan); }, 5) / kQueries;
 
@@ -86,10 +79,8 @@ void Run() {
         (static_cast<int64_t>(kNumSeries) * length * 16 + 8191) / 8192;
     table.AddRow({TablePrinter::FormatInt(length),
                   TablePrinter::FormatDouble(index_ms, 4),
-                  TablePrinter::FormatDouble(ptr_index_ms, 4),
                   TablePrinter::FormatDouble(scan_ms, 4),
                   TablePrinter::FormatDouble(scan_ms / index_ms, 2),
-                  TablePrinter::FormatDouble(ptr_index_ms / index_ms, 2),
                   TablePrinter::FormatInt(candidates),
                   TablePrinter::FormatInt(answers),
                   TablePrinter::FormatInt(index_nodes),

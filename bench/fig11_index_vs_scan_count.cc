@@ -15,9 +15,9 @@ void Run() {
       "sequences",
       "claim: the index advantage grows with the number of sequences");
 
-  TablePrinter table({"num_series", "index_ms", "ptr_index_ms", "scan_ms",
-                      "speedup", "engine_x", "index_candidates", "answers",
-                      "index_node_io", "scan_page_io", "io_advantage"});
+  TablePrinter table({"num_series", "index_ms", "scan_ms", "speedup",
+                      "index_candidates", "answers", "index_node_io",
+                      "scan_page_io", "io_advantage"});
   const int kLength = 128;
   const int kQueries = 20;
   const double kEpsilon = 2.0;
@@ -60,15 +60,8 @@ void Run() {
       answers = local_answers / kQueries;
     };
 
-    // `index_ms` is the packed engine (the default); `ptr_index_ms` reruns
-    // the identical queries on the pointer tree. Answer sets and node
-    // accesses are engine-invariant, so the other columns apply to both.
     const double index_ms = bench::MedianMillis(
         [&] { run_queries(ExecutionStrategy::kIndex); }, 5) / kQueries;
-    db->set_index_engine(IndexEngine::kPointer);
-    const double ptr_index_ms = bench::MedianMillis(
-        [&] { run_queries(ExecutionStrategy::kIndex); }, 5) / kQueries;
-    db->set_index_engine(IndexEngine::kPacked);
     const double scan_ms = bench::MedianMillis(
         [&] { run_queries(ExecutionStrategy::kScan); }, 5) / kQueries;
 
@@ -80,10 +73,8 @@ void Run() {
         (static_cast<int64_t>(count) * kLength * 16 + 8191) / 8192;
     table.AddRow({TablePrinter::FormatInt(count),
                   TablePrinter::FormatDouble(index_ms, 4),
-                  TablePrinter::FormatDouble(ptr_index_ms, 4),
                   TablePrinter::FormatDouble(scan_ms, 4),
                   TablePrinter::FormatDouble(scan_ms / index_ms, 2),
-                  TablePrinter::FormatDouble(ptr_index_ms / index_ms, 2),
                   TablePrinter::FormatInt(candidates),
                   TablePrinter::FormatInt(answers),
                   TablePrinter::FormatInt(index_nodes),

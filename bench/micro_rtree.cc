@@ -1,14 +1,15 @@
 // Microbenchmarks of the R*-tree substrate: insertion, bulk load, snapshot
 // compilation, and the three hot traversals (range search, k-NN, spatial
-// join) on both engines -- the pointer tree and the packed snapshot.
+// join) on the packed tree the engine queries and on RTree, the
+// pointer-based tree it is compiled from, kept as the reference.
 //
 // The *_Table1* benchmarks run on the paper's Table-1 workload (the
 // 1067 x 128 stock relation's 6-d polar feature points, STR bulk-loaded)
-// so the packed-vs-pointer speedup is measured at the operating point the
-// acceptance criteria reference. Each Table-1 traversal benchmark verifies
-// once, outside the timed loop, that both engines return identical answer
-// counts and node-access counts. CI uploads this binary's JSON output as
-// BENCH_rtree.json.
+// so the packed-vs-reference speedup is measured at the operating point
+// the acceptance criteria reference. Each Table-1 traversal benchmark
+// verifies once, outside the timed loop, that both trees return identical
+// answer counts and node-access counts. CI uploads this binary's JSON
+// output as BENCH_rtree.json.
 
 #include <benchmark/benchmark.h>
 

@@ -1,14 +1,16 @@
 // [SHARD] Sharded scatter-gather engine vs the unsharded engine on the
 // Table-1 stock workloads (1067 x 128 and the 12000-series scale-up).
 //
-// Per shard count (1 / 2 / 4 / 8), three trajectories:
-//   bulk_load   CreateRelation + BulkLoad wall time. The per-shard build
-//               (derived data + STR tree per shard) runs on the thread
-//               pool, so this scales with min(shards, cores).
+// Per shard count (1 / 2 / 4 / 8), four trajectories:
+//   bulk_load   CreateRelation + BulkLoad wall time. The per-shard
+//               derived data is computed on the thread pool, so this
+//               scales with min(shards, cores).
+//   load_query  bulk_load plus the first index range query, which
+//               compiles every shard's packed R-tree (again one pool task
+//               per shard): the time until the index answers.
 //   churn       alternating Insert + index range query. Each insert
-//               invalidates ONLY the routed shard's packed snapshot, so
-//               the next query recompiles 1/S of the index instead of
-//               all of it -- a win even on one core.
+//               lands in the routed shard's delta, which the next query
+//               scans exactly beside the packed trees.
 //   queries     batch range / kNN / index-join latency (expected roughly
 //               neutral: same kernels, same exact checks, S tree roots).
 //
@@ -16,7 +18,7 @@
 // kNN, and join answers at every shard count must be bit-identical to
 // the 1-shard answers ("mismatch": true fails the build). Join pairs are
 // compared as sorted sets -- the index join's emission order is
-// tree-shape-dependent even on one shard (pointer vs packed).
+// tree-shape-dependent (each shard's tree covers only its own rows).
 //
 // BENCH_shard.json records shard counts, the thread-pool width, and the
 // workload dimensions so the perf trajectory stays interpretable across
@@ -49,6 +51,7 @@ const int kShardCounts[] = {1, 2, 4, 8};
 struct ConfigResult {
   int shards = 1;
   double bulk_load_ms = 0.0;
+  double load_query_ms = 0.0;
   double churn_qps = 0.0;
   double range_ms = 0.0;
   double knn_ms = 0.0;
@@ -157,6 +160,12 @@ WorkloadResult RunWorkload(const std::string& name, int count, int reps,
 
     config.bulk_load_ms =
         bench::MedianMillis([&] { Build(market, shards); }, reps);
+    config.load_query_ms = bench::MedianMillis(
+        [&] {
+          const auto fresh = Build(market, shards);
+          SIMQ_CHECK(fresh->ExecuteText(range_text + " VIA INDEX").ok());
+        },
+        reps);
 
     const auto db = Build(market, shards);
     const Result<QueryResult> range = db->ExecuteText(range_text);
@@ -221,10 +230,12 @@ void PrintWorkload(const WorkloadResult& result) {
   std::printf("\n[%s] %d x %d, epsilon=%.4f\n", result.name.c_str(),
               result.count, result.length, result.epsilon);
   TablePrinter table(
-      {"shards", "bulk_ms", "churn_qps", "range_ms", "knn_ms", "join_ms"});
+      {"shards", "bulk_ms", "load_query_ms", "churn_qps", "range_ms",
+       "knn_ms", "join_ms"});
   for (const ConfigResult& config : result.configs) {
     table.AddRow({std::to_string(config.shards),
                   TablePrinter::FormatDouble(config.bulk_load_ms, 2),
+                  TablePrinter::FormatDouble(config.load_query_ms, 2),
                   TablePrinter::FormatDouble(config.churn_qps, 1),
                   TablePrinter::FormatDouble(config.range_ms, 3),
                   TablePrinter::FormatDouble(config.knn_ms, 3),
@@ -282,10 +293,10 @@ void Run(int only_count, const std::string& out_path) {
       std::fprintf(
           out,
           "      {\"shards\": %d, \"bulk_load_ms\": %.3f, "
-          "\"churn_qps\": %.2f, \"range_ms\": %.4f, \"knn_ms\": %.4f, "
-          "\"join_ms\": %.3f}%s\n",
-          config.shards, config.bulk_load_ms, config.churn_qps,
-          config.range_ms, config.knn_ms, config.join_ms,
+          "\"load_query_ms\": %.3f, \"churn_qps\": %.2f, "
+          "\"range_ms\": %.4f, \"knn_ms\": %.4f, \"join_ms\": %.3f}%s\n",
+          config.shards, config.bulk_load_ms, config.load_query_ms,
+          config.churn_qps, config.range_ms, config.knn_ms, config.join_ms,
           c + 1 < result.configs.size() ? "," : "");
     }
     std::fprintf(out,

@@ -16,8 +16,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -106,60 +104,6 @@ void Run() {
   }
   table.Print();
 
-  // Same index methods on both traversal engines: the packed snapshot
-  // (default, timed above) vs the pointer tree. Answer sets and node
-  // accesses must agree; only the wall clock moves.
-  TablePrinter engines({"method", "packed_ms", "pointer_ms", "engine_x",
-                        "answers", "node_accesses"});
-  for (const MethodSpec& spec : methods) {
-    if (spec.method != JoinMethod::kIndexNoTransform &&
-        spec.method != JoinMethod::kIndexTransform) {
-      continue;
-    }
-    QueryResult packed_result;
-    const double packed_ms = bench::MedianMillis(
-        [&] {
-          packed_result =
-              db->SelfJoin("r", epsilon, spec.rule, spec.method).value();
-        },
-        5);
-    db->set_index_engine(IndexEngine::kPointer);
-    QueryResult pointer_result;
-    const double pointer_ms = bench::MedianMillis(
-        [&] {
-          pointer_result =
-              db->SelfJoin("r", epsilon, spec.rule, spec.method).value();
-        },
-        5);
-    db->set_index_engine(IndexEngine::kPacked);
-    const auto pair_ids = [](const QueryResult& result) {
-      std::vector<std::pair<int64_t, int64_t>> ids;
-      ids.reserve(result.pairs.size());
-      for (const PairMatch& pair : result.pairs) {
-        ids.emplace_back(pair.first, pair.second);
-      }
-      std::sort(ids.begin(), ids.end());
-      return ids;
-    };
-    const bool agree =
-        pair_ids(packed_result) == pair_ids(pointer_result) &&
-        packed_result.stats.node_accesses == pointer_result.stats.node_accesses;
-    engines.AddRow(
-        {spec.label, TablePrinter::FormatDouble(packed_ms, 2),
-         TablePrinter::FormatDouble(pointer_ms, 2),
-         TablePrinter::FormatDouble(pointer_ms / packed_ms, 2),
-         TablePrinter::FormatInt(
-             static_cast<int64_t>(packed_result.pairs.size())),
-         TablePrinter::FormatInt(packed_result.stats.node_accesses)});
-    if (!agree) {
-      std::fprintf(stderr, "FATAL: traversal engines disagree on %s\n",
-                   spec.label);
-      std::exit(1);
-    }
-  }
-  std::printf("\n  packed vs pointer traversal engine (identical answers "
-              "and node accesses):\n");
-  engines.Print();
   std::printf("\n  epsilon = %.4f\n", epsilon);
   std::printf("  ratios: a/b = %.1f   b/c = %.1f   b/d = %.1f   d/c = %.2f\n",
               time_a / time_b, time_b / time_c, time_b / time_d,

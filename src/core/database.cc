@@ -195,61 +195,6 @@ class ExactChecker {
   std::vector<double> mult_ri_;
 };
 
-// Runs `body` on one shard's index through the chosen traversal engine
-// (both engines expose the same Search/NearestNeighbors signatures) and
-// returns the node-access delta -- the single place the paper's node-I/O
-// accounting is read, so all strategies report it identically.
-template <typename Body>
-int64_t RunOnShardEngine(const RelationShard& shard, IndexEngine engine,
-                         Body&& body) {
-  if (engine == IndexEngine::kPacked) {
-    const PackedRTree& tree = shard.packed_index();
-    const int64_t before = tree.node_accesses();
-    body(tree);
-    return tree.node_accesses() - before;
-  }
-  const RTree& tree = shard.index();
-  const int64_t before = tree.node_accesses();
-  body(tree);
-  return tree.node_accesses() - before;
-}
-
-// Scatter driver for whole-relation index operations: resolves every
-// shard's traversal engine up front (so parallel fan-outs never contend
-// on a snapshot rebuild), hands the full tree array to `body`, and
-// returns the summed node-access delta across the shards.
-template <typename Body>
-int64_t RunOnShardEngines(const ShardedRelation& data, IndexEngine engine,
-                          Body&& body) {
-  const int num_shards = data.num_shards();
-  const auto run = [&](const auto& trees) {
-    int64_t before = 0;
-    for (const auto* tree : trees) {
-      before += tree->node_accesses();
-    }
-    body(trees);
-    int64_t after = 0;
-    for (const auto* tree : trees) {
-      after += tree->node_accesses();
-    }
-    return after - before;
-  };
-  if (engine == IndexEngine::kPacked) {
-    std::vector<const PackedRTree*> trees;
-    trees.reserve(static_cast<size_t>(num_shards));
-    for (int s = 0; s < num_shards; ++s) {
-      trees.push_back(&data.shard(s).packed_index());
-    }
-    return run(trees);
-  }
-  std::vector<const RTree*> trees;
-  trees.reserve(static_cast<size_t>(num_shards));
-  for (int s = 0; s < num_shards; ++s) {
-    trees.push_back(&data.shard(s).index());
-  }
-  return run(trees);
-}
-
 // One contiguous local-row range of one shard: the work unit of the
 // sharded scan drivers. Units are ordered (shard, row range); a
 // ParallelFor over the unit list with per-block buffers merged in block
@@ -290,10 +235,10 @@ std::vector<const double*> GatherSpectrumRows(const ShardedRelation& data) {
 }
 
 // Per-shard quantized codes plus per-query bound LUTs for the filtered
-// scan paths. Codes are resolved (lazily recompiling any shard a mutation
+// scan paths. Codes are resolved (lazily compiling any shard a bulk load
 // staled) before the parallel fan-out, so workers never contend on a
-// rebuild -- the same discipline as RunOnShardEngines and the packed
-// snapshots. LUTs are built against each shard's own quantile grid.
+// rebuild -- the same discipline as ResolveSnapshots for the packed
+// trees. LUTs are built against each shard's own quantile grid.
 struct ShardFilterState {
   std::vector<const QuantizedCodes*> codes;
   std::vector<QueryLuts> luts;
@@ -386,23 +331,15 @@ void FillShardEstimates(const ShardedRelation& data, int bits,
 }  // namespace
 
 Relation::Relation(std::string name, const FeatureConfig& config,
-                   RTree::Options index_options,
-                   const ShardingOptions& sharding)
+                   int max_entries, const ShardingOptions& sharding)
     : name_(std::move(name)),
       config_(config),
-      data_(FeatureDimension(config), index_options, sharding) {}
+      data_(FeatureDimension(config), max_entries, sharding) {}
 
 const Record& Relation::record(int64_t id) const {
   SIMQ_CHECK_GE(id, 0);
   SIMQ_CHECK_LT(id, size());
   return records_[static_cast<size_t>(id)];
-}
-
-const RTree& Relation::index() const {
-  SIMQ_CHECK_EQ(data_.num_shards(), 1)
-      << "Relation::index() is only defined for unsharded relations; use "
-         "sharded().shard(s).index()";
-  return data_.shard(0).index();
 }
 
 const FeatureStore& Relation::store() const {
@@ -433,7 +370,14 @@ Result<int64_t> Relation::FindByName(const std::string& series_name) const {
 
 Database::Database(FeatureConfig config, RTree::Options index_options,
                    ShardingOptions sharding)
-    : config_(config), index_options_(index_options), sharding_(sharding) {
+    : config_(config),
+      max_entries_(index_options.max_entries),
+      sharding_(sharding) {
+  // The packed layout caps node fanout at kMaxFanout; the STR build's
+  // RTree needs max_entries >= 2 * min_entries = 4.
+  SIMQ_CHECK(max_entries_ >= 4 && max_entries_ <= PackedRTree::kMaxFanout)
+      << "RTree::Options::max_entries must lie in [4, "
+      << PackedRTree::kMaxFanout << "], got " << max_entries_;
   sharding_.num_shards = std::max(1, sharding_.num_shards);
 }
 
@@ -449,52 +393,51 @@ bool Database::UseQuantizedFilter(FilterMode filter) const {
   return filter_engine_ == FilterEngine::kQuantized;
 }
 
-IndexEngine Database::EffectiveIndexEngine() const {
-  if (index_engine_ == IndexEngine::kPacked &&
-      PackedRTree::SupportsFanout(index_options_.max_entries)) {
-    return IndexEngine::kPacked;
+std::vector<PackedSnapshotCache::View> Database::ResolveSnapshots(
+    const ShardedRelation& data, bool* degraded) const {
+  const int num_shards = data.num_shards();
+  std::vector<PackedSnapshotCache::View> views(
+      static_cast<size_t>(num_shards));
+  const auto resolve = [&](int64_t /*block*/, int64_t lo, int64_t hi) {
+    for (int64_t s = lo; s < hi; ++s) {
+      views[static_cast<size_t>(s)] =
+          data.shard(static_cast<int>(s)).packed_view();
+    }
+  };
+  // Stale shards (the first index query after a bulk load) compile on the
+  // pool, as the load's own per-shard work does; when every shard is
+  // fresh the views are read inline, one lock each.
+  bool any_stale = false;
+  for (int s = 0; s < num_shards && !any_stale; ++s) {
+    any_stale = !data.shard(s).packed_fresh();
   }
-  return IndexEngine::kPointer;
-}
-
-IndexEngine Database::ResolveQueryEngine(const ShardedRelation& data,
-                                         bool* degraded) const {
-  const IndexEngine engine = EffectiveIndexEngine();
-  if (engine != IndexEngine::kPacked) {
-    return engine;
+  if (any_stale) {
+    ThreadPool::Global().ParallelFor(0, num_shards, /*min_grain=*/1, resolve);
+  } else {
+    resolve(0, 0, num_shards);
   }
-  // Compile every shard's snapshot up front (the usual pre-fan-out
-  // discipline); one failed compile demotes the whole query to the pointer
-  // tree so all shards traverse the same engine and the node-access
-  // accounting stays coherent.
-  for (int s = 0; s < data.num_shards(); ++s) {
-    if (data.shard(s).packed_index_or_null() == nullptr) {
+  bool failed = false;
+  for (const PackedSnapshotCache::View& view : views) {
+    if (view.tree == nullptr) {
       degradation_->packed_compile_failures.fetch_add(
           1, std::memory_order_relaxed);
-      degradation_->degraded_queries.fetch_add(1, std::memory_order_relaxed);
-      *degraded = true;
-      return IndexEngine::kPointer;
+      failed = true;
     }
   }
-  return engine;
+  if (failed) {
+    degradation_->degraded_queries.fetch_add(1, std::memory_order_relaxed);
+    *degraded = true;
+  }
+  return views;
 }
 
 Status Database::CreateRelation(const std::string& name) {
   if (relations_.count(name) > 0) {
     return Status::AlreadyExists("relation '" + name + "' already exists");
   }
-  auto relation =
-      std::make_unique<Relation>(name, config_, index_options_, sharding_);
-  relation->data_.set_delta_enabled(delta_options_.enabled);
-  relations_[name] = std::move(relation);
+  relations_[name] =
+      std::make_unique<Relation>(name, config_, max_entries_, sharding_);
   return Status::Ok();
-}
-
-void Database::set_delta_options(const DeltaOptions& options) {
-  delta_options_ = options;
-  for (auto& [name, relation] : relations_) {
-    relation->data_.set_delta_enabled(options.enabled);
-  }
 }
 
 Status Database::Delete(const std::string& relation, int64_t id) {
@@ -568,9 +511,9 @@ Result<int64_t> Database::Insert(const std::string& relation,
   record.normal_values = ToNormalForm(series.values).values;
   record.features = ComputeFeatures(series.values);
 
-  // Route the record's derived data to its shard: the shard's store and
-  // tree grow, that shard's epoch bumps, and only that shard's packed
-  // snapshot is invalidated -- the other shards' snapshots stay warm.
+  // Route the record's derived data to its shard: the shard's store grows
+  // and its epoch bumps; the row joins that shard's delta, so no compiled
+  // artifact is invalidated.
   rel->data_.Append(record.features, record.normal_values,
                     MakeFeaturePoint(record.features, config_));
   rel->by_name_[record.name] = record.id;
@@ -622,11 +565,11 @@ Status Database::BulkLoad(const std::string& relation,
     rel->by_name_[record.name] = record.id;
     rel->records_.push_back(std::move(record));
   }
-  // Parallel per-shard build: every shard task computes its own records'
+  // Parallel per-shard load: every shard task computes its own records'
   // normal forms and spectra (each id writes only its own records_ slot,
-  // so the fan-out is deterministic), fills the shard's columnar store,
-  // and STR-loads the shard's tree. With one shard this degenerates to
-  // the pre-sharding serial load.
+  // so the fan-out is deterministic) and fills the shard's columnar store;
+  // the first index query STR-compiles the shard's packed tree. With one
+  // shard this degenerates to the pre-sharding serial load.
   rel->data_.BulkLoad(
       static_cast<int64_t>(series.size()), [&](int64_t id) {
         Record& record = rel->records_[static_cast<size_t>(id)];
@@ -940,94 +883,88 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
         static_cast<size_t>(num_shards));
     std::vector<int64_t> shard_candidates(static_cast<size_t>(num_shards), 0);
     std::vector<int64_t> shard_checks(static_cast<size_t>(num_shards), 0);
-    const IndexEngine engine = ResolveQueryEngine(data, &out.stats.degraded);
-    const int64_t node_accesses = RunOnShardEngines(
-        data, engine, [&](const auto& trees) {
-          ThreadPool::Global().ParallelFor(
-              0, num_shards, /*min_grain=*/1,
-              [&](int64_t /*block*/, int64_t lo, int64_t hi) {
-                for (int64_t s = lo; s < hi; ++s) {
-                  if (ShouldStop(exec)) {
-                    break;
-                  }
-                  const double span_start =
-                      trace != nullptr ? trace->NowMs() : 0.0;
-                  std::vector<int64_t> candidates;
-                  trees[static_cast<size_t>(s)]->Search(region, affines_ptr,
-                                                        &candidates);
-                  shard_candidates[static_cast<size_t>(s)] =
-                      static_cast<int64_t>(candidates.size());
-                  std::vector<Match>& local =
-                      shard_matches[static_cast<size_t>(s)];
-                  int64_t checks = 0;
-                  bool stopped = false;
-                  for (size_t c = 0; c < candidates.size(); ++c) {
-                    if (c % kPollStride == 0 && ShouldStop(exec)) {
-                      stopped = true;
-                      break;
-                    }
-                    const int64_t id = candidates[c];
-                    if (!data.alive(id) ||
-                        !StatsAdmit(data.mean(id), data.std_dev(id),
-                                    query.pattern)) {
-                      continue;
-                    }
-                    ++checks;
-                    const double distance =
-                        checker.Distance(id, query.epsilon);
-                    if (distance <= query.epsilon) {
-                      local.push_back(
-                          Match{id, relation.record(id).name, distance});
-                    }
-                  }
-                  if (engine == IndexEngine::kPacked && !stopped) {
-                    // Delta scan: rows appended after the shard's packed
-                    // snapshot was compiled are not in it -- check them
-                    // exactly. The pointer tree (kPointer) always holds
-                    // every row, so only the packed engine has a delta.
-                    const RelationShard& shard =
-                        data.shard(static_cast<int>(s));
-                    for (int64_t r = shard.packed_covered();
-                         r < shard.size(); ++r) {
-                      if (checks % kPollStride == 0 && ShouldStop(exec)) {
-                        stopped = true;
-                        break;
-                      }
-                      const int64_t id = shard.global_id(r);
-                      if (!shard.alive(r) ||
-                          !StatsAdmit(data.mean(id), data.std_dev(id),
-                                      query.pattern)) {
-                        continue;
-                      }
-                      ++checks;
-                      const double distance =
-                          checker.Distance(id, query.epsilon);
-                      if (distance <= query.epsilon) {
-                        local.push_back(
-                            Match{id, relation.record(id).name, distance});
-                      }
-                    }
-                  }
-                  shard_checks[static_cast<size_t>(s)] = checks;
-                  if (trace != nullptr) {
-                    const int span = trace->AddCompleted(
-                        "index shard", trace_parent, span_start,
-                        trace->NowMs() - span_start);
-                    trace->SetShard(span, static_cast<int>(s));
-                    trace->SetRows(
-                        span, shard_candidates[static_cast<size_t>(s)],
-                        shard_candidates[static_cast<size_t>(s)] - checks,
-                        static_cast<int64_t>(local.size()));
-                  }
-                  if (stopped) {
-                    break;
-                  }
+    std::vector<int64_t> shard_nodes(static_cast<size_t>(num_shards), 0);
+    const std::vector<PackedSnapshotCache::View> views =
+        ResolveSnapshots(data, &out.stats.degraded);
+    ThreadPool::Global().ParallelFor(
+        0, num_shards, /*min_grain=*/1,
+        [&](int64_t /*block*/, int64_t lo, int64_t hi) {
+          for (int64_t s = lo; s < hi; ++s) {
+            if (ShouldStop(exec)) {
+              break;
+            }
+            const double span_start = trace != nullptr ? trace->NowMs() : 0.0;
+            const PackedSnapshotCache::View& view =
+                views[static_cast<size_t>(s)];
+            std::vector<int64_t> candidates;
+            if (view.tree != nullptr) {
+              shard_nodes[static_cast<size_t>(s)] =
+                  view.tree->Search(region, affines_ptr, &candidates);
+            }
+            shard_candidates[static_cast<size_t>(s)] =
+                static_cast<int64_t>(candidates.size());
+            std::vector<Match>& local = shard_matches[static_cast<size_t>(s)];
+            int64_t checks = 0;
+            bool stopped = false;
+            for (size_t c = 0; c < candidates.size(); ++c) {
+              if (c % kPollStride == 0 && ShouldStop(exec)) {
+                stopped = true;
+                break;
+              }
+              const int64_t id = candidates[c];
+              if (!data.alive(id) ||
+                  !StatsAdmit(data.mean(id), data.std_dev(id),
+                              query.pattern)) {
+                continue;
+              }
+              ++checks;
+              const double distance = checker.Distance(id, query.epsilon);
+              if (distance <= query.epsilon) {
+                local.push_back(Match{id, relation.record(id).name, distance});
+              }
+            }
+            if (!stopped) {
+              // Delta scan: rows past the snapshot's coverage (appended
+              // after its compile, or every row when the compile failed)
+              // are not in the tree -- check them exactly.
+              const RelationShard& shard = data.shard(static_cast<int>(s));
+              for (int64_t r = view.covered; r < shard.size(); ++r) {
+                if (checks % kPollStride == 0 && ShouldStop(exec)) {
+                  stopped = true;
+                  break;
                 }
-              });
+                const int64_t id = shard.global_id(r);
+                if (!shard.alive(r) ||
+                    !StatsAdmit(data.mean(id), data.std_dev(id),
+                                query.pattern)) {
+                  continue;
+                }
+                ++checks;
+                const double distance = checker.Distance(id, query.epsilon);
+                if (distance <= query.epsilon) {
+                  local.push_back(
+                      Match{id, relation.record(id).name, distance});
+                }
+              }
+            }
+            shard_checks[static_cast<size_t>(s)] = checks;
+            if (trace != nullptr) {
+              const int span =
+                  trace->AddCompleted("index shard", trace_parent, span_start,
+                                      trace->NowMs() - span_start);
+              trace->SetShard(span, static_cast<int>(s));
+              trace->SetRows(span, shard_candidates[static_cast<size_t>(s)],
+                             shard_candidates[static_cast<size_t>(s)] - checks,
+                             static_cast<int64_t>(local.size()));
+            }
+            if (stopped) {
+              break;
+            }
+          }
         });
     out.stats.used_index = true;
-    out.stats.node_accesses = node_accesses;
     for (int s = 0; s < num_shards; ++s) {
+      out.stats.node_accesses += shard_nodes[static_cast<size_t>(s)];
       out.stats.candidates += shard_candidates[static_cast<size_t>(s)];
       out.stats.exact_checks += shard_checks[static_cast<size_t>(s)];
       out.matches.insert(out.matches.end(),
@@ -1417,7 +1354,8 @@ Result<QueryResult> Database::ExecuteNearest(const Relation& relation,
     std::vector<std::pair<int64_t, double>> merged;
     int64_t node_accesses = 0;
     const int num_shards = data.num_shards();
-    const IndexEngine engine = ResolveQueryEngine(data, &out.stats.degraded);
+    const std::vector<PackedSnapshotCache::View> views =
+        ResolveSnapshots(data, &out.stats.degraded);
     for (int s = 0; s < num_shards; ++s) {
       SIMQ_RETURN_IF_ERROR(CheckExecution(query.exec));
       double prune_bound = kInf;
@@ -1427,27 +1365,27 @@ Result<QueryResult> Database::ExecuteNearest(const Relation& relation,
       }
       const double span_start = trace != nullptr ? trace->NowMs() : 0.0;
       const int64_t checks_before = out.stats.exact_checks;
+      const PackedSnapshotCache::View& view = views[static_cast<size_t>(s)];
       int64_t shard_returned = 0;
-      node_accesses += RunOnShardEngine(
-          data.shard(s), engine, [&](const auto& tree) {
-            const auto shard_results = tree.NearestNeighbors(
-                bound, affines_ptr, query.k, exact, prune_bound);
-            shard_returned = static_cast<int64_t>(shard_results.size());
-            merged.insert(merged.end(), shard_results.begin(),
-                          shard_results.end());
-          });
-      if (engine == IndexEngine::kPacked) {
-        // Delta scan: rows appended after the shard's packed snapshot was
-        // compiled are invisible to it -- exact-check each and let the
-        // canonical (distance, id) re-sort + cut below rank them. The
-        // pointer tree always holds every row, so kPointer has no delta.
-        const RelationShard& shard = data.shard(s);
-        for (int64_t r = shard.packed_covered(); r < shard.size(); ++r) {
-          const int64_t id = shard.global_id(r);
-          const double distance = exact(id);
-          if (distance != kInf) {
-            merged.emplace_back(id, distance);
-          }
+      if (view.tree != nullptr) {
+        int64_t visited = 0;
+        const auto shard_results = view.tree->NearestNeighbors(
+            bound, affines_ptr, query.k, exact, prune_bound, &visited);
+        node_accesses += visited;
+        shard_returned = static_cast<int64_t>(shard_results.size());
+        merged.insert(merged.end(), shard_results.begin(),
+                      shard_results.end());
+      }
+      // Delta scan: rows past the snapshot's coverage (appended after its
+      // compile, or every row when the compile failed) are invisible to
+      // the tree -- exact-check each and let the canonical (distance, id)
+      // re-sort + cut below rank them.
+      const RelationShard& shard = data.shard(s);
+      for (int64_t r = view.covered; r < shard.size(); ++r) {
+        const int64_t id = shard.global_id(r);
+        const double distance = exact(id);
+        if (distance != kInf) {
+          merged.emplace_back(id, distance);
         }
       }
       if (trace != nullptr) {
@@ -2193,16 +2131,16 @@ Result<QueryResult> Database::SelfJoin(
 
   // Index nested loop over the shard grid: every probe record is paired
   // with every shard's tree (probe side x shard trees), parallelized over
-  // probe blocks -- concurrent index read traversals are safe on both
-  // engines (the node-access counters are atomic, the packed snapshots
-  // immutable), and per-block pair buffers merged in block order keep the
-  // output deterministic. RunOnShardEngines resolves every shard's engine
-  // before the fan-out, so workers never contend on a snapshot rebuild
-  // lock. For each probe, candidates arrive shard by shard; the union
-  // over shards is exactly the unsharded candidate superset, and the
-  // exact checks (over gathered rows) decide membership identically.
-  const std::vector<const double*> base_rows =
-      GatherSpectrumRows(relation->sharded());
+  // probe blocks -- the packed trees are immutable, so concurrent
+  // searches are safe, and per-block pair buffers merged in block order
+  // keep the output deterministic. ResolveSnapshots compiles every
+  // shard's tree before the fan-out, so workers never contend on a
+  // compile lock. For each probe, candidates arrive shard by shard; the
+  // union over shards plus the delta rows is exactly the unsharded
+  // candidate superset, and the exact checks (over gathered rows) decide
+  // membership identically.
+  const ShardedRelation& data = relation->sharded();
+  const std::vector<const double*> base_rows = GatherSpectrumRows(data);
   std::vector<double> post_left_ri;
   std::vector<double> post_right_ri;
   const double* post_left_ptr = nullptr;
@@ -2222,83 +2160,77 @@ Result<QueryResult> Database::SelfJoin(
   std::vector<std::vector<PairMatch>> block_pairs(max_blocks);
   std::vector<int64_t> block_checks(max_blocks, 0);
   std::vector<int64_t> block_candidates(max_blocks, 0);
-  const IndexEngine join_engine =
-      ResolveQueryEngine(relation->sharded(), &out.stats.degraded);
-  out.stats.node_accesses = RunOnShardEngines(
-      relation->sharded(), join_engine, [&](const auto& trees) {
-        pool.ParallelFor(
-            0, count, /*min_grain=*/16,
-            [&](int64_t block, int64_t lo, int64_t hi) {
-              std::vector<PairMatch>& local =
-                  block_pairs[static_cast<size_t>(block)];
-              std::vector<int64_t> candidates;
-              int64_t checks = 0;
-              int64_t candidate_count = 0;
-              for (int64_t i = lo; i < hi; ++i) {
-                if (ShouldStop(ctx)) {
-                  break;
-                }
-                if (alive[static_cast<size_t>(i)] == 0) {
-                  continue;
-                }
-                const Record& probe = relation->record(i);
-                std::vector<Complex> query_coeffs = ExtractCoefficients(
-                    probe.features.normal_spectrum, config_.num_coefficients);
-                if (left_transform.has_value()) {
-                  query_coeffs = left_transform->Apply(query_coeffs);
-                }
-                const SearchRegion region =
-                    SearchRegion::MakeRange(query_coeffs, epsilon, config_);
-                const double* a = base_rows[static_cast<size_t>(i)];
-                for (const auto* tree : trees) {
-                  candidates.clear();
-                  tree->Search(region, affines_ptr, &candidates);
-                  candidate_count += static_cast<int64_t>(candidates.size());
-                  for (const int64_t j : candidates) {
-                    if (j == i || alive[static_cast<size_t>(j)] == 0) {
-                      continue;
-                    }
-                    ++checks;
-                    const double dist_sq = RowDistanceSqTwoSided(
-                        a, base_rows[static_cast<size_t>(j)], post_left_ptr,
-                        post_right_ptr, n, eps_sq);
-                    if (dist_sq <= eps_sq) {
-                      local.push_back(PairMatch{i, j, std::sqrt(dist_sq)});
-                    }
-                  }
-                }
-                if (join_engine == IndexEngine::kPacked) {
-                  // Delta scan per probe: inner rows past each shard's
-                  // packed coverage are invisible to the snapshots --
-                  // exact-check them directly (the check decides
-                  // membership, so the pair set is unchanged).
-                  const ShardedRelation& data = relation->sharded();
-                  for (int s = 0; s < data.num_shards(); ++s) {
-                    const RelationShard& shard = data.shard(s);
-                    for (int64_t r = shard.packed_covered();
-                         r < shard.size(); ++r) {
-                      const int64_t j = shard.global_id(r);
-                      if (j == i || !shard.alive(r)) {
-                        continue;
-                      }
-                      ++checks;
-                      const double dist_sq = RowDistanceSqTwoSided(
-                          a, base_rows[static_cast<size_t>(j)],
-                          post_left_ptr, post_right_ptr, n, eps_sq);
-                      if (dist_sq <= eps_sq) {
-                        local.push_back(PairMatch{i, j, std::sqrt(dist_sq)});
-                      }
-                    }
-                  }
-                }
+  std::vector<int64_t> block_nodes(max_blocks, 0);
+  const std::vector<PackedSnapshotCache::View> views =
+      ResolveSnapshots(data, &out.stats.degraded);
+  pool.ParallelFor(
+      0, count, /*min_grain=*/16, [&](int64_t block, int64_t lo, int64_t hi) {
+        std::vector<PairMatch>& local = block_pairs[static_cast<size_t>(block)];
+        std::vector<int64_t> candidates;
+        int64_t checks = 0;
+        int64_t candidate_count = 0;
+        int64_t nodes = 0;
+        const auto check = [&](int64_t i, const double* a, int64_t j) {
+          ++checks;
+          const double dist_sq =
+              RowDistanceSqTwoSided(a, base_rows[static_cast<size_t>(j)],
+                                    post_left_ptr, post_right_ptr, n, eps_sq);
+          if (dist_sq <= eps_sq) {
+            local.push_back(PairMatch{i, j, std::sqrt(dist_sq)});
+          }
+        };
+        for (int64_t i = lo; i < hi; ++i) {
+          if (ShouldStop(ctx)) {
+            break;
+          }
+          if (alive[static_cast<size_t>(i)] == 0) {
+            continue;
+          }
+          const Record& probe = relation->record(i);
+          std::vector<Complex> query_coeffs = ExtractCoefficients(
+              probe.features.normal_spectrum, config_.num_coefficients);
+          if (left_transform.has_value()) {
+            query_coeffs = left_transform->Apply(query_coeffs);
+          }
+          const SearchRegion region =
+              SearchRegion::MakeRange(query_coeffs, epsilon, config_);
+          const double* a = base_rows[static_cast<size_t>(i)];
+          for (const PackedSnapshotCache::View& view : views) {
+            if (view.tree == nullptr) {
+              continue;
+            }
+            candidates.clear();
+            nodes += view.tree->Search(region, affines_ptr, &candidates);
+            candidate_count += static_cast<int64_t>(candidates.size());
+            for (const int64_t j : candidates) {
+              if (j != i && alive[static_cast<size_t>(j)] != 0) {
+                check(i, a, j);
               }
-              block_checks[static_cast<size_t>(block)] = checks;
-              block_candidates[static_cast<size_t>(block)] = candidate_count;
-            });
+            }
+          }
+          // Delta scan per probe: inner rows past each shard's coverage
+          // (every row of a shard whose compile failed) are not in the
+          // trees -- exact-check them directly (the check decides
+          // membership, so the pair set is unchanged).
+          for (int s = 0; s < data.num_shards(); ++s) {
+            const RelationShard& shard = data.shard(s);
+            for (int64_t r = views[static_cast<size_t>(s)].covered;
+                 r < shard.size(); ++r) {
+              const int64_t j = shard.global_id(r);
+              if (j != i && shard.alive(r)) {
+                check(i, a, j);
+              }
+            }
+          }
+        }
+        block_checks[static_cast<size_t>(block)] = checks;
+        block_candidates[static_cast<size_t>(block)] = candidate_count;
+        block_nodes[static_cast<size_t>(block)] = nodes;
       });
   for (size_t block = 0; block < max_blocks; ++block) {
     out.stats.exact_checks += block_checks[block];
     out.stats.candidates += block_candidates[block];
+    out.stats.node_accesses += block_nodes[block];
     out.pairs.insert(out.pairs.end(), block_pairs[block].begin(),
                      block_pairs[block].end());
   }

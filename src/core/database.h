@@ -1,12 +1,20 @@
 /// The similarity database: named relations of equal-length time series,
-/// each backed by an R*-tree over normal-form DFT features (the "k-index" of
+/// each backed by an R-tree over normal-form DFT features (the "k-index" of
 /// [AFS93]/[RM97] §4), plus the planner/executor for the query language L.
+///
+/// Each relation shard has exactly one index: a packed R-tree
+/// (index/packed_rtree.h) STR-compiled over the shard's live rows, plus an
+/// exactly-scanned delta of the rows appended since that compile (see
+/// core/sharded_relation.h). There is no mutable tree and no second
+/// engine: when a compile fails, the shard's rows are all delta and the
+/// query still answers exactly (DESIGN.md "Degradation matrix").
 ///
 /// Execution strategies:
 ///  * Index (Algorithm 2): build the search rectangle (geom/search_region.h)
-///    from the query's first k coefficients, traverse the R*-tree applying
-///    the safe transformation to every MBR/point on the fly, then postprocess
-///    candidates with the exact full-length frequency-domain distance (early
+///    from the query's first k coefficients, traverse each shard's packed
+///    R-tree applying the safe transformation to every MBR/point on the
+///    fly, exact-check the shard's delta rows, then postprocess candidates
+///    with the exact full-length frequency-domain distance (early
 ///    abandoning). By Lemma 1 this never produces false dismissals.
 ///  * Scan: early-abandoning sequential scan over the frequency-domain
 ///    relation (the paper's "good implementation" of the baseline), or a
@@ -58,14 +66,15 @@ struct Record {
 //
 // The relation keeps two synchronized views of its records: the global
 // row store (records(), names, dense insertion-order ids) and a sharded
-// data plane (sharded(): per-shard FeatureStore columns + R*-tree +
-// packed snapshot; see core/sharded_relation.h). With the default
+// data plane (sharded(): per-shard FeatureStore columns, feature points
+// and packed R-tree; see core/sharded_relation.h). With the default
 // ShardingOptions this is one shard and behaves exactly like the
 // pre-sharding engine.
 class Relation {
  public:
-  Relation(std::string name, const FeatureConfig& config,
-           RTree::Options index_options, const ShardingOptions& sharding);
+  // `max_entries` is the node fanout of the shards' packed trees.
+  Relation(std::string name, const FeatureConfig& config, int max_entries,
+           const ShardingOptions& sharding);
 
   const std::string& name() const { return name_; }
   int64_t size() const { return static_cast<int64_t>(records_.size()); }
@@ -84,11 +93,10 @@ class Relation {
   // Single-shard conveniences, kept for tests/benches that inspect the
   // index or the columnar store directly. Valid only when the relation is
   // unsharded (num_shards == 1, the default); checked.
-  const RTree& index() const;
   const FeatureStore& store() const;
-  // Packed snapshot of index(): the traversal engine the query hot paths
-  // run on. Mutations (Insert/BulkLoad) mark the owning shard's snapshot
-  // stale; the next call recompiles it from the pointer tree.
+  // The shard's packed R-tree, the index the query hot paths run on. A
+  // bulk load marks it stale and the next call compiles it over every
+  // live row; rows inserted after that compile are its delta, not in it.
   // Thread-safe against concurrent queries (mutations already require
   // exclusive access).
   const PackedRTree& packed_index() const;
@@ -106,13 +114,6 @@ class Relation {
   std::unordered_map<std::string, int64_t> by_name_;
   ShardedRelation data_;
 };
-
-// Which traversal engine index strategies run on. kPacked (the default)
-// routes ExecuteRange/ExecuteNearest and the index-join methods through
-// the relation's PackedRTree snapshot; kPointer keeps them on the dynamic
-// R*-tree (the ground-truth engine, kept for comparison benches and
-// equivalence tests).
-enum class IndexEngine { kPointer, kPacked };
 
 // Which scan-side filter the execution engine runs. kQuantized routes
 // eligible scans (normal-form spectral distances) through the two-phase
@@ -132,8 +133,10 @@ enum class JoinMethod {
 
 // Snapshot of the graceful-degradation counters: how often a derived-
 // artifact compile (packed snapshot, quantized codes) failed and the
-// engine fell back to the pointer-tree / exact-scan path instead of
-// aborting. Answers are unaffected; only acceleration is lost.
+// engine exact-scanned the rows instead of aborting -- a shard whose
+// packed compile failed has all its rows in the delta scan. Answers are
+// unaffected; only acceleration is lost. packed_compile_failures counts
+// failed shard compiles, degraded_queries the queries they touched.
 struct DegradationStats {
   uint64_t packed_compile_failures = 0;
   uint64_t filter_compile_failures = 0;
@@ -141,19 +144,20 @@ struct DegradationStats {
 };
 
 // Delta-layer configuration (DESIGN.md "Delta layer & MVCC generations").
-// With `enabled` (the default) mutations never invalidate a shard's
-// compiled artifacts: new rows become the artifacts' delta, scanned
-// exactly by every driver, and deletes are tombstones filtered at read
-// time. `recompact_threshold` is the per-shard mutation count past which
-// the service folds the delta into a fresh generation (the library's
-// Database::Recompact is always explicit).
+// Mutations never invalidate a shard's compiled artifacts: new rows become
+// the artifacts' delta, scanned exactly by every driver, and deletes are
+// tombstones filtered at read time. `recompact_threshold` is the per-shard
+// mutation count past which the service folds the delta into a fresh
+// generation (the library's Database::Recompact is always explicit); 0 or
+// less turns the service's trigger off.
 struct DeltaOptions {
-  bool enabled = true;
   int64_t recompact_threshold = 256;
 };
 
 class Database {
  public:
+  // Of `index_options` only max_entries, the packed trees' node fanout,
+  // is read; it must lie in [4, PackedRTree::kMaxFanout] (checked here).
   explicit Database(FeatureConfig config = FeatureConfig(),
                     RTree::Options index_options = RTree::Options(),
                     ShardingOptions sharding = ShardingOptions());
@@ -172,11 +176,6 @@ class Database {
     cross_shard_knn_pruning_ = enabled;
   }
 
-  // Traversal engine for index strategies (default kPacked). Set before
-  // issuing queries; benches flip it to report both engines side by side.
-  IndexEngine index_engine() const { return index_engine_; }
-  void set_index_engine(IndexEngine engine) { index_engine_ = engine; }
-
   // Scan-side filter engine (default kExact, the historical behavior).
   // kQuantized turns every eligible scan into the filter-and-refine path;
   // per-query MODE FILTERED / MODE EXACT override it either way.
@@ -190,36 +189,31 @@ class Database {
     filter_options_ = options;
   }
 
-  // Delta-layer configuration. Disabling it restores the legacy
-  // invalidate-on-mutation behavior (every relation's shards follow the
-  // new setting immediately); the differential fuzz harness runs its
-  // oracle that way. Set under exclusive access.
+  // Delta-layer configuration (the service's recompaction trigger). Set
+  // under exclusive access.
   const DeltaOptions& delta_options() const { return delta_options_; }
-  void set_delta_options(const DeltaOptions& options);
-
-  // Engine actually used by index strategies: the configured engine,
-  // demoted to kPointer when the index options exceed the packed layout's
-  // fanout limit (PackedRTree::SupportsFanout). Public so execution front
-  // ends (the query service's EXPLAIN) can report the real engine.
-  IndexEngine EffectiveIndexEngine() const;
+  void set_delta_options(const DeltaOptions& options) {
+    delta_options_ = options;
+  }
 
   Status CreateRelation(const std::string& name);
-  // Inserts one series (index maintained incrementally); returns its id.
+  // Inserts one series (into the shards' deltas); returns its id.
   Result<int64_t> Insert(const std::string& relation,
                          const TimeSeries& series);
-  // Inserts a batch into an empty relation using STR bulk loading.
+  // Inserts a batch into an empty relation; the first index query then
+  // STR-compiles every shard's packed tree over the whole batch.
   Status BulkLoad(const std::string& relation,
                   const std::vector<TimeSeries>& series);
 
   // Tombstones the record with this id: it disappears from every query
   // answer immediately; its row (and name, which stays reserved) remain
-  // in place until a recompaction sheds the tree entry. OutOfRange for an
-  // unknown id, NotFound when it is already deleted.
+  // in place, and the next recompaction sheds it from the packed tree.
+  // OutOfRange for an unknown id, NotFound when it is already deleted.
   Status Delete(const std::string& relation, int64_t id);
 
   // Synchronous recompaction of one relation: folds every shard's delta
-  // and tombstones into a fresh generation (live-only tree, new packed
-  // snapshot and quantized codes). Answers are unaffected; generation()
+  // and tombstones into a fresh generation (packed tree of the live rows
+  // and new quantized codes). Answers are unaffected; generation()
   // advances. The service runs the same two phases split across its
   // shared/exclusive locks (BuildRecompaction/PublishRecompaction on the
   // relation's ShardedRelation); this entry point is for single-threaded
@@ -299,12 +293,13 @@ class Database {
   // quantized filter path.
   bool UseQuantizedFilter(FilterMode filter) const;
 
-  // Resolves the traversal engine for a query over `data`, compiling every
-  // shard's packed snapshot up front. A failed compile demotes the whole
-  // query to the pointer engine and sets *degraded (counted in
+  // Resolves every shard's (packed tree, covered rows) pair once, before
+  // a query's fan-out, compiling stale snapshots in parallel on the pool.
+  // A failed compile leaves that shard's view empty (its rows all go
+  // through the delta scan) and sets *degraded (counted in
   // degradation_stats).
-  IndexEngine ResolveQueryEngine(const ShardedRelation& data,
-                                 bool* degraded) const;
+  std::vector<PackedSnapshotCache::View> ResolveSnapshots(
+      const ShardedRelation& data, bool* degraded) const;
 
   // Atomic counters behind a pointer so Database stays movable (the query
   // service holds it by value).
@@ -315,9 +310,8 @@ class Database {
   };
 
   FeatureConfig config_;
-  RTree::Options index_options_;
+  int max_entries_;
   ShardingOptions sharding_;
-  IndexEngine index_engine_ = IndexEngine::kPacked;
   FilterEngine filter_engine_ = FilterEngine::kExact;
   FilterOptions filter_options_;
   DeltaOptions delta_options_;

@@ -144,9 +144,9 @@ struct ExecutionStats {
   // packed codes were bound-scanned. candidates / filter_scanned is the
   // survivor rate; 1 - that is the pruning ratio EXPLAIN reports.
   int64_t filter_scanned = 0;
-  // True when a packed-snapshot or quantized-code compile failed and the
-  // engine fell back to the pointer-tree / exact-scan path for this query
-  // (answers are identical; only the acceleration was lost).
+  // True when a packed-tree or quantized-code compile failed and the
+  // engine exact-scanned the rows that artifact would have pruned (answers
+  // are identical; only the acceleration was lost).
   bool degraded = false;
 
   // Per-shard breakdown, filled by the sharded executors for range and

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "geom/rect.h"
+#include "index/rtree.h"
 #include "util/env.h"
 #include "util/failpoint.h"
 #include "util/thread_pool.h"
@@ -19,22 +20,46 @@ ShardingOptions ShardingOptions::FromEnv() {
   return options;
 }
 
-RelationShard::RelationShard(int dims, const RTree::Options& index_options)
-    : index_(std::make_unique<RTree>(dims, index_options)) {}
+RelationShard::RelationShard(int dims, int max_entries)
+    : dims_(dims), max_entries_(max_entries) {}
+
+std::unique_ptr<PackedRTree> RelationShard::CompileSnapshot(
+    int64_t rows) const {
+  std::vector<std::pair<Rect, int64_t>> entries;
+  entries.reserve(static_cast<size_t>(rows));
+  for (int64_t r = 0; r < rows; ++r) {
+    if (!alive(r)) {
+      continue;
+    }
+    const double* point = points_.data() + r * dims_;
+    entries.emplace_back(
+        Rect::FromPoint(std::vector<double>(point, point + dims_)),
+        global_id(r));
+  }
+  // STR packing reads only the fanout; the fill bounds are the loosest
+  // RTree accepts.
+  RTree::Options options;
+  options.max_entries = max_entries_;
+  options.min_entries = 2;
+  RTree tree(dims_, options);
+  if (!entries.empty()) {
+    tree.BulkLoad(std::move(entries));
+  }
+  return std::make_unique<PackedRTree>(tree);
+}
 
 const QuantizedCodes* RelationShard::quantized_codes_if_fresh(
     int bits) const {
   return quantized_.Peek(bits);
 }
 
-ShardedRelation::ShardedRelation(int dims,
-                                 const RTree::Options& index_options,
+ShardedRelation::ShardedRelation(int dims, int max_entries,
                                  const ShardingOptions& options)
-    : dims_(dims), index_options_(index_options), options_(options) {
+    : options_(options) {
   options_.num_shards = std::max(1, options_.num_shards);
   shards_.reserve(static_cast<size_t>(options_.num_shards));
   for (int s = 0; s < options_.num_shards; ++s) {
-    shards_.push_back(std::make_unique<RelationShard>(dims, index_options));
+    shards_.push_back(std::make_unique<RelationShard>(dims, max_entries));
   }
 }
 
@@ -110,11 +135,6 @@ void ShardedRelation::Append(const SeriesFeatures& features,
   shard.alive_.push_back(1);
   shard.points_.insert(shard.points_.end(), point.begin(), point.end());
   shard.store_.Append(features, normal_values);
-  shard.index_->InsertPoint(point, global);
-  if (!delta_enabled_) {
-    shard.packed_.Invalidate();
-    shard.quantized_.Invalidate();
-  }
   ++shard.mutations_since_publish_;
   ++shard.epoch_;
 }
@@ -128,10 +148,6 @@ bool ShardedRelation::Delete(int64_t g) {
   alive = 0;
   ++dead_;
   ++shard.pending_tombstones_;
-  if (!delta_enabled_) {
-    shard.packed_.Invalidate();
-    shard.quantized_.Invalidate();
-  }
   ++shard.mutations_since_publish_;
   ++shard.epoch_;
   return true;
@@ -176,11 +192,11 @@ void ShardedRelation::BulkLoad(int64_t count, const LoadFn& load_row) {
     }
   }
 
-  // Build every shard in parallel: derived-data computation, store fill,
-  // and the STR tree build all run inside the shard task, so the load
-  // scales with min(num_shards, pool threads). Each task touches only its
-  // own shard (and, via load_row, only its own records), so the result is
-  // deterministic and identical to a serial build.
+  // Fill every shard in parallel: derived-data computation and the store
+  // fill run inside the shard task, so the load scales with
+  // min(num_shards, pool threads). Each task touches only its own shard
+  // (and, via load_row, only its own records), so the result is
+  // deterministic and identical to a serial load.
   ThreadPool::Global().ParallelFor(
       0, num, /*min_grain=*/1, [&](int64_t /*block*/, int64_t lo, int64_t hi) {
         for (int64_t s = lo; s < hi; ++s) {
@@ -190,8 +206,6 @@ void ShardedRelation::BulkLoad(int64_t count, const LoadFn& load_row) {
           if (ids.empty()) {
             continue;
           }
-          std::vector<std::pair<Rect, int64_t>> entries;
-          entries.reserve(ids.size());
           shard.global_ids_.reserve(shard.global_ids_.size() + ids.size());
           for (const int64_t g : ids) {
             const RowData row = load_row(g);
@@ -201,12 +215,10 @@ void ShardedRelation::BulkLoad(int64_t count, const LoadFn& load_row) {
             shard.points_.insert(shard.points_.end(), row.point.begin(),
                                  row.point.end());
             shard.store_.Append(*row.features, *row.normal_values);
-            entries.emplace_back(Rect::FromPoint(row.point), g);
           }
-          shard.index_->BulkLoad(std::move(entries));
-          // A bulk load replaces the shard tree wholesale, so the compiled
-          // artifacts go stale even with the delta layer on; the next
-          // compile covers everything, so no delta pressure accrues.
+          // A bulk load is the one mutation that stales the compiled
+          // artifacts; the next compile covers every row, so no delta
+          // pressure accrues.
           shard.packed_.Invalidate();
           shard.quantized_.Invalidate();
           shard.mutations_since_publish_ = 0;
@@ -225,24 +237,8 @@ Status ShardedRelation::BuildRecompaction(
     RelationShard::Recompaction built;
     built.build_rows = shard.size();
     built.bits = bits;
-    std::vector<std::pair<Rect, int64_t>> entries;
-    entries.reserve(static_cast<size_t>(built.build_rows));
-    for (int64_t r = 0; r < built.build_rows; ++r) {
-      if (!shard.alive(r)) {
-        continue;
-      }
-      const double* point = shard.points_.data() + r * dims_;
-      entries.emplace_back(
-          Rect::FromPoint(std::vector<double>(point, point + dims_)),
-          shard.global_id(r));
-    }
-    built.shed =
-        built.build_rows - static_cast<int64_t>(entries.size());
-    built.tree = std::make_unique<RTree>(dims_, index_options_);
-    if (!entries.empty()) {
-      built.tree->BulkLoad(std::move(entries));
-    }
-    built.packed = std::make_unique<PackedRTree>(*built.tree);
+    built.packed = shard.CompileSnapshot(built.build_rows);
+    built.shed = built.build_rows - built.packed->size();
     if (bits >= ScalarQuantizer::kMinBits &&
         bits <= ScalarQuantizer::kMaxBits && built.build_rows > 0) {
       built.codes = std::make_unique<QuantizedCodes>(shard.store_, bits);
@@ -265,17 +261,14 @@ Status ShardedRelation::PublishRecompaction(
       // artifacts stay self-consistent, so answers are unaffected.
       SIMQ_RETURN_IF_FAILPOINT("recompact.publish.mid");
     }
-    // Catch up rows appended since the build (dead or not: the tree keeps
-    // an entry per un-shed row; tombstones filter at read time).
-    for (int64_t r = plan.build_rows; r < shard.size(); ++r) {
-      const double* point = shard.points_.data() + r * dims_;
-      plan.tree->InsertPoint(std::vector<double>(point, point + dims_),
-                             shard.global_id(r));
-    }
-    shard.index_ = std::move(plan.tree);
+    // Rows appended since the build are past the new coverage: they stay
+    // the snapshot's delta, and tombstones keep filtering at read time.
     shard.packed_.Install(std::move(plan.packed), plan.build_rows);
     shard.quantized_.Install(plan.bits, std::move(plan.codes));
-    shard.pending_tombstones_ -= plan.shed;
+    // `shed` counts every dead row of the build, including those the
+    // previous generation already omitted.
+    shard.pending_tombstones_ -= plan.shed - shard.shed_;
+    shard.shed_ = plan.shed;
     shard.mutations_since_publish_ = shard.size() - plan.build_rows;
     ++shard.generation_;
   }

@@ -1,8 +1,8 @@
 /// Horizontal sharding of a relation's data plane.
 ///
 /// A `ShardedRelation` partitions a relation's derived data -- the columnar
-/// FeatureStore and the R*-tree over feature points -- into N
-/// `RelationShard`s. Record identity stays global: ids are dense in
+/// FeatureStore, the feature points, and the packed R-tree over them --
+/// into N `RelationShard`s. Record identity stays global: ids are dense in
 /// insertion order exactly as in the unsharded engine, shard trees store
 /// *global* ids, and a locator (two flat arrays, global id -> (shard,
 /// local row)) maps between the two spaces in O(1). Because every
@@ -26,27 +26,30 @@
 /// whenever any shard changes, so result-cache keys and snapshot
 /// isolation remain correct (service/query_service.h).
 ///
-/// Delta layer (DESIGN.md "Delta layer & MVCC generations"): with the
-/// delta layer enabled (the default), a mutation does NOT invalidate the
-/// shard's compiled artifacts. The packed snapshot and quantized codes
-/// each cover a row prefix [0, covered) frozen at their compile; rows at
-/// or past an artifact's coverage are that artifact's *delta* and the
-/// scatter-gather drivers scan them exactly (the pointer tree and the
-/// columnar store always cover every row, so the delta needs no second
-/// index). Deletes are tombstones in a per-shard aliveness bitmap,
-/// filtered on every read path and shed from the tree at recompaction.
-/// `BuildRecompaction` (under a shared lock: readers keep running, the
-/// store is frozen) compiles a fresh live-only tree + snapshot + codes
-/// per shard; `PublishRecompaction` (under the exclusive lock, brief)
-/// catches up rows appended since the build, swaps the artifacts in, and
-/// bumps the shard *generation* -- a second monotone counter, summed like
-/// the epoch, that counts published snapshot generations.
+/// One index per shard (DESIGN.md "Delta layer & MVCC generations"): the
+/// packed snapshot. A shard keeps no mutable tree; its snapshot is
+/// compiled by one helper that STR-bulk-loads a temporary RTree over the
+/// live rows of a row prefix [0, n), packs it, and drops the temporary.
+/// The first index query after a bulk load compiles it lazily with
+/// n = size(); recompaction compiles the next generation's with n frozen
+/// at build time. Mutations never invalidate compiled artifacts: the
+/// packed snapshot and quantized codes each cover a row prefix
+/// [0, covered) frozen at their compile; rows at or past an artifact's
+/// coverage are that artifact's *delta* and the scatter-gather drivers
+/// scan them exactly. Deletes are tombstones in a per-shard aliveness
+/// bitmap, filtered on every read path and shed from the snapshot at
+/// recompaction. `BuildRecompaction` (under a shared lock: readers keep
+/// running, the store is frozen) compiles a fresh live-only snapshot +
+/// codes per shard; `PublishRecompaction` (under the exclusive lock,
+/// brief) installs them at their build coverage -- rows appended since
+/// the build stay delta -- and bumps the shard *generation*, a second
+/// monotone counter, summed like the epoch, that counts published
+/// snapshot generations.
 ///
 /// Thread-safety: all const accessors are safe under concurrent readers
-/// (the packed snapshot cache takes its own mutex; node-access counters
-/// are relaxed atomics). `Append`/`BulkLoad`/`Delete`/
-/// `PublishRecompaction` require exclusive access; `BuildRecompaction`
-/// requires shared access (no concurrent mutation).
+/// (the packed snapshot cache takes its own mutex). `Append`/`BulkLoad`/
+/// `Delete`/`PublishRecompaction` require exclusive access;
+/// `BuildRecompaction` requires shared access (no concurrent mutation).
 
 #ifndef SIMQ_CORE_SHARDED_RELATION_H_
 #define SIMQ_CORE_SHARDED_RELATION_H_
@@ -59,7 +62,6 @@
 #include "core/feature_store.h"
 #include "filter/quantized_codes.h"
 #include "index/packed_rtree.h"
-#include "index/rtree.h"
 #include "ts/feature.h"
 #include "util/logging.h"
 #include "util/status.h"
@@ -84,23 +86,24 @@ struct ShardingOptions {
   static ShardingOptions FromEnv();
 };
 
-/// One horizontal shard: a FeatureStore slice, the R*-tree over that
-/// slice's feature points (storing global record ids), and a lazily
-/// compiled packed snapshot of it. Rows are indexed by *local* position;
-/// `global_id(local)` maps back to the record id.
+/// One horizontal shard: a FeatureStore slice, that slice's feature
+/// points, and a lazily compiled packed R-tree over them (storing global
+/// record ids). Rows are indexed by *local* position; `global_id(local)`
+/// maps back to the record id.
 class RelationShard {
  public:
-  RelationShard(int dims, const RTree::Options& index_options);
+  /// `max_entries` is the node fanout of the shard's packed trees
+  /// (at most PackedRTree::kMaxFanout; Database checks it).
+  RelationShard(int dims, int max_entries);
 
   /// One shard's freshly compiled recompaction artifacts, built under a
   /// shared lock and handed to PublishRecompaction under the exclusive
   /// lock.
   struct Recompaction {
-    std::unique_ptr<RTree> tree;            // live rows of [0, build_rows)
-    std::unique_ptr<PackedRTree> packed;    // snapshot of `tree`
+    std::unique_ptr<PackedRTree> packed;    // live rows of [0, build_rows)
     std::unique_ptr<QuantizedCodes> codes;  // all rows of [0, build_rows)
     int64_t build_rows = 0;   // shard size frozen at build time
-    int64_t shed = 0;         // dead rows omitted from `tree`
+    int64_t shed = 0;         // dead rows omitted from `packed`
     int bits = 0;             // code width `codes` was built at
   };
 
@@ -109,33 +112,35 @@ class RelationShard {
 
   /// Columnar derived data of this shard's records, local row order.
   const FeatureStore& store() const { return store_; }
-  /// The shard's mutable ground-truth index. Entry ids are global.
-  const RTree& index() const { return *index_; }
-  /// Packed snapshot of index(); recompiled lazily when stale. With the
-  /// delta layer enabled it goes stale only on bulk load -- appends and
-  /// deletes leave it in place and grow its delta instead (see
-  /// packed_covered()). Safe against concurrent queries.
+  /// The shard's packed R-tree (entry ids are global); compiled over the
+  /// live rows on first use after a bulk load. Appends and deletes leave
+  /// it in place and grow its delta instead (see packed_view()). Safe
+  /// against concurrent queries.
   const PackedRTree& packed_index() const {
-    return packed_.Get(*index_, size());
+    return packed_.Get([this] { return CompileSnapshot(size()); }, size());
   }
   /// Bit-packed scalar-quantized codes of this shard's spectrum rows at
-  /// `bits` bits per dimension (filter/quantized_codes.h): derived data
-  /// under the same stale-on-mutation contract as the packed snapshot --
-  /// a mutation of this shard invalidates only this shard's codes, and
-  /// the next filtered query recompiles them. Safe against concurrent
-  /// queries.
+  /// `bits` bits per dimension (filter/quantized_codes.h), compiled on
+  /// first use and covering a frozen row prefix like the packed snapshot.
+  /// Safe against concurrent queries.
   const QuantizedCodes& quantized_codes(int bits) const {
     return quantized_.Get(store_, bits);
   }
 
-  /// Degradation-aware variants: null when the (re)compile fails -- the
-  /// "packed.compile" / "filter.compile" failpoints, standing in for any
-  /// future real compile failure. Callers (core/database.cc engine
-  /// resolution) fall back to the pointer tree / exact scan and count the
-  /// degradation instead of aborting.
-  const PackedRTree* packed_index_or_null() const {
-    return packed_.TryGet(*index_, /*can_fail=*/true, size());
+  /// Degradation-aware variants, for the query drivers: they fail when the
+  /// (re)compile fails -- the "packed.compile" / "filter.compile"
+  /// failpoints, standing in for any future real compile failure. A
+  /// failed packed view has no tree and covers no rows, so the drivers'
+  /// delta scan exact-checks the whole shard; a null code set sends the
+  /// query to the exact scan. Callers count the degradation instead of
+  /// aborting. The view's tree and coverage are read together, so a
+  /// driver that resolves it once per query sees one consistent pair.
+  PackedSnapshotCache::View packed_view() const {
+    return packed_.TryGet([this] { return CompileSnapshot(size()); },
+                          /*can_fail=*/true, size());
   }
+  /// True when packed_view() will not compile.
+  bool packed_fresh() const { return packed_.fresh(); }
   const QuantizedCodes* quantized_codes_or_null(int bits) const {
     return quantized_.TryGet(store_, bits);
   }
@@ -155,17 +160,13 @@ class RelationShard {
 
   /// Tombstone filter: false once local row `local` has been deleted.
   /// Every read path must drop dead rows; their store/code rows stay in
-  /// place (ids are dense and rows never move) until recompaction sheds
-  /// them from the tree.
+  /// place (ids are dense and rows never move), and recompaction sheds
+  /// them from the next snapshot.
   bool alive(int64_t local) const {
     return alive_[static_cast<size_t>(local)] != 0;
   }
-  /// Dead rows still present as entries of the current pointer tree
-  /// (i.e. not yet shed by a recompaction publish).
+  /// Deleted rows the last recompaction publish has not shed.
   int64_t pending_tombstones() const { return pending_tombstones_; }
-  /// Rows covered by the current packed snapshot; rows at or past this
-  /// are the snapshot's delta (0 when no fresh snapshot exists).
-  int64_t packed_covered() const { return packed_.covered(); }
   /// Mutations (inserts + deletes) applied since the last recompaction
   /// publish -- the delta-pressure signal the service thresholds on.
   int64_t mutations_since_publish() const { return mutations_since_publish_; }
@@ -173,16 +174,23 @@ class RelationShard {
  private:
   friend class ShardedRelation;
 
+  /// The one way a shard's packed tree is built: STR-bulk-loads a
+  /// temporary RTree over the live rows of [0, rows) in local row order,
+  /// compiles it, and drops the temporary.
+  std::unique_ptr<PackedRTree> CompileSnapshot(int64_t rows) const;
+
+  int dims_;
+  int max_entries_;
   FeatureStore store_;
   std::vector<int64_t> global_ids_;  // local row -> global record id
   std::vector<uint8_t> alive_;       // local row -> 0 once deleted
   std::vector<double> points_;       // local row-major feature points
-  std::unique_ptr<RTree> index_;
   PackedSnapshotCache packed_;
   QuantizedCodesCache quantized_;
   uint64_t epoch_ = 0;
   uint64_t generation_ = 0;
   int64_t pending_tombstones_ = 0;
+  int64_t shed_ = 0;  // dead rows the published generation omits
   int64_t mutations_since_publish_ = 0;
 };
 
@@ -194,15 +202,14 @@ class ShardedRelation {
   struct RowData {
     const SeriesFeatures* features = nullptr;
     const std::vector<double>* normal_values = nullptr;
-    std::vector<double> point;  // feature point for the shard index
+    std::vector<double> point;  // feature point for the shard tree
   };
   /// Computes one record's derived data. BulkLoad invokes it from
   /// concurrent shard tasks, each global id exactly once; the callback
   /// must only touch state owned by that id (it may write records_[id]).
   using LoadFn = std::function<RowData(int64_t global_id)>;
 
-  ShardedRelation(int dims, const RTree::Options& index_options,
-                  const ShardingOptions& options);
+  ShardedRelation(int dims, int max_entries, const ShardingOptions& options);
 
   ShardedRelation(const ShardedRelation&) = delete;
   ShardedRelation& operator=(const ShardedRelation&) = delete;
@@ -220,12 +227,6 @@ class ShardedRelation {
   /// changes on every recompaction publish of any shard.
   uint64_t generation() const;
 
-  /// Whether mutations leave compiled artifacts in place (delta layer) or
-  /// invalidate them (legacy rebuild-per-query; the fuzz oracle). Flip
-  /// only under exclusive access.
-  bool delta_enabled() const { return delta_enabled_; }
-  void set_delta_enabled(bool enabled) { delta_enabled_ = enabled; }
-
   /// Tombstone filter by global id.
   bool alive(int64_t g) const {
     return shards_[static_cast<size_t>(shard_of(g))]->alive(local_of(g));
@@ -235,7 +236,7 @@ class ShardedRelation {
   /// Rows not covered by any shard's packed snapshot (EXPLAIN
   /// `delta_rows`).
   int64_t delta_rows() const;
-  /// Dead rows not yet shed from any shard's tree.
+  /// Deleted rows not yet shed by any shard's recompaction publish.
   int64_t pending_tombstones() const;
   /// Largest per-shard mutations_since_publish -- the recompaction
   /// trigger signal.
@@ -265,43 +266,42 @@ class ShardedRelation {
   }
 
   /// Routes one new record (global id == size()) to its shard: appends to
-  /// the shard store, inserts the feature point into the shard tree under
-  /// the global id, and bumps that shard's epoch. With the delta layer
-  /// enabled the shard's compiled artifacts stay valid (the new row is
-  /// their delta); otherwise they are invalidated. Caller holds exclusive
-  /// access.
+  /// the shard store and feature points and bumps that shard's epoch. The
+  /// shard's compiled artifacts stay valid (the new row is their delta).
+  /// Caller holds exclusive access.
   void Append(const SeriesFeatures& features,
               const std::vector<double>& normal_values,
               const std::vector<double>& point);
 
   /// Parallel per-shard bulk load of `count` records with global ids
   /// [size(), size() + count). Partitions the ids per the configured
-  /// policy, then builds every shard concurrently (ThreadPool::Global()):
-  /// each shard task computes its records' derived data via `load_row`,
-  /// fills the shard store in ascending global-id order, and STR
-  /// bulk-loads the shard tree. Each loaded shard's epoch is bumped once.
-  /// Caller holds exclusive access.
+  /// policy, then fills every shard concurrently (ThreadPool::Global()):
+  /// each shard task computes its records' derived data via `load_row`
+  /// and fills the shard store and points in ascending global-id order.
+  /// Each loaded shard's compiled artifacts are invalidated -- its first
+  /// index query compiles the packed tree over every row -- and its epoch
+  /// is bumped once. Caller holds exclusive access.
   void BulkLoad(int64_t count, const LoadFn& load_row);
 
   /// Tombstones global id `g` (false when it is already dead): marks the
-  /// row dead, bumps the owning shard's epoch, and -- with the delta
-  /// layer enabled -- leaves every compiled artifact in place (read paths
-  /// filter on alive()). Caller holds exclusive access.
+  /// row dead, bumps the owning shard's epoch, and leaves every compiled
+  /// artifact in place (read paths filter on alive()). Caller holds
+  /// exclusive access.
   bool Delete(int64_t g);
 
-  /// Compiles fresh recompaction artifacts for every shard: a live-only
-  /// STR-built tree, its packed snapshot, and quantized codes at `bits`
-  /// bits per dimension (skipped when `bits` is outside the supported
-  /// widths). Requires shared access -- concurrent readers are fine, the
-  /// store must not grow underneath. Fails only at the "recompact.build"
-  /// failpoint.
+  /// Compiles fresh recompaction artifacts for every shard: a packed
+  /// snapshot of the live rows (RelationShard's one compile helper) and
+  /// quantized codes at `bits` bits per dimension (skipped when `bits` is
+  /// outside the supported widths). Requires shared access -- concurrent
+  /// readers are fine, the store must not grow underneath. Fails only at
+  /// the "recompact.build" failpoint.
   Status BuildRecompaction(int bits,
                            std::vector<RelationShard::Recompaction>* out) const;
 
-  /// Publishes `built` artifacts: per shard, inserts rows appended since
-  /// the build into the fresh tree, swaps it in, installs the snapshot
-  /// and codes at their build coverage, bumps the shard generation, and
-  /// resets the delta-pressure counter. Requires exclusive access. The
+  /// Publishes `built` artifacts: per shard, installs the snapshot and
+  /// codes at their build coverage (rows appended since the build stay
+  /// delta), bumps the shard generation, and resets the delta-pressure
+  /// counter to those rows. Requires exclusive access. The
   /// "recompact.publish.before" / ".mid" / ".after" failpoints bracket
   /// the swap (mid fires between shards).
   Status PublishRecompaction(std::vector<RelationShard::Recompaction> built);
@@ -310,14 +310,11 @@ class ShardedRelation {
   /// Shard that receives the next incremental append.
   int RouteNext() const;
 
-  int dims_;
-  RTree::Options index_options_;  // for recompaction's fresh trees
   ShardingOptions options_;
   std::vector<std::unique_ptr<RelationShard>> shards_;
   std::vector<int32_t> shard_of_;  // global id -> shard
   std::vector<int64_t> local_of_;  // global id -> local row within shard
   int64_t dead_ = 0;               // total tombstoned rows
-  bool delta_enabled_ = true;
 };
 
 }  // namespace simq

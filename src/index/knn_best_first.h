@@ -1,9 +1,9 @@
-/// Shared best-first k-nearest-neighbor driver for both index engines.
+/// Best-first k-nearest-neighbor driver shared by RTree and PackedRTree.
 ///
-/// The parity guarantees of the packed engine (identical results AND
-/// identical node-access counts vs the pointer tree) depend on both
-/// engines running exactly this control flow, so it exists once and the
-/// engines supply only node expansion:
+/// The parity guarantees of the packed tree (identical results AND
+/// identical node-access counts vs the RTree it was compiled from) depend
+/// on both trees running exactly this control flow, so it exists once and
+/// the trees supply only node expansion:
 ///
 ///  * Pops from the MINDIST priority queue arrive in nondecreasing
 ///    priority (children bound no tighter than their parent, exact
@@ -14,8 +14,8 @@
 ///    every boundary tie is collected; the final (distance, id) sort and
 ///    cut to k make tie-breaking deterministic (smaller ids win).
 ///  * A node is therefore popped iff its MINDIST is <= the final k-th
-///    distance -- a set independent of heap tie order and of the engine,
-///    which is what keeps the node-access counters equal.
+///    distance -- a set independent of heap tie order and of the tree
+///    layout, which is what keeps the node-access counters equal.
 ///
 /// `expand(node, push_node, push_entry)` must count the node access and
 /// push every child subtree (lower bound, child handle) or leaf entry

@@ -11,7 +11,7 @@ namespace {
 
 // Per-query compiled form of one SearchRegion dimension, mirroring the
 // branch structure of SearchRegion::Intersects*/Contains* exactly so the
-// packed engine accepts and rejects the same entries bit-for-bit.
+// packed search accepts and rejects the same entries bit-for-bit as RTree.
 //
 // The plan drops dimensions that always pass (unconstrained linear bounds,
 // full-circle arcs) and orders linear dimensions before circular ones:
@@ -38,7 +38,7 @@ struct DimPlan {
   double arc_lo_norm = 0.0;
 };
 
-// Exact fallbacks replicating the pointer engine's arc chain verbatim.
+// Exact fallbacks replicating RTree's arc chain verbatim.
 inline bool ExactNodeArcPass(const DimPlan& plan, double lo, double hi) {
   CircularInterval data_arc = CircularInterval::FromBounds(lo, hi);
   if (plan.rotate) {
@@ -239,9 +239,9 @@ int PackedRTree::BestSweepDim(const PackedRTree& other, int32_t a,
   return best;
 }
 
-void PackedRTree::Search(const SearchRegion& region,
-                         const std::vector<DimAffine>* affines,
-                         std::vector<int64_t>* results) const {
+int64_t PackedRTree::Search(const SearchRegion& region,
+                            const std::vector<DimAffine>* affines,
+                            std::vector<int64_t>* results) const {
   SIMQ_CHECK_EQ(region.dims(), dims_);
   if (affines != nullptr) {
     SIMQ_CHECK_EQ(static_cast<int>(affines->size()), dims_);
@@ -308,10 +308,11 @@ void PackedRTree::Search(const SearchRegion& region,
   std::vector<int32_t>& stack = scratch.stack;
   stack.clear();
   stack.push_back(0);
+  int64_t visited = 0;
   while (!stack.empty()) {
     const int32_t node = stack.back();
     stack.pop_back();
-    CountNodeAccess();
+    ++visited;
     const int32_t count = counts_[static_cast<size_t>(node)];
     const bool leaf = node >= first_leaf_;
     for (int32_t e = 0; e < count; ++e) {
@@ -456,7 +457,7 @@ void PackedRTree::Search(const SearchRegion& region,
       }
     } else {
       // Reverse push: the DFS pops entry 0 first, matching the recursive
-      // pointer-tree visit order (and therefore its result order).
+      // RTree visit order (and therefore its result order).
       for (int32_t e = count - 1; e >= 0; --e) {
         if (alive[e]) {
           stack.push_back(ids[e]);
@@ -464,6 +465,7 @@ void PackedRTree::Search(const SearchRegion& region,
       }
     }
   }
+  return Tally(visited);
 }
 
 }  // namespace simq

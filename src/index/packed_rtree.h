@@ -1,10 +1,11 @@
-/// Immutable, cache-friendly snapshot of an R*-tree: the packed traversal
-/// engine of the query hot paths.
+/// Immutable, cache-friendly R-tree: the index every query hot path runs on.
 ///
-/// The dynamic RTree (index/rtree.h) stays the mutable build/ground-truth
-/// structure, but its heap-scattered nodes (unique_ptr children, per-node
+/// A PackedRTree is compiled from an RTree (index/rtree.h). Relation
+/// shards compile theirs from a temporary STR bulk-loaded RTree over the
+/// shard's live rows and drop it right after (core/sharded_relation.h).
+/// RTree's heap-scattered nodes (unique_ptr children, per-node
 /// std::vector<Rect> with two heap arrays per rectangle) make every
-/// traversal a pointer chase. PackedRTree compiles that tree into one
+/// traversal a pointer chase; PackedRTree lays the same tree out as one
 /// contiguous arena of fixed-stride structure-of-arrays nodes:
 ///
 ///   * Nodes are numbered in breadth-first, level-grouped order (root = 0,
@@ -22,7 +23,7 @@
 ///
 /// Traversals are iterative (explicit stack / priority queue, no recursion):
 ///   * Search / SearchGeneric: DFS with an explicit stack, visiting entries
-///     in the same order as the recursive pointer-tree traversal.
+///     in the same order as the recursive RTree traversal.
 ///   * JoinWith: synchronized descent structured exactly like
 ///     RTree::JoinWith, but leaf/leaf node pairs are resolved with a plane
 ///     sweep along the best (widest) dimension instead of all-pairs entry
@@ -30,26 +31,25 @@
 ///   * NearestNeighbors: best-first search over a MINDIST priority queue of
 ///     packed nodes, with deterministic (distance, then id) tie-breaking.
 ///
-/// Node-access accounting matches the pointer tree one-for-one: one
-/// increment per packed node visited, with the same visit rules (see
-/// DESIGN.md "Node-access accounting" and "Packed traversal engine"). For
-/// Search/SearchGeneric/JoinWith the counters are equal to the pointer
-/// tree's by construction; for NearestNeighbors both engines visit exactly
-/// the nodes whose MINDIST is <= the k-th result distance, so they agree as
-/// well.
+/// Node-access accounting (DESIGN.md "Node-access accounting"): every
+/// traversal counts the packed nodes it visits and returns that count, so
+/// concurrent traversals of one snapshot never see each other's visits.
+/// The visit rules match the source RTree one-for-one (Search /
+/// SearchGeneric / JoinWith by construction; for NearestNeighbors both
+/// visit exactly the nodes whose MINDIST is <= the k-th result distance),
+/// which is what lets tests and micro_rtree use RTree as the reference.
+/// The cumulative node_accesses() counter is bumped once per traversal by
+/// its count; it is for tests and benches, not for per-query stats.
 ///
 /// Thread-safety contract: a snapshot is immutable, so every const
 /// method -- Search, SearchGeneric, JoinWith, NearestNeighbors, and all
 /// accessors -- is snapshot-safe: any number of threads may traverse one
-/// snapshot concurrently with no external lock (the node-access counter
-/// is a relaxed atomic, nothing else mutates). ResetNodeAccesses is also
-/// safe at any time, but a reset concurrent with in-flight traversals
-/// makes the counter deltas meaningless; benches reset only between
-/// phases. Mutating the source RTree does NOT update the snapshot;
-/// owners rebuild it through a PackedSnapshotCache (bottom of this file):
-/// mutators call Invalidate() while holding the owner's exclusive lock,
-/// queries call Get() under the owner's shared lock, and Get's internal
-/// mutex serializes only the first post-mutation recompiles.
+/// snapshot concurrently with no external lock (the cumulative counter is
+/// a relaxed atomic, nothing else mutates). Owners cache snapshots in a
+/// PackedSnapshotCache (bottom of this file): mutators call Invalidate()
+/// while holding the owner's exclusive lock, queries call Get()/TryGet()
+/// under the owner's shared lock, and the cache's internal mutex
+/// serializes only the first post-invalidation compiles.
 
 #ifndef SIMQ_INDEX_PACKED_RTREE_H_
 #define SIMQ_INDEX_PACKED_RTREE_H_
@@ -78,7 +78,7 @@ class RTree;
 /// lives at lo[d * stride] / hi[d * stride]. This is what packed traversal
 /// predicates receive instead of a Rect; write predicates as generic
 /// lambdas ([](const auto& rect) { ... rect.lo(d) ... }) to share them
-/// between the pointer and packed engines.
+/// with RTree traversals.
 class PackedRect {
  public:
   PackedRect(const double* lo, const double* hi, int32_t stride)
@@ -103,7 +103,7 @@ class PackedRect {
 /// it runs against both Rect and PackedRect, and bounded by eps along
 /// every dimension -- i.e. it satisfies PackedRTree::JoinWith's slack
 /// contract with slack = eps. Tests and benches use this one definition so
-/// the contract cannot drift between engines.
+/// the contract cannot drift between PackedRTree and RTree.
 struct EpsilonPairPredicate {
   int dims;
   double eps;
@@ -123,16 +123,13 @@ class PackedRTree {
   /// Largest node fanout the packed layout supports (sweep orders are uint8
   /// and traversal scratch is stack-allocated at this size). Compiling a
   /// tree with a larger fanout is a checked precondition violation; owners
-  /// that accept arbitrary RTree::Options (Database, SubsequenceIndex)
-  /// gate on SupportsFanout and stay on the pointer engine instead.
+  /// that accept RTree::Options (Database, SubsequenceIndex) check
+  /// max_entries against it when they are constructed.
   static constexpr int kMaxFanout = 256;
-  static bool SupportsFanout(int max_entries) {
-    return max_entries <= kMaxFanout;
-  }
 
   /// Compiles a snapshot of `tree`. O(nodes * dims * fanout); the source
   /// tree is not retained. Precondition: every node fanout is at most
-  /// kMaxFanout (guaranteed when SupportsFanout(options.max_entries)).
+  /// kMaxFanout (guaranteed when options.max_entries <= kMaxFanout).
   explicit PackedRTree(const RTree& tree);
 
   PackedRTree(const PackedRTree&) = delete;
@@ -147,16 +144,18 @@ class PackedRTree {
 
   /// Range search per Algorithm 2, identical in results and node accesses
   /// to RTree::Search on the source tree. Leaf entries are treated as
-  /// points (their lo corner), as in the pointer engine.
-  void Search(const SearchRegion& region, const std::vector<DimAffine>* affines,
-              std::vector<int64_t>* results) const;
+  /// points (their lo corner), as in RTree. Returns the nodes visited.
+  int64_t Search(const SearchRegion& region,
+                 const std::vector<DimAffine>* affines,
+                 std::vector<int64_t>* results) const;
 
   /// Generic DFS: visits subtrees whose MBR satisfies node_predicate and
   /// emits leaf entries satisfying leaf_predicate, in the same order as
-  /// RTree::SearchGeneric. Predicates receive PackedRect views.
+  /// RTree::SearchGeneric. Predicates receive PackedRect views. Returns
+  /// the nodes visited.
   template <typename NodePred, typename LeafPred, typename Emit>
-  void SearchGeneric(NodePred&& node_predicate, LeafPred&& leaf_predicate,
-                     Emit&& emit) const;
+  int64_t SearchGeneric(NodePred&& node_predicate, LeafPred&& leaf_predicate,
+                        Emit&& emit) const;
 
   /// Synchronized spatial join with `other` (which may be this snapshot: a
   /// self-join). The descent mirrors RTree::JoinWith (same node pairs, same
@@ -171,9 +170,12 @@ class PackedRTree {
   /// for every d. Plain rect overlap satisfies this with slack = 0; an
   /// epsilon-distance join with slack = epsilon. Pass slack = +infinity to
   /// disable the sweep (all-pairs within each leaf pair, still iterative).
+  /// Returns the node accesses of both sides (each node pair counts one
+  /// access per side, one on a self-join's diagonal), as RTree::JoinWith
+  /// adds them to the two trees' counters.
   template <typename PairPred, typename Emit>
-  void JoinWith(const PackedRTree& other, PairPred&& pair_predicate,
-                Emit&& emit, double slack) const;
+  int64_t JoinWith(const PackedRTree& other, PairPred&& pair_predicate,
+                   Emit&& emit, double slack) const;
 
   /// Best-first k-nearest neighbors over a MINDIST priority queue. Results
   /// are (id, exact_distance) ordered by (distance, id); ties at the k-th
@@ -181,12 +183,18 @@ class PackedRTree {
   /// accounting as RTree::NearestNeighbors. `initial_bound` caps the
   /// search as if k results at that distance already exist (cross-shard
   /// pruning; see index/knn_best_first.h); +infinity disables the cap.
+  /// When `node_accesses` is non-null it receives the nodes visited.
   template <typename ExactFn>
   std::vector<std::pair<int64_t, double>> NearestNeighbors(
       const NnLowerBound& bound, const std::vector<DimAffine>* affines, int k,
       ExactFn&& exact_distance,
-      double initial_bound = std::numeric_limits<double>::infinity()) const;
+      double initial_bound = std::numeric_limits<double>::infinity(),
+      int64_t* node_accesses = nullptr) const;
 
+  /// Cumulative nodes visited by every traversal since the last reset
+  /// (tests and benches; per-query counts are the traversals' returns).
+  /// A reset concurrent with traversals loses their counts, so benches
+  /// reset only between phases.
   void ResetNodeAccesses() const {
     node_accesses_.store(0, std::memory_order_relaxed);
   }
@@ -222,8 +230,11 @@ class PackedRTree {
   }
 
  private:
-  void CountNodeAccess() const {
-    node_accesses_.fetch_add(1, std::memory_order_relaxed);
+  /// Adds one traversal's visits to the cumulative counter and returns
+  /// them.
+  int64_t Tally(int64_t visited) const {
+    node_accesses_.fetch_add(visited, std::memory_order_relaxed);
+    return visited;
   }
 
   /// lo plane of dimension d in node `node` (cap_ doubles; hi plane is
@@ -260,15 +271,17 @@ class PackedRTree {
 };
 
 template <typename NodePred, typename LeafPred, typename Emit>
-void PackedRTree::SearchGeneric(NodePred&& node_predicate,
-                                LeafPred&& leaf_predicate, Emit&& emit) const {
+int64_t PackedRTree::SearchGeneric(NodePred&& node_predicate,
+                                   LeafPred&& leaf_predicate,
+                                   Emit&& emit) const {
   std::vector<int32_t> stack;
   stack.reserve(static_cast<size_t>(height_) * static_cast<size_t>(cap_) + 1);
   stack.push_back(0);
+  int64_t visited = 0;
   while (!stack.empty()) {
     const int32_t node = stack.back();
     stack.pop_back();
-    CountNodeAccess();
+    ++visited;
     const int32_t count = EntryCount(node);
     if (IsLeaf(node)) {
       for (int32_t i = 0; i < count; ++i) {
@@ -280,18 +293,20 @@ void PackedRTree::SearchGeneric(NodePred&& node_predicate,
       continue;
     }
     // Push survivors in reverse so the DFS pops entry 0 first -- the same
-    // visit (and emit) order as the recursive pointer-tree traversal.
+    // visit (and emit) order as the recursive RTree traversal.
     for (int32_t i = count - 1; i >= 0; --i) {
       if (node_predicate(EntryRect(node, i))) {
         stack.push_back(EntryId(node, i));
       }
     }
   }
+  return Tally(visited);
 }
 
 template <typename PairPred, typename Emit>
-void PackedRTree::JoinWith(const PackedRTree& other, PairPred&& pair_predicate,
-                           Emit&& emit, double slack) const {
+int64_t PackedRTree::JoinWith(const PackedRTree& other,
+                              PairPred&& pair_predicate, Emit&& emit,
+                              double slack) const {
   SIMQ_CHECK_EQ(dims_, other.dims_);
   struct Pair {
     int32_t a;
@@ -300,14 +315,16 @@ void PackedRTree::JoinWith(const PackedRTree& other, PairPred&& pair_predicate,
   std::vector<Pair> stack;
   stack.reserve(64);
   stack.push_back(Pair{0, 0});
+  int64_t visited_a = 0;
+  int64_t visited_b = 0;
   while (!stack.empty()) {
     const Pair top = stack.back();
     stack.pop_back();
     const int32_t a = top.a;
     const int32_t b = top.b;
-    CountNodeAccess();
+    ++visited_a;
     if (&other != this || a != b) {
-      other.CountNodeAccess();
+      ++visited_b;
     }
     const int32_t na = EntryCount(a);
     const int32_t nb = other.EntryCount(b);
@@ -363,8 +380,9 @@ void PackedRTree::JoinWith(const PackedRTree& other, PairPred&& pair_predicate,
       }
       continue;
     }
-    // Descend the deeper (or only internal) side, exactly as the pointer
-    // engine does; reverse push order preserves its DFS pair order.
+    // Descend the deeper (or only internal) side, exactly as
+    // RTree::JoinWith does; reverse push order preserves its DFS pair
+    // order.
     if (!IsLeaf(a) && (other.IsLeaf(b) || Level(a) >= other.Level(b))) {
       const PackedRect b_mbr = other.NodeMbr(b);
       for (int32_t i = na - 1; i >= 0; --i) {
@@ -381,12 +399,14 @@ void PackedRTree::JoinWith(const PackedRTree& other, PairPred&& pair_predicate,
       }
     }
   }
+  return Tally(visited_a) + other.Tally(visited_b);
 }
 
 template <typename ExactFn>
 std::vector<std::pair<int64_t, double>> PackedRTree::NearestNeighbors(
     const NnLowerBound& bound, const std::vector<DimAffine>* affines, int k,
-    ExactFn&& exact_distance, double initial_bound) const {
+    ExactFn&& exact_distance, double initial_bound,
+    int64_t* node_accesses) const {
   const std::vector<DimAffine> identity(static_cast<size_t>(dims_),
                                         DimAffine{});
   const std::vector<DimAffine>& actions =
@@ -394,75 +414,94 @@ std::vector<std::pair<int64_t, double>> PackedRTree::NearestNeighbors(
   const size_t queue_reserve =
       static_cast<size_t>(k) +
       static_cast<size_t>(height_ + 1) * static_cast<size_t>(cap_) + 64;
-  // The engine-shared driver (index/knn_best_first.h) owns the queue, tie
-  // draining, and deterministic (distance, id) ordering; this engine only
-  // expands nodes over the packed planes.
-  return internal::BestFirstNearestNeighbors<int32_t>(
-      0, k, queue_reserve,
-      [&](int32_t node, auto&& push_node, auto&& push_entry) {
-        CountNodeAccess();
-        const int32_t count = EntryCount(node);
-        if (IsLeaf(node)) {
-          for (int32_t i = 0; i < count; ++i) {
-            push_entry(
-                bound.ToTransformedPoint(LoPlane(node, 0) + i, cap_, actions),
-                static_cast<int64_t>(EntryId(node, i)));
-          }
-        } else {
-          for (int32_t i = 0; i < count; ++i) {
-            push_node(bound.ToTransformedBounds(LoPlane(node, 0) + i,
-                                                HiPlane(node, 0) + i, cap_,
-                                                actions),
-                      EntryId(node, i));
-          }
-        }
-      },
-      exact_distance, initial_bound);
+  // The driver shared with RTree (index/knn_best_first.h) owns the queue,
+  // tie draining, and deterministic (distance, id) ordering; this tree
+  // only expands nodes over the packed planes.
+  int64_t visited = 0;
+  const auto expand = [&](int32_t node, auto&& push_node, auto&& push_entry) {
+    ++visited;
+    const int32_t count = EntryCount(node);
+    if (IsLeaf(node)) {
+      for (int32_t i = 0; i < count; ++i) {
+        push_entry(
+            bound.ToTransformedPoint(LoPlane(node, 0) + i, cap_, actions),
+            static_cast<int64_t>(EntryId(node, i)));
+      }
+    } else {
+      for (int32_t i = 0; i < count; ++i) {
+        push_node(bound.ToTransformedBounds(LoPlane(node, 0) + i,
+                                            HiPlane(node, 0) + i, cap_,
+                                            actions),
+                  EntryId(node, i));
+      }
+    }
+  };
+  std::vector<std::pair<int64_t, double>> results =
+      internal::BestFirstNearestNeighbors<int32_t>(
+          0, k, queue_reserve, expand, exact_distance, initial_bound);
+  Tally(visited);
+  if (node_accesses != nullptr) {
+    *node_accesses = visited;
+  }
+  return results;
 }
 
 /// Lazily-compiled snapshot cache, the one rebuild-on-mutation protocol
 /// shared by snapshot owners (Relation shards, SubsequenceIndex):
-/// mutators call Invalidate(), queries call Get(tree). Thread-safety:
-/// Get is snapshot-safe against concurrent Get calls (internal mutex);
-/// Invalidate and the mutation it reflects must hold exclusive access
-/// to the owning structure (the same requirement the pointer tree
-/// imposes), so a rebuild can never race a mutation.
+/// mutators call Invalidate(), queries call Get/TryGet with the owner's
+/// compile callback (a callable returning std::unique_ptr<PackedRTree>),
+/// which runs only when the cache is stale. Thread-safety: Get/TryGet
+/// are snapshot-safe against each other (internal mutex); Invalidate,
+/// Install and the mutation they reflect must hold exclusive access to
+/// the owning structure, so a compile can never race a mutation.
 class PackedSnapshotCache {
  public:
+  /// A snapshot and the owner rows it covers, read under one lock: rows
+  /// at or past `covered` are the owner's delta and must be scanned
+  /// exactly alongside the snapshot. A null `tree` (failed compile)
+  /// covers nothing.
+  struct View {
+    const PackedRTree* tree = nullptr;
+    int64_t covered = 0;
+  };
+
   void Invalidate() {
     std::lock_guard<std::mutex> lock(mutex_);
     stale_ = true;
   }
 
-  /// Returns the current snapshot of `tree`, recompiling it first if a
-  /// mutation invalidated it (or none was built yet). The reference stays
-  /// valid until the next Get() after an Invalidate(). `rows` is the
-  /// owner's row count the compile covers (see covered()); owners that
-  /// never consult covered() (the subsequence index) may omit it.
-  const PackedRTree& Get(const RTree& tree, int64_t rows = -1) const {
-    const PackedRTree* snapshot = TryGet(tree, /*can_fail=*/false, rows);
-    SIMQ_CHECK(snapshot != nullptr);
-    return *snapshot;
+  /// Returns the current snapshot, compiling it with `compile()` first if
+  /// a mutation invalidated it (or none was built yet). The reference
+  /// stays valid until the next Get/TryGet after an Invalidate(). `rows`
+  /// is the owner's row count the compile covers (see View::covered);
+  /// owners that never consult coverage (the subsequence index) may omit
+  /// it.
+  template <typename CompileFn>
+  const PackedRTree& Get(CompileFn&& compile, int64_t rows = -1) const {
+    const View view = TryGet(compile, /*can_fail=*/false, rows);
+    SIMQ_CHECK(view.tree != nullptr);
+    return *view.tree;
   }
 
-  /// Degradation-aware Get: returns null when the compile fails (today
-  /// that means the "packed.compile" failpoint fired; a real allocation
-  /// failure would land here too if compiles ever became fallible). The
-  /// caller falls back to the pointer tree. A cached snapshot that is
-  /// still fresh is returned without re-evaluating the failpoint -- only
-  /// compiles can fail, not reuse.
-  const PackedRTree* TryGet(const RTree& tree, bool can_fail = true,
-                            int64_t rows = -1) const {
+  /// Degradation-aware Get: the view's tree is null when the compile fails
+  /// (today that means the "packed.compile" failpoint fired; a real
+  /// allocation failure would land here too if compiles ever became
+  /// fallible), and the caller exact-scans the rows instead. A cached
+  /// snapshot that is still fresh is returned without re-evaluating the
+  /// failpoint -- only compiles can fail, not reuse.
+  template <typename CompileFn>
+  View TryGet(CompileFn&& compile, bool can_fail = true,
+              int64_t rows = -1) const {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stale_ || snapshot_ == nullptr) {
       if (can_fail && SIMQ_FAILPOINT_FIRED("packed.compile")) {
-        return nullptr;
+        return View{};
       }
-      snapshot_ = std::make_unique<PackedRTree>(tree);
+      snapshot_ = compile();
       covered_ = rows;
       stale_ = false;
     }
-    return snapshot_.get();
+    return View{snapshot_.get(), std::max<int64_t>(covered_, 0)};
   }
 
   /// Installs an externally compiled snapshot covering the owner's first
@@ -477,12 +516,16 @@ class PackedSnapshotCache {
     stale_ = snapshot_ == nullptr;
   }
 
-  /// Number of owner rows the cached snapshot covers: rows at or past this
-  /// offset are the owner's delta and must be scanned exactly alongside
-  /// the snapshot. 0 when no fresh snapshot exists, or when the last
-  /// compile did not state its row count (then every row is delta --
-  /// callers that compile through TryGet first never observe this for a
-  /// non-empty owner).
+  /// True when the next Get/TryGet returns the cached snapshot without
+  /// compiling.
+  bool fresh() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return !stale_ && snapshot_ != nullptr;
+  }
+
+  /// Number of owner rows the cached snapshot covers (View::covered of
+  /// the next TryGet that does not compile). 0 when no fresh snapshot
+  /// exists, or when the last compile did not state its row count.
   int64_t covered() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return (stale_ || snapshot_ == nullptr || covered_ < 0) ? 0 : covered_;

@@ -627,7 +627,7 @@ Status QueryService::Recompact(const std::string& relation) {
 
 void QueryService::MaybeScheduleRecompaction(const std::string& relation) {
   const DeltaOptions& delta = db_.delta_options();
-  if (!delta.enabled || delta.recompact_threshold <= 0) {
+  if (delta.recompact_threshold <= 0) {
     return;
   }
   {
@@ -672,7 +672,7 @@ Status QueryService::RunRecompaction(const std::string& relation) {
   {
     // Build under the shared lock: queries keep running, writers wait.
     // The shard stores are frozen, so the built artifacts cover exactly
-    // the rows present now; publish catches up any appended later.
+    // the rows present now; rows appended before publish stay delta.
     std::shared_lock<std::shared_mutex> lock(data_mutex_);
     SIMQ_RETURN_IF_ERROR(db_.BuildRecompaction(relation, &built));
   }
@@ -682,6 +682,9 @@ Status QueryService::RunRecompaction(const std::string& relation) {
     std::unique_lock<std::shared_mutex> lock(data_mutex_);
     SIMQ_RETURN_IF_ERROR(db_.PublishRecompaction(relation, std::move(built)));
     RefreshDeltaGauges();
+    // Counted under the publish lock, so whoever sees the new generation
+    // (or the delta pressure it reset) also sees the count.
+    metrics_.recompactions->Add();
     generation = GenerationLocked(relation, nullptr);
   }
   trace->EndSpan(publish_span);
@@ -690,7 +693,6 @@ Status QueryService::RunRecompaction(const std::string& relation) {
     std::lock_guard<std::mutex> lock(recompaction_trace_mutex_);
     last_recompaction_trace_ = trace;
   }
-  metrics_.recompactions->Add();
   const double elapsed_ms = watch.ElapsedMillis();
   metrics_.recompaction_ms->Observe(elapsed_ms);
   if (options_.flight_recorder != nullptr) {
@@ -1050,14 +1052,7 @@ Result<ServiceResult> QueryService::ExecuteInternal(const Query& query,
     } else {
       cache_hit = true;
     }
-    // A degraded index execution actually ran on the pointer tree.
-    out.plan.engine =
-        out.result.stats.used_index
-            ? (out.result.stats.degraded ||
-                       db_.EffectiveIndexEngine() == IndexEngine::kPointer
-                   ? "pointer"
-                   : "packed")
-            : "columnar";
+    out.plan.engine = out.result.stats.used_index ? "packed" : "columnar";
   }
   out.plan.strategy = out.result.stats.used_index ? "index" : "scan";
   out.plan.filter = out.result.stats.used_filter ? "quantized" : "none";

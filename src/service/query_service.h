@@ -61,10 +61,10 @@
 ///    instead of queueing unboundedly. Slots never leak: only an admitted
 ///    execution decrements the running count.
 ///
-///  * Graceful degradation. A failed packed-snapshot or quantized-code
+///  * Graceful degradation. A failed packed-tree or quantized-code
 ///    compile (fault-injected today, any real resource failure tomorrow)
-///    demotes the query to the pointer-tree / exact-scan path inside the
-///    engine; the service surfaces it in QueryPlan::degraded and the
+///    makes the engine exact-scan the rows that artifact would have
+///    pruned; the service surfaces it in QueryPlan::degraded and the
 ///    degraded_queries counter. Answers are identical; only the
 ///    acceleration is lost. An exception escaping the engine (e.g. the
 ///    "pool.task" failpoint) is caught and returned as kInternal -- one
@@ -247,7 +247,7 @@ struct BindParams {
 /// How one execution was served; EXPLAIN renders this.
 struct QueryPlan {
   std::string strategy;  // "index" or "scan"
-  std::string engine;    // "packed", "pointer", or "columnar"
+  std::string engine;    // "packed" (index) or "columnar" (scan)
   /// Scan-side filter actually used: "quantized" when the execution took
   /// the filter-and-refine path, "none" otherwise.
   std::string filter = "none";

@@ -51,6 +51,9 @@ SubsequenceIndex::SubsequenceIndex(Options options)
   SIMQ_CHECK_GT(options_.num_coefficients, 0);
   SIMQ_CHECK_LE(options_.num_coefficients, options_.window / 2 + 1);
   SIMQ_CHECK_GT(options_.max_trail_length, 0);
+  // RangeSearch runs on the packed snapshot only, whose layout caps the
+  // node fanout.
+  SIMQ_CHECK_LE(options_.rtree.max_entries, PackedRTree::kMaxFanout);
 }
 
 std::vector<double> SubsequenceIndex::WindowFeatures(
@@ -222,7 +225,7 @@ Result<int64_t> SubsequenceIndex::AddSeries(const TimeSeries& series) {
 }
 
 const PackedRTree& SubsequenceIndex::packed_rtree() const {
-  return packed_.Get(*tree_);
+  return packed_.Get([this] { return std::make_unique<PackedRTree>(*tree_); });
 }
 
 std::vector<SubsequenceIndex::SubsequenceMatch> SubsequenceIndex::RangeSearch(
@@ -244,10 +247,7 @@ std::vector<SubsequenceIndex::SubsequenceMatch> SubsequenceIndex::RangeSearch(
   }
   const Rect box = Rect::FromBounds(lo, hi);
 
-  // Packed traversal with inlined visitor lambdas (the generic overlap
-  // predicate works for both entry MBR views and pointer-tree Rects).
-  // Oversized-fanout configurations stay on the pointer tree: the packed
-  // layout caps node fanout at PackedRTree::kMaxFanout.
+  // Packed traversal with inlined visitor lambdas over PackedRect views.
   const auto overlaps_box = [&](const auto& rect) {
     for (int d = 0; d < box.dims(); ++d) {
       if (rect.lo(d) > box.hi(d) || rect.hi(d) < box.lo(d)) {
@@ -256,22 +256,12 @@ std::vector<SubsequenceIndex::SubsequenceMatch> SubsequenceIndex::RangeSearch(
     }
     return true;
   };
-  const bool use_packed =
-      PackedRTree::SupportsFanout(options_.rtree.max_entries);
-  const PackedRTree* packed = use_packed ? &packed_rtree() : nullptr;
-  const int64_t accesses_before =
-      use_packed ? packed->node_accesses() : tree_->node_accesses();
   std::vector<int64_t> trail_ids;
   trail_ids.reserve(64);
-  const auto leaf_predicate = [&](const auto& rect, int64_t) {
-    return overlaps_box(rect);
-  };
-  const auto emit = [&](int64_t id) { trail_ids.push_back(id); };
-  if (use_packed) {
-    packed->SearchGeneric(overlaps_box, leaf_predicate, emit);
-  } else {
-    tree_->SearchGeneric(overlaps_box, leaf_predicate, emit);
-  }
+  const int64_t node_accesses = packed_rtree().SearchGeneric(
+      overlaps_box,
+      [&](const auto& rect, int64_t) { return overlaps_box(rect); },
+      [&](int64_t id) { trail_ids.push_back(id); });
 
   std::vector<SubsequenceMatch> matches;
   int64_t windows_checked = 0;
@@ -290,9 +280,7 @@ std::vector<SubsequenceIndex::SubsequenceMatch> SubsequenceIndex::RangeSearch(
     }
   }
   if (stats != nullptr) {
-    stats->node_accesses =
-        (use_packed ? packed->node_accesses() : tree_->node_accesses()) -
-        accesses_before;
+    stats->node_accesses = node_accesses;
     stats->trails_retrieved = static_cast<int64_t>(trail_ids.size());
     stats->windows_checked = windows_checked;
   }

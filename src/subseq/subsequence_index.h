@@ -25,11 +25,17 @@
 /// stays below the cost of opening a fresh MBR (kAdaptive), or simply cut
 /// every `max_trail_length` points (kFixed).
 ///
+/// Trails are inserted into an R*-tree one series at a time (AddSeries);
+/// RangeSearch traverses a packed snapshot of it, recompiled on the first
+/// search after an AddSeries. Options::rtree.max_entries must not exceed
+/// PackedRTree::kMaxFanout (checked at construction).
+///
 /// Thread-safety: RangeSearch/ScanSearch and all const accessors are
-/// snapshot-safe (concurrent callers share the immutable packed snapshot;
-/// node-access counters are relaxed atomics). AddSeries mutates the trail
-/// table and the R*-tree and requires exclusive access, exactly like
-/// relation mutations (see index/packed_rtree.h, PackedSnapshotCache).
+/// snapshot-safe (concurrent callers share the immutable packed snapshot,
+/// and each search counts its own node accesses). AddSeries mutates the
+/// trail table and the R*-tree and requires exclusive access, exactly
+/// like relation mutations (see index/packed_rtree.h,
+/// PackedSnapshotCache).
 
 #ifndef SIMQ_SUBSEQ_SUBSEQUENCE_INDEX_H_
 #define SIMQ_SUBSEQ_SUBSEQUENCE_INDEX_H_

@@ -2,7 +2,12 @@
 // spec parsing, and the injected-error plumbing through the persistence
 // and execution layers.
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -27,6 +32,12 @@ Failpoints::Trigger Always() {
   Failpoints::Trigger t;
   t.kind = Failpoints::TriggerKind::kAlways;
   return t;
+}
+
+uint64_t Bits(double value) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
 }
 
 TEST_F(FailpointTest, UnarmedNeverFires) {
@@ -135,49 +146,130 @@ TEST_F(FailpointTest, SaveFailpointsSurfaceAsIoErrorAndLeaveNoFile) {
   }
 }
 
+void ExpectSameMatches(const QueryResult& got, const QueryResult& want,
+                       const std::string& context) {
+  ASSERT_EQ(got.matches.size(), want.matches.size()) << context;
+  for (size_t i = 0; i < want.matches.size(); ++i) {
+    EXPECT_EQ(got.matches[i].id, want.matches[i].id) << context;
+    EXPECT_EQ(got.matches[i].name, want.matches[i].name) << context;
+    EXPECT_EQ(Bits(got.matches[i].distance), Bits(want.matches[i].distance))
+        << context;
+  }
+}
+
+// Pairs as a sorted set: the delta scan emits a degraded shard's pairs
+// after the tree candidates, so only the emission order may differ.
+std::vector<std::tuple<int64_t, int64_t, uint64_t>> PairSet(
+    const QueryResult& result) {
+  std::vector<std::tuple<int64_t, int64_t, uint64_t>> pairs;
+  for (const PairMatch& pair : result.pairs) {
+    pairs.emplace_back(pair.first, pair.second, Bits(pair.distance));
+  }
+  std::sort(pairs.begin(), pairs.end());
+  return pairs;
+}
+
 TEST_F(FailpointTest, CompileFailpointsDegradeWithoutChangingAnswers) {
   Database db = SmallDb();
-  // With the delta layer on, inserts no longer invalidate the packed
-  // snapshot, so the armed failpoint would never be reached; run this
-  // test in legacy invalidate-on-mutation mode.
-  DeltaOptions legacy;
-  legacy.enabled = false;
-  db.set_delta_options(legacy);
   const char* text = "RANGE r WITHIN 3.0 OF #walk5";
-  const Result<QueryResult> clean = db.ExecuteText(text);
-  ASSERT_TRUE(clean.ok());
-  ASSERT_FALSE(clean.value().stats.degraded);
 
-  // Arm packed.compile and mutate so the snapshot must recompile: the
-  // query demotes to the pointer engine, flags degraded, and returns the
-  // same answer set.
-  TimeSeries extra1 = workload::RandomWalkSeries(1, 32, 99)[0];
-  extra1.id = "extra1";
-  ASSERT_TRUE(db.Insert("r", extra1).ok());
-  const Result<QueryResult> fresh = db.ExecuteText(text);
-  ASSERT_TRUE(fresh.ok());
-
-  TimeSeries extra2 = workload::RandomWalkSeries(1, 32, 100)[0];
-  extra2.id = "extra2";
-  ASSERT_TRUE(db.Insert("r", extra2).ok());
+  // The bulk load left the packed tree uncompiled: arm packed.compile so
+  // the first index query's compile fails. The query exact-scans every
+  // row instead, flags degraded, and returns the healthy answer.
   Failpoints::Global().Configure("packed.compile", Always());
   const Result<QueryResult> degraded = db.ExecuteText(text);
   Failpoints::Global().Reset();
   ASSERT_TRUE(degraded.ok());
   EXPECT_TRUE(degraded.value().stats.degraded);
   EXPECT_TRUE(degraded.value().stats.used_index);
-  EXPECT_GE(db.degradation_stats().packed_compile_failures, 1u);
-  EXPECT_GE(db.degradation_stats().degraded_queries, 1u);
+  EXPECT_EQ(degraded.value().stats.node_accesses, 0);
+  EXPECT_EQ(db.degradation_stats().packed_compile_failures, 1u);
+  EXPECT_EQ(db.degradation_stats().degraded_queries, 1u);
 
-  const Result<QueryResult> after = db.ExecuteText(text);
-  ASSERT_TRUE(after.ok());
-  EXPECT_FALSE(after.value().stats.degraded);
-  ASSERT_EQ(degraded.value().matches.size(), after.value().matches.size());
-  for (size_t i = 0; i < after.value().matches.size(); ++i) {
-    EXPECT_EQ(degraded.value().matches[i].id, after.value().matches[i].id);
-    EXPECT_EQ(degraded.value().matches[i].distance,
-              after.value().matches[i].distance);
+  const Result<QueryResult> healthy = db.ExecuteText(text);
+  ASSERT_TRUE(healthy.ok());
+  EXPECT_FALSE(healthy.value().stats.degraded);
+  EXPECT_GT(healthy.value().stats.node_accesses, 0);
+  ExpectSameMatches(degraded.value(), healthy.value(), text);
+}
+
+// Per-shard degradation: with three shards and packed.compile=after-1,
+// one shard compiles and the other two fail on every query, so their
+// rows all go through the delta scan. Range, kNN and index-join answers
+// must stay bit-identical to a healthy database's -- plain and
+// transformed, with rows inserted and deleted after the bulk load both
+// before and after that one compile.
+TEST_F(FailpointTest, PerShardCompileFailureKeepsIndexAnswers) {
+  ShardingOptions sharding;
+  sharding.num_shards = 3;
+  const auto build = [&]() {
+    Database db(FeatureConfig(), RTree::Options(), sharding);
+    EXPECT_TRUE(db.CreateRelation("r").ok());
+    EXPECT_TRUE(
+        db.BulkLoad("r", workload::RandomWalkSeries(60, 32, 11)).ok());
+    return db;
+  };
+  const auto mutate = [](Database* db, int round) {
+    for (int i = 0; i < 4; ++i) {
+      TimeSeries extra =
+          workload::RandomWalkSeries(1, 32, 500 + 10 * round + i)[0];
+      extra.id = "extra" + std::to_string(round) + "_" + std::to_string(i);
+      EXPECT_TRUE(db->Insert("r", extra).ok());
+    }
+    for (const int64_t id : {3 + round, 17 + round, 40 + round}) {
+      EXPECT_TRUE(db->Delete("r", id).ok());
+    }
+  };
+  const std::vector<std::string> queries = {
+      "RANGE r WITHIN 3.0 OF #walk5 VIA INDEX",
+      "RANGE r WITHIN 3.0 OF #walk5 USING mavg(4) VIA INDEX",
+      "NEAREST 7 r TO #walk8 VIA INDEX",
+      "NEAREST 7 r TO #walk8 USING mavg(4) VIA INDEX",
+      "PAIRS r WITHIN 2.0 VIA INDEX",
+      "PAIRS r WITHIN 2.0 USING mavg(4) VIA INDEX",
+  };
+  Database healthy = build();
+  Database degraded = build();
+  Failpoints::Trigger after_one;
+  after_one.kind = Failpoints::TriggerKind::kAfter;
+  after_one.param = 1;
+  for (int round = 0; round < 2; ++round) {
+    mutate(&healthy, round);
+    mutate(&degraded, round);
+    // The healthy side runs first: its round-0 queries compile its trees
+    // before the failpoint is armed, and fresh trees never recompile.
+    std::vector<QueryResult> want;
+    for (const std::string& text : queries) {
+      Result<QueryResult> result = healthy.ExecuteText(text);
+      ASSERT_TRUE(result.ok()) << text << ": " << result.status().ToString();
+      EXPECT_FALSE(result.value().stats.degraded) << text;
+      want.push_back(std::move(result).value());
+    }
+    if (round == 0) {
+      Failpoints::Global().Configure("packed.compile", after_one);
+    }
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const std::string context =
+          queries[q] + " (round " + std::to_string(round) + ")";
+      const uint64_t failures_before =
+          degraded.degradation_stats().packed_compile_failures;
+      const Result<QueryResult> got = degraded.ExecuteText(queries[q]);
+      ASSERT_TRUE(got.ok()) << context << ": " << got.status().ToString();
+      EXPECT_TRUE(got.value().stats.degraded) << context;
+      EXPECT_TRUE(got.value().stats.used_index) << context;
+      // The first query's first compile succeeds (whichever shard the
+      // parallel resolve reaches first); the other two shards fail every
+      // compile.
+      EXPECT_EQ(degraded.degradation_stats().packed_compile_failures,
+                failures_before + 2)
+          << context;
+      ExpectSameMatches(got.value(), want[q], context);
+      EXPECT_EQ(PairSet(got.value()), PairSet(want[q])) << context;
+    }
   }
+  EXPECT_EQ(degraded.degradation_stats().degraded_queries,
+            2 * queries.size());
+  EXPECT_EQ(healthy.degradation_stats().packed_compile_failures, 0u);
 }
 
 TEST_F(FailpointTest, FilterCompileFailureFallsBackToExactScan) {

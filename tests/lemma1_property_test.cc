@@ -121,7 +121,7 @@ TEST_P(Lemma1Test, IndexFilterNeverDismissesTrueAnswers) {
       affines_ptr = &affines;
     }
     std::vector<int64_t> candidates;
-    relation->index().Search(region, affines_ptr, &candidates);
+    relation->packed_index().Search(region, affines_ptr, &candidates);
     const std::set<int64_t> candidate_set(candidates.begin(),
                                           candidates.end());
 

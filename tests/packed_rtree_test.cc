@@ -1,10 +1,13 @@
-// Unit tests of the packed R-tree snapshot: pointer-vs-packed equivalence
-// on all three traversals (results AND node-access accounting), kNN
-// tie-break determinism, snapshot rebuild semantics through the Database,
-// and edge cases (empty tree, rect leaf entries).
+// Unit tests of the packed R-tree: equivalence with the RTree it is
+// compiled from on all three traversals (results AND node-access
+// accounting), kNN tie-break determinism, snapshot semantics through the
+// Database (delta rows, per-query node-access counts under concurrency,
+// the fanout check), and edge cases (empty tree, rect leaf entries).
 
 #include <algorithm>
+#include <atomic>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -339,37 +342,17 @@ TEST(PackedRTreeTest, EmptyTreeTraversalsAreSafe) {
   EXPECT_EQ(emitted, 0);
 }
 
-TEST(PackedRTreeTest, OversizedFanoutFallsBackToPointerEngine) {
-  // max_entries beyond the packed layout's fanout cap must not abort:
-  // index queries silently stay on the pointer engine.
-  ASSERT_FALSE(PackedRTree::SupportsFanout(PackedRTree::kMaxFanout + 44));
+TEST(PackedRTreeDeathTest, DatabaseRejectsOversizedFanoutAtConstruction) {
+  // The packed layout caps node fanout; a Database refuses larger
+  // max_entries when it is constructed instead of failing at the first
+  // compile.
   RTree::Options options;
   options.max_entries = PackedRTree::kMaxFanout + 44;
   options.min_entries = 2;
-  Database db(FeatureConfig(), options);
-  ASSERT_TRUE(db.CreateRelation("r").ok());
-  Random rng(96);
-  std::vector<TimeSeries> batch;
-  for (int i = 0; i < PackedRTree::kMaxFanout + 100; ++i) {
-    TimeSeries ts;
-    ts.id = "s" + std::to_string(i);
-    for (int t = 0; t < 16; ++t) {
-      ts.values.push_back(rng.UniformDouble(-1.0, 1.0));
-    }
-    batch.push_back(std::move(ts));
-  }
-  ASSERT_TRUE(db.BulkLoad("r", batch).ok());
-
-  Query query;
-  query.kind = QueryKind::kNearest;
-  query.relation = "r";
-  query.query_series.id = 0;
-  query.k = 5;
-  query.strategy = ExecutionStrategy::kIndex;
-  const auto result = db.Execute(query);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(static_cast<int>(result.value().matches.size()), 5);
-  EXPECT_GT(result.value().stats.node_accesses, 0);
+  EXPECT_DEATH(Database(FeatureConfig(), options), "max_entries");
+  options.max_entries = PackedRTree::kMaxFanout;
+  Database at_limit(FeatureConfig(), options);
+  EXPECT_TRUE(at_limit.CreateRelation("r").ok());
 }
 
 TEST(PackedRTreeTest, DatabaseSnapshotRebuildsAfterMutation) {
@@ -400,26 +383,85 @@ TEST(PackedRTreeTest, DatabaseSnapshotRebuildsAfterMutation) {
   ASSERT_TRUE(before.ok());
   EXPECT_EQ(static_cast<int>(before.value().matches.size()), 40);
 
-  // Mutation marks the snapshot stale; the next query sees the new record.
+  // An insert leaves the snapshot in place; the next query sees the new
+  // record through the shard's delta scan, at the same node cost.
   ASSERT_TRUE(db.Insert("r", make_series("late")).ok());
   query.k = 41;
   const auto after = db.Execute(query);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(static_cast<int>(after.value().matches.size()), 41);
-
-  // Packed and pointer engines agree through the Database surface.
-  db.set_index_engine(IndexEngine::kPointer);
-  const auto pointer_after = db.Execute(query);
-  ASSERT_TRUE(pointer_after.ok());
-  ASSERT_EQ(pointer_after.value().matches.size(),
-            after.value().matches.size());
-  for (size_t i = 0; i < after.value().matches.size(); ++i) {
-    EXPECT_EQ(after.value().matches[i].id, pointer_after.value().matches[i].id);
-    EXPECT_EQ(after.value().matches[i].distance,
-              pointer_after.value().matches[i].distance);
-  }
+  EXPECT_EQ(db.GetRelation("r")->sharded().delta_rows(), 1);
   EXPECT_EQ(after.value().stats.node_accesses,
-            pointer_after.value().stats.node_accesses);
+            before.value().stats.node_accesses);
+}
+
+// Each traversal counts its own node visits, so concurrent queries on one
+// Database never inflate each other's ExecutionStats::node_accesses.
+TEST(PackedRTreeTest, ConcurrentQueriesReportTheirOwnNodeAccesses) {
+  Database db;
+  ASSERT_TRUE(db.CreateRelation("r").ok());
+  Random rng(29);
+  std::vector<TimeSeries> batch;
+  for (int i = 0; i < 600; ++i) {
+    TimeSeries ts;
+    ts.id = "s" + std::to_string(i);
+    double value = 0.0;
+    for (int t = 0; t < 32; ++t) {
+      value += rng.UniformDouble(-1.0, 1.0);
+      ts.values.push_back(value);
+    }
+    batch.push_back(std::move(ts));
+  }
+  ASSERT_TRUE(db.BulkLoad("r", batch).ok());
+
+  constexpr int kQueries = 24;
+  std::vector<Query> queries;
+  for (int q = 0; q < kQueries; ++q) {
+    Query query;
+    query.relation = "r";
+    query.query_series.id = (q * 37) % 600;
+    query.strategy = ExecutionStrategy::kIndex;
+    if (q % 2 == 0) {
+      query.kind = QueryKind::kRange;
+      query.epsilon = 1.0 + 0.25 * (q % 5);
+    } else {
+      query.kind = QueryKind::kNearest;
+      query.k = 1 + q % 9;
+    }
+    queries.push_back(std::move(query));
+  }
+  // Single-threaded reference counts (the first query compiles the tree).
+  std::vector<int64_t> expected;
+  for (const Query& query : queries) {
+    const Result<QueryResult> result = db.Execute(query);
+    ASSERT_TRUE(result.ok());
+    ASSERT_GT(result.value().stats.node_accesses, 0);
+    expected.push_back(result.value().stats.node_accesses);
+  }
+
+  constexpr int kThreads = 4;
+  constexpr int kRoundsPerThread = 120;  // range and kNN alternate
+  std::atomic<int> mismatches{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kRoundsPerThread; ++i) {
+        const size_t q = static_cast<size_t>(t * 7 + i) % queries.size();
+        const Result<QueryResult> result = db.Execute(queries[q]);
+        if (!result.ok()) {
+          failures.fetch_add(1);
+        } else if (result.value().stats.node_accesses != expected[q]) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

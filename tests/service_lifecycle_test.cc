@@ -229,24 +229,12 @@ TEST(ServiceLifecycleTest, CompileFailureSurfacesAsDegradedPlan) {
   // would report the cached degraded plan instead of a fresh healthy run.
   ServiceOptions cache_off;
   cache_off.enable_result_cache = false;
-  Database db = MakeDatabase(60, 32);
-  // With the delta layer on, inserts no longer invalidate the packed
-  // snapshot, so the armed failpoint would never be reached; run this
-  // test in legacy invalidate-on-mutation mode.
-  DeltaOptions legacy;
-  legacy.enabled = false;
-  db.set_delta_options(legacy);
-  QueryService service(std::move(db), cache_off);
+  QueryService service(MakeDatabase(60, 32), cache_off);
   Failpoints::Global().Reset();
   const std::string text = "RANGE r WITHIN 2.0 OF #walk3";
-  const Result<ServiceResult> clean = service.ExecuteText(text);
-  ASSERT_TRUE(clean.ok());
-  ASSERT_FALSE(clean.value().plan.degraded);
 
-  // Mutate so the packed snapshot must recompile, and make that fail.
-  TimeSeries extra = workload::RandomWalkSeries(1, 32, 91)[0];
-  extra.id = "extra";
-  ASSERT_TRUE(service.Insert("r", extra).ok());
+  // The bulk load left the packed tree uncompiled, so the first index
+  // query compiles it: make that compile fail.
   Failpoints::Trigger t;
   t.kind = Failpoints::TriggerKind::kAlways;
   Failpoints::Global().Configure("packed.compile", t);
@@ -254,13 +242,15 @@ TEST(ServiceLifecycleTest, CompileFailureSurfacesAsDegradedPlan) {
   Failpoints::Global().Reset();
   ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
   EXPECT_TRUE(degraded.value().plan.degraded);
-  EXPECT_EQ(degraded.value().plan.engine, "pointer");
+  EXPECT_TRUE(degraded.value().result.stats.used_index);
+  EXPECT_EQ(degraded.value().plan.engine, "packed");
   EXPECT_GE(service.stats().degraded_queries, 1);
 
-  // Identical answers, demoted engine only.
+  // Identical answers; only the pruning was lost.
   const Result<ServiceResult> healthy = service.ExecuteText(text);
   ASSERT_TRUE(healthy.ok());
   EXPECT_FALSE(healthy.value().plan.degraded);
+  EXPECT_EQ(healthy.value().plan.engine, "packed");
   ASSERT_EQ(degraded.value().result.matches.size(),
             healthy.value().result.matches.size());
   for (size_t i = 0; i < healthy.value().result.matches.size(); ++i) {

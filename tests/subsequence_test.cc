@@ -247,5 +247,14 @@ TEST(SubsequenceIndexTest, LongSeriesDriftStaysBounded) {
   EXPECT_EQ(matches[0].offset, offset);
 }
 
+TEST(SubsequenceIndexDeathTest, RejectsOversizedFanoutAtConstruction) {
+  // RangeSearch runs on the packed snapshot only, so a fanout past the
+  // packed layout's cap is refused up front.
+  SubsequenceIndex::Options options;
+  options.rtree.max_entries = PackedRTree::kMaxFanout + 1;
+  options.rtree.min_entries = 2;
+  EXPECT_DEATH(SubsequenceIndex{options}, "kMaxFanout");
+}
+
 }  // namespace
 }  // namespace simq
