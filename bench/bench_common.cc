@@ -46,7 +46,7 @@ double CalibrateRangeEpsilon(const Database& db, const std::string& relation,
   SIMQ_CHECK(rel != nullptr);
   const Record& probe = rel->record(probe_id);
 
-  std::vector<double> query_values = probe.normal_values;
+  std::vector<double> query_values = ToNormalForm(probe.raw).values;
   if (rule != nullptr) {
     // Distance semantics: D(T(x), q). Calibrate against q = T(probe) so the
     // probe itself is at distance 0 and answer sizes are well-defined.
@@ -56,7 +56,7 @@ double CalibrateRangeEpsilon(const Database& db, const std::string& relation,
   std::vector<double> distances;
   distances.reserve(static_cast<size_t>(rel->size()));
   for (const Record& record : rel->records()) {
-    std::vector<double> transformed = record.normal_values;
+    std::vector<double> transformed = ToNormalForm(record.raw).values;
     if (rule != nullptr) {
       transformed = rule->Apply(transformed);
     }

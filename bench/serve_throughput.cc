@@ -194,7 +194,7 @@ void Run(int clients, int queries, int probes, const std::string& out_path) {
   // the JSON metadata either way.
   const ShardingOptions sharding = ShardingOptions::FromEnv();
   ServiceOptions uncached;
-  uncached.enable_result_cache = false;
+  uncached.result_cache_capacity = 0;
   auto BuildService = [&](const ServiceOptions& options) {
     Database db(FeatureConfig(), RTree::Options(), sharding);
     SIMQ_CHECK(db.CreateRelation("r").ok());

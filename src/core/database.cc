@@ -35,10 +35,6 @@ bool StatsAdmit(double mean, double std_dev, const Pattern& pattern) {
   return true;
 }
 
-bool PatternAdmits(const Record& record, const Pattern& pattern) {
-  return StatsAdmit(record.features.mean, record.features.std_dev, pattern);
-}
-
 // Cooperative-stop poll for the parallel driver loops: workers check this
 // at block boundaries (scan units, shards, outer rows, candidate batches)
 // and bail out early; the driver's epilogue then re-checks the context and
@@ -80,13 +76,18 @@ std::optional<Spectrum> MaterializeMultiplier(const TransformationRule* rule,
   return multiplier;
 }
 
+// Coefficient f of an interleaved (re, im) spectrum row (FeatureStore).
+inline Complex RowCoefficient(const double* row, int f) {
+  return Complex(row[2 * f], row[2 * f + 1]);
+}
+
 // Exact frequency-domain distance between T(data) and the query spectrum,
-// early-abandoning once the partial sum exceeds threshold. `multiplier` is
-// the materialized spectral form of T (nullptr for the identity). Relies on
-// Parseval: this equals the time-domain distance between T(x) and q.
-double FreqDistance(const Spectrum& data, const Spectrum& query,
+// early-abandoning once the partial sum exceeds threshold. `data` is a
+// stored spectrum row of n coefficients; `multiplier` is the materialized
+// spectral form of T (nullptr for the identity). Relies on Parseval: this
+// equals the time-domain distance between T(x) and q.
+double FreqDistance(const double* data, int n, const Spectrum& query,
                     const Spectrum* multiplier, double threshold) {
-  const int n = static_cast<int>(data.size());
   const int out_n = multiplier != nullptr
                         ? static_cast<int>(multiplier->size())
                         : n;
@@ -95,7 +96,7 @@ double FreqDistance(const Spectrum& data, const Spectrum& query,
       threshold == kInf ? kInf : threshold * threshold;
   double sum = 0.0;
   for (int f = 0; f < out_n; ++f) {
-    Complex value = data[static_cast<size_t>(f % n)];
+    Complex value = RowCoefficient(data, f % n);
     if (multiplier != nullptr) {
       value *= (*multiplier)[static_cast<size_t>(f)];
     }
@@ -111,11 +112,12 @@ double FreqDistance(const Spectrum& data, const Spectrum& query,
 // columnar kernels over the sharded FeatureStores whenever the check runs
 // in the frequency domain over same-length spectra (the common case);
 // generic wraparound/time-domain fallbacks otherwise (expanding rules,
-// non-spectral rules, raw mode). Holds references to its constructor
-// arguments -- valid within one Execute call. Distance(id) addresses rows
-// by global id through the relation's shard locator; the arithmetic is
-// identical for every shard count because each kernel reads only that
-// record's row.
+// non-spectral rules, raw mode), over the same shard store rows (raw mode
+// reads the record's raw values). Holds references to its constructor
+// arguments -- the Database::Probe fields beside it, valid within one
+// Execute call. Distance(id) addresses rows by global id through the
+// relation's shard locator; the arithmetic is identical for every shard
+// count because each kernel reads only that record's row.
 class ExactChecker {
  public:
   ExactChecker(const Relation& relation, const Query& query,
@@ -164,19 +166,23 @@ class ExactChecker {
                               limit_sq);
       return std::sqrt(dist_sq);
     }
-    const Record& record = relation_.record(id);
     if (query_.mode == DistanceMode::kNormalForm && spectral_) {
-      return FreqDistance(record.features.normal_spectrum, query_spectrum_,
-                          mult_, threshold);
+      return FreqDistance(data_.SpectrumRow(id), n_, query_spectrum_, mult_,
+                          threshold);
     }
-    const std::vector<double>& base =
-        query_.mode == DistanceMode::kNormalForm ? record.normal_values
-                                                 : record.raw;
-    const std::vector<double> transformed =
-        rule_ != nullptr ? rule_->Apply(base) : base;
+    std::vector<double> values;
+    if (query_.mode == DistanceMode::kNormalForm) {
+      const double* normal = data_.NormalRow(id);
+      values.assign(normal, normal + n_);
+    } else {
+      values = relation_.record(id).raw;
+    }
+    if (rule_ != nullptr) {
+      values = rule_->Apply(values);
+    }
     return threshold == kInf
-               ? EuclideanDistance(transformed, query_values_)
-               : EuclideanDistanceEarlyAbandon(transformed, query_values_,
+               ? EuclideanDistance(values, query_values_)
+               : EuclideanDistanceEarlyAbandon(values, query_values_,
                                                threshold);
   }
 
@@ -272,6 +278,44 @@ std::optional<ShardFilterState> MakeShardFilterState(
   return state;
 }
 
+// Per-shard survivor counts of a blocked scan, for EXPLAIN's shard
+// actuals: each pool block adds into its own row of a (block, shard)
+// matrix, so blocks never share a counter or need atomics, and Fold adds
+// the shard columns into the shard stats afterwards. Holds nothing, and
+// Add does nothing, unless shard stats were requested.
+class BlockShardCounts {
+ public:
+  BlockShardCounts(bool enabled, size_t blocks, int shards)
+      : shards_(static_cast<size_t>(shards)) {
+    if (enabled) {
+      counts_.assign(blocks * shards_, 0);
+    }
+  }
+
+  void Add(int64_t block, int shard, int64_t count) {
+    if (!counts_.empty()) {
+      counts_[static_cast<size_t>(block) * shards_ +
+              static_cast<size_t>(shard)] += count;
+    }
+  }
+
+  // Adds each shard's total to its candidates and, with `checks`, to its
+  // exact_checks.
+  void Fold(bool checks, ExecutionStats* stats) const {
+    for (size_t i = 0; i < counts_.size(); ++i) {
+      ExecutionStats::ShardStats& ss = stats->shard_stats[i % shards_];
+      ss.candidates += counts_[i];
+      if (checks) {
+        ss.exact_checks += counts_[i];
+      }
+    }
+  }
+
+ private:
+  size_t shards_;
+  std::vector<int64_t> counts_;
+};
+
 void SortMatches(std::vector<Match>* matches) {
   std::sort(matches->begin(), matches->end(),
             [](const Match& a, const Match& b) {
@@ -328,6 +372,16 @@ void FillShardEstimates(const ShardedRelation& data, int bits,
   }
 }
 
+// Everything a shard stores for one series, derived from its raw values.
+ShardedRelation::RowData DeriveRow(const std::vector<double>& raw,
+                                   const FeatureConfig& config) {
+  ShardedRelation::RowData row;
+  row.normal_values = ToNormalForm(raw).values;
+  row.features = ComputeFeatures(raw);
+  row.point = MakeFeaturePoint(row.features, config);
+  return row;
+}
+
 }  // namespace
 
 Relation::Relation(std::string name, const FeatureConfig& config,
@@ -379,6 +433,13 @@ Database::Database(FeatureConfig config, RTree::Options index_options,
       << "RTree::Options::max_entries must lie in [4, "
       << PackedRTree::kMaxFanout << "], got " << max_entries_;
   sharding_.num_shards = std::max(1, sharding_.num_shards);
+}
+
+void Database::CountFilterDegradation(ExecutionStats* stats) const {
+  degradation_->filter_compile_failures.fetch_add(1,
+                                                  std::memory_order_relaxed);
+  degradation_->degraded_queries.fetch_add(1, std::memory_order_relaxed);
+  stats->degraded = true;
 }
 
 bool Database::UseQuantizedFilter(FilterMode filter) const {
@@ -508,14 +569,11 @@ Result<int64_t> Database::Insert(const std::string& relation,
                                  "' already exists in relation");
   }
   record.raw = series.values;
-  record.normal_values = ToNormalForm(series.values).values;
-  record.features = ComputeFeatures(series.values);
 
   // Route the record's derived data to its shard: the shard's store grows
   // and its epoch bumps; the row joins that shard's delta, so no compiled
   // artifact is invalidated.
-  rel->data_.Append(record.features, record.normal_values,
-                    MakeFeaturePoint(record.features, config_));
+  rel->data_.Append(DeriveRow(record.raw, config_));
   rel->by_name_[record.name] = record.id;
   rel->records_.push_back(std::move(record));
   return rel->size() - 1;
@@ -565,22 +623,14 @@ Status Database::BulkLoad(const std::string& relation,
     rel->by_name_[record.name] = record.id;
     rel->records_.push_back(std::move(record));
   }
-  // Parallel per-shard load: every shard task computes its own records'
-  // normal forms and spectra (each id writes only its own records_ slot,
-  // so the fan-out is deterministic) and fills the shard's columnar store;
-  // the first index query STR-compiles the shard's packed tree. With one
+  // Parallel per-shard load: every shard task derives its own records'
+  // normal forms and spectra from their raw values (reads only, so the
+  // fan-out is deterministic) and fills the shard's columnar store; the
+  // first index query STR-compiles the shard's packed tree. With one
   // shard this degenerates to the pre-sharding serial load.
-  rel->data_.BulkLoad(
-      static_cast<int64_t>(series.size()), [&](int64_t id) {
-        Record& record = rel->records_[static_cast<size_t>(id)];
-        record.normal_values = ToNormalForm(record.raw).values;
-        record.features = ComputeFeatures(record.raw);
-        ShardedRelation::RowData row;
-        row.features = &record.features;
-        row.normal_values = &record.normal_values;
-        row.point = MakeFeaturePoint(record.features, config_);
-        return row;
-      });
+  rel->data_.BulkLoad(static_cast<int64_t>(series.size()), [&](int64_t id) {
+    return DeriveRow(rel->records_[static_cast<size_t>(id)].raw, config_);
+  });
   return Status::Ok();
 }
 
@@ -725,17 +775,47 @@ Result<QueryResult> Database::ExecuteText(const std::string& text) const {
   return Execute(query.value());
 }
 
-Result<QueryResult> Database::ExecuteRange(const Relation& relation,
-                                           const Query& query) const {
-  QueryResult out;
-  if (query.epsilon < 0.0) {
-    return Status::InvalidArgument("epsilon must be nonnegative");
+// Declared in database.h. `checker` refers to query_spectrum, multiplier
+// and query_values, which is why a Probe is filled in place and never
+// copied or moved.
+struct Database::Probe {
+  Probe() = default;
+  Probe(const Probe&) = delete;
+  Probe& operator=(const Probe&) = delete;
+
+  std::vector<double> query_values;  // distance-side query
+  Spectrum query_spectrum;
+  std::optional<Spectrum> multiplier;  // spectral rules only
+  ExecutionStrategy strategy = ExecutionStrategy::kAuto;  // as planned
+  std::optional<ExactChecker> checker;  // empty for an empty relation
+  // Index strategy: the query's X1..Xk and, under a rule, its lowering to
+  // the feature space that the traversals apply to every MBR and point.
+  std::vector<Complex> query_coeffs;
+  std::optional<std::vector<DimAffine>> affines;
+  // Per-shard codes and LUTs of the quantized scan; empty when the scan is
+  // unfiltered or a code compile failed.
+  std::optional<ShardFilterState> filter;
+  bool want_shard_stats = false;  // explained or traced
+
+  const std::vector<DimAffine>* affines_or_null() const {
+    return affines.has_value() ? &*affines : nullptr;
   }
+};
+
+// The planning prologue of both drivers, in order: resolve the query
+// series, apply the [GK95] shortcut, check the length, build the query's
+// normal form and spectrum, decide spectral / index transform / multiplier
+// / index eligibility, plan kAuto, build the exact checker, derive the
+// index search inputs or compile the quantized filter state, and fill the
+// EXPLAIN shard estimates. A range query with a constant pattern stops
+// after the checker: ExecuteRange checks its one row directly, with no
+// codes to compile or shards to estimate. Nearest queries build their
+// LUTs with upper bounds and estimate min(rows, k) per shard.
+Status Database::PrepareProbe(const Relation& relation, const Query& query,
+                              Probe* probe, ExecutionStats* stats) const {
   SIMQ_RETURN_IF_ERROR(CheckExecution(query.exec));
-  const ExecutionContext* exec = query.exec.get();
-  obs::Trace* const trace = QueryTrace(query);
   if (relation.size() == 0) {
-    return out;
+    return Status::Ok();
   }
   Result<std::vector<double>> resolved =
       ResolveSeries(relation, query.query_series);
@@ -757,22 +837,21 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
   }
 
   // Query-side representation.
-  std::vector<double> query_values;
   if (query.mode == DistanceMode::kNormalForm && !query.query_prenormalized) {
-    query_values = ToNormalForm(raw_query).values;
+    probe->query_values = ToNormalForm(raw_query).values;
   } else {
-    query_values = raw_query;
+    probe->query_values = raw_query;
   }
-  const Spectrum query_spectrum = Dft(query_values);
+  probe->query_spectrum = Dft(probe->query_values);
 
   const bool spectral = rule == nullptr || rule->IsSpectral(n);
   std::optional<LinearTransform> index_transform;
   if (rule != nullptr && spectral) {
     index_transform = rule->IndexTransform(n, config_.num_coefficients);
   }
-  const std::optional<Spectrum> multiplier =
-      spectral ? MaterializeMultiplier(rule, n) : std::nullopt;
-  const Spectrum* mult = multiplier.has_value() ? &*multiplier : nullptr;
+  if (spectral) {
+    probe->multiplier = MaterializeMultiplier(rule, n);
+  }
   const bool can_use_index =
       query.mode == DistanceMode::kNormalForm &&
       (rule == nullptr || (index_transform.has_value() &&
@@ -796,14 +875,67 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
         "query is not index-accelerable (requires normal-form mode and a "
         "safe spectral transformation)");
   }
+  probe->strategy = strategy;
 
   // Columnar kernels apply whenever the exact check runs in the frequency
   // domain over same-length spectra (the common case); expanding rules
   // (out_n != n, e.g. time warps) fall back to the generic wraparound
   // distance inside the checker.
-  const ExactChecker checker(relation, query, rule, spectral, out_n,
-                             query_spectrum, mult, query_values);
-  const bool columnar = checker.columnar();
+  const ExactChecker& checker = probe->checker.emplace(
+      relation, query, rule, spectral, out_n, probe->query_spectrum,
+      probe->multiplier.has_value() ? &*probe->multiplier : nullptr,
+      probe->query_values);
+  const bool nearest = query.kind == QueryKind::kNearest;
+  if (!nearest && query.pattern.kind == Pattern::Kind::kConstant) {
+    return Status::Ok();
+  }
+  const ShardedRelation& data = relation.sharded();
+
+  if (strategy == ExecutionStrategy::kIndex) {
+    probe->query_coeffs =
+        ExtractCoefficients(probe->query_spectrum, config_.num_coefficients);
+    if (rule != nullptr) {
+      probe->affines = LowerToFeatureSpace(*index_transform, config_);
+    }
+  }
+  // Quantized-filter eligibility and code compile, resolved before the
+  // drivers' strategy branch: a failed compile (the "filter.compile"
+  // failpoint) falls through to the exact scan with the degradation
+  // counted -- same answers, no acceleration, never an abort.
+  if (strategy == ExecutionStrategy::kScan && checker.columnar() && n >= 1 &&
+      UseQuantizedFilter(query.filter)) {
+    probe->filter = MakeShardFilterState(
+        data, filter_options_.bits_per_dim, checker.query_ri().data(),
+        checker.mult_ri(), n, /*with_upper=*/nearest);
+    if (!probe->filter.has_value()) {
+      CountFilterDegradation(stats);
+    }
+  }
+
+  // Per-shard estimates (after the code compile above, so the quantizer
+  // grid is visible to the estimator on the filtered path) and actuals
+  // are produced only for explained or traced queries.
+  probe->want_shard_stats = query.explain || QueryTrace(query) != nullptr;
+  if (probe->want_shard_stats) {
+    FillShardEstimates(data, filter_options_.bits_per_dim, checker, n,
+                       nearest ? 0.0 : query.epsilon, nearest ? query.k : 0,
+                       stats);
+  }
+  return Status::Ok();
+}
+
+Result<QueryResult> Database::ExecuteRange(const Relation& relation,
+                                           const Query& query) const {
+  if (query.epsilon < 0.0) {
+    return Status::InvalidArgument("epsilon must be nonnegative");
+  }
+  QueryResult out;
+  Probe probe;
+  SIMQ_RETURN_IF_ERROR(PrepareProbe(relation, query, &probe, &out.stats));
+  if (!probe.checker.has_value()) {
+    return out;  // empty relation
+  }
+  const ExactChecker& checker = *probe.checker;
   const ShardedRelation& data = relation.sharded();
 
   // Trivial pattern "a given constant object": check that object directly.
@@ -813,50 +945,26 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
         *query.pattern.constant_id >= relation.size()) {
       return Status::OutOfRange("pattern constant id out of range");
     }
-    const Record& record = relation.record(*query.pattern.constant_id);
-    if (data.alive(record.id) && PatternAdmits(record, query.pattern)) {
+    const int64_t id = *query.pattern.constant_id;
+    if (data.alive(id) &&
+        StatsAdmit(data.mean(id), data.std_dev(id), query.pattern)) {
       ++out.stats.exact_checks;
-      const double distance = checker.Distance(record.id, query.epsilon);
+      const double distance = checker.Distance(id, query.epsilon);
       if (distance <= query.epsilon) {
-        out.matches.push_back(Match{record.id, record.name, distance});
+        out.matches.push_back(Match{id, relation.record(id).name, distance});
       }
     }
     return out;
   }
 
-  // Quantized-filter eligibility and code compile, resolved before the
-  // strategy branch: a failed compile (the "filter.compile" failpoint)
-  // falls through to the exact scan below with the degradation counted --
-  // same answers, no acceleration, never an abort.
-  std::optional<ShardFilterState> filter_state;
-  if (strategy == ExecutionStrategy::kScan && columnar && n >= 1 &&
-      UseQuantizedFilter(query.filter)) {
-    filter_state = MakeShardFilterState(
-        data, filter_options_.bits_per_dim, checker.query_ri().data(),
-        checker.mult_ri(), n, /*with_upper=*/false);
-    if (!filter_state.has_value()) {
-      degradation_->filter_compile_failures.fetch_add(
-          1, std::memory_order_relaxed);
-      degradation_->degraded_queries.fetch_add(1, std::memory_order_relaxed);
-      out.stats.degraded = true;
-    }
-  }
-
-  // Per-shard estimates (after the code compile above, so the quantizer
-  // grid is visible to the estimator on the filtered path) and actuals
-  // are produced only for explained or traced queries.
-  const bool want_shard_stats = query.explain || trace != nullptr;
-  if (want_shard_stats) {
-    FillShardEstimates(data, filter_options_.bits_per_dim, checker, n,
-                       query.epsilon, /*k=*/0, &out.stats);
-  }
+  const ExecutionContext* exec = query.exec.get();
+  obs::Trace* const trace = QueryTrace(query);
   const int trace_parent = trace != nullptr ? trace->engine_parent() : 0;
-
-  if (strategy == ExecutionStrategy::kIndex) {
-    const std::vector<Complex> query_coeffs =
-        ExtractCoefficients(query_spectrum, config_.num_coefficients);
+  const int n = relation.series_length();
+  const bool want_shard_stats = probe.want_shard_stats;
+  if (probe.strategy == ExecutionStrategy::kIndex) {
     SearchRegion region =
-        SearchRegion::MakeRange(query_coeffs, query.epsilon, config_);
+        SearchRegion::MakeRange(probe.query_coeffs, query.epsilon, config_);
     if (config_.include_mean_std) {
       if (query.pattern.mean_range.has_value()) {
         region.ConstrainMean(query.pattern.mean_range->first,
@@ -867,12 +975,7 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
                             query.pattern.std_range->second);
       }
     }
-    std::vector<DimAffine> affines;
-    const std::vector<DimAffine>* affines_ptr = nullptr;
-    if (rule != nullptr) {
-      affines = LowerToFeatureSpace(*index_transform, config_);
-      affines_ptr = &affines;
-    }
+    const std::vector<DimAffine>* affines_ptr = probe.affines_or_null();
     // Scatter: every shard's tree is searched (in parallel across shards;
     // the admission scheduler's per-query parallelism budget caps this
     // fan-out like any other ParallelFor). Gather: per-shard match
@@ -903,6 +1006,13 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
             }
             shard_candidates[static_cast<size_t>(s)] =
                 static_cast<int64_t>(candidates.size());
+            // Delta rows: rows past the snapshot's coverage (appended after
+            // its compile, or every row when the compile failed) are not in
+            // the tree -- they follow its candidates into the exact check.
+            const RelationShard& shard = data.shard(static_cast<int>(s));
+            for (int64_t r = view.covered; r < shard.size(); ++r) {
+              candidates.push_back(shard.global_id(r));
+            }
             std::vector<Match>& local = shard_matches[static_cast<size_t>(s)];
             int64_t checks = 0;
             bool stopped = false;
@@ -921,30 +1031,6 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
               const double distance = checker.Distance(id, query.epsilon);
               if (distance <= query.epsilon) {
                 local.push_back(Match{id, relation.record(id).name, distance});
-              }
-            }
-            if (!stopped) {
-              // Delta scan: rows past the snapshot's coverage (appended
-              // after its compile, or every row when the compile failed)
-              // are not in the tree -- check them exactly.
-              const RelationShard& shard = data.shard(static_cast<int>(s));
-              for (int64_t r = view.covered; r < shard.size(); ++r) {
-                if (checks % kPollStride == 0 && ShouldStop(exec)) {
-                  stopped = true;
-                  break;
-                }
-                const int64_t id = shard.global_id(r);
-                if (!shard.alive(r) ||
-                    !StatsAdmit(data.mean(id), data.std_dev(id),
-                                query.pattern)) {
-                  continue;
-                }
-                ++checks;
-                const double distance = checker.Distance(id, query.epsilon);
-                if (distance <= query.epsilon) {
-                  local.push_back(
-                      Match{id, relation.record(id).name, distance});
-                }
               }
             }
             shard_checks[static_cast<size_t>(s)] = checks;
@@ -977,7 +1063,7 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
         ss.exact_checks = shard_checks[static_cast<size_t>(s)];
       }
     }
-  } else if (filter_state.has_value()) {
+  } else if (probe.filter.has_value()) {
     // Two-phase quantized filter-and-refine scan (DESIGN.md "Quantized
     // filter"): phase 1 bound-scans the per-shard bit-packed codes and
     // drops every record whose lower-bound distance already exceeds eps
@@ -986,7 +1072,7 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
     // columnar kernels the unfiltered scan runs -- same kernels, same
     // threshold -- so the answer set and every distance are
     // bit-identical by construction.
-    const ShardFilterState& filter = *filter_state;
+    const ShardFilterState& filter = *probe.filter;
     const double eps_sq = query.epsilon * query.epsilon;
     ThreadPool& pool = ThreadPool::Global();
     const std::vector<ScanUnit> units = MakeScanUnits(data, RecordGrain(n));
@@ -996,15 +1082,10 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
     std::vector<int64_t> block_scanned(max_blocks, 0);
     // Phase 1 and 2 are fused per scan unit on this path, so one span
     // covers both; scanned/pruned/returned separate the phases in the
-    // rendered tree. Per-shard survivor counts accumulate into a
-    // (block, shard) matrix so blocks never share a cache line or need
-    // atomics -- allocated only for explained/traced queries.
+    // rendered tree.
     obs::ScopedSpan filter_span(trace, "filter+refine", trace_parent);
-    const size_t stat_shards = static_cast<size_t>(data.num_shards());
-    std::vector<int64_t> block_shard_checks;
-    if (want_shard_stats) {
-      block_shard_checks.assign(max_blocks * stat_shards, 0);
-    }
+    BlockShardCounts per_shard(want_shard_stats, max_blocks,
+                               data.num_shards());
     const bool has_pattern = query.pattern.mean_range.has_value() ||
                              query.pattern.std_range.has_value();
     pool.ParallelFor(
@@ -1057,7 +1138,18 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
                                    SafeThreshold(eps_sq, luts.slack),
                                    unit.lo, screen_hi, &active, &scratch);
             }
-            int64_t unit_checks = static_cast<int64_t>(active.size());
+            // Delta rows of this unit join the survivors unscreened:
+            // always exact-checked -- the unmodified kernels keep the
+            // answer bit-identical to the unfiltered scan.
+            for (int64_t i = std::max(unit.lo, screen_hi); i < unit.hi;
+                 ++i) {
+              if (shard.alive(i) &&
+                  StatsAdmit(store.mean(i), store.std_dev(i),
+                             query.pattern)) {
+                active.push_back(static_cast<int32_t>(i - unit.lo));
+              }
+            }
+            const int64_t unit_checks = static_cast<int64_t>(active.size());
             for (const int32_t offset : active) {
               const int64_t id = shard.global_id(unit.lo + offset);
               const double distance = checker.Distance(id, query.epsilon);
@@ -1066,30 +1158,8 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
                     Match{id, relation.record(id).name, distance});
               }
             }
-            // Delta rows of this unit: always exact-checked, never
-            // screened -- the unmodified kernels keep the answer
-            // bit-identical to the unfiltered scan.
-            for (int64_t i = std::max(unit.lo, screen_hi); i < unit.hi;
-                 ++i) {
-              if (!shard.alive(i) ||
-                  !StatsAdmit(store.mean(i), store.std_dev(i),
-                              query.pattern)) {
-                continue;
-              }
-              ++unit_checks;
-              const int64_t id = shard.global_id(i);
-              const double distance = checker.Distance(id, query.epsilon);
-              if (distance <= query.epsilon) {
-                local.push_back(
-                    Match{id, relation.record(id).name, distance});
-              }
-            }
             checks += unit_checks;
-            if (want_shard_stats) {
-              block_shard_checks[static_cast<size_t>(block) * stat_shards +
-                                 static_cast<size_t>(unit.shard)] +=
-                  unit_checks;
-            }
+            per_shard.Add(block, unit.shard, unit_checks);
           }
           block_checks[static_cast<size_t>(block)] = checks;
           block_scanned[static_cast<size_t>(block)] = scanned;
@@ -1102,21 +1172,13 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
       out.matches.insert(out.matches.end(), block_matches[block].begin(),
                          block_matches[block].end());
     }
-    if (want_shard_stats) {
-      for (size_t block = 0; block < max_blocks; ++block) {
-        for (size_t s = 0; s < stat_shards; ++s) {
-          const int64_t survivors =
-              block_shard_checks[block * stat_shards + s];
-          out.stats.shard_stats[s].candidates += survivors;
-          out.stats.shard_stats[s].exact_checks += survivors;
-        }
-      }
-    }
+    per_shard.Fold(/*checks=*/true, &out.stats);
     filter_span.Rows(out.stats.filter_scanned,
                      out.stats.filter_scanned - out.stats.candidates,
                      static_cast<int64_t>(out.matches.size()));
   } else {
-    const bool abandon = strategy != ExecutionStrategy::kScanNoEarlyAbandon;
+    const bool abandon =
+        probe.strategy != ExecutionStrategy::kScanNoEarlyAbandon;
     const double threshold = abandon ? query.epsilon : kInf;
     // Sharded blocked scan: the unit list enumerates contiguous local-row
     // ranges shard by shard, and the fan-out parallelizes over units --
@@ -1125,7 +1187,8 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
     // shard count. Columnar early-abandoning scans first screen against
     // the shard's packed prefix column (32 sequential bytes per record)
     // and touch the full strided row only for survivors.
-    const bool screen = columnar && abandon && threshold != kInf && n >= 2;
+    const bool screen =
+        checker.columnar() && abandon && threshold != kInf && n >= 2;
     const double limit_sq = threshold * threshold;
     double q0 = 0.0, q1 = 0.0, q2 = 0.0, q3 = 0.0;
     const double* mult_ri_ptr = nullptr;
@@ -1143,11 +1206,8 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
     std::vector<std::vector<Match>> block_matches(max_blocks);
     std::vector<int64_t> block_checks(max_blocks, 0);
     obs::ScopedSpan scan_span(trace, "scan", trace_parent);
-    const size_t stat_shards = static_cast<size_t>(data.num_shards());
-    std::vector<int64_t> block_shard_checks;
-    if (want_shard_stats) {
-      block_shard_checks.assign(max_blocks * stat_shards, 0);
-    }
+    BlockShardCounts per_shard(want_shard_stats, max_blocks,
+                               data.num_shards());
     pool.ParallelFor(
         0, static_cast<int64_t>(units.size()), /*min_grain=*/1,
         [&](int64_t block, int64_t unit_lo, int64_t unit_hi) {
@@ -1187,11 +1247,7 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
                     Match{id, relation.record(id).name, distance});
               }
             }
-            if (want_shard_stats) {
-              block_shard_checks[static_cast<size_t>(block) * stat_shards +
-                                 static_cast<size_t>(unit.shard)] +=
-                  checks - unit_checks_before;
-            }
+            per_shard.Add(block, unit.shard, checks - unit_checks_before);
           }
           block_checks[static_cast<size_t>(block)] = checks;
         });
@@ -1200,15 +1256,7 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
       out.matches.insert(out.matches.end(), block_matches[block].begin(),
                          block_matches[block].end());
     }
-    if (want_shard_stats) {
-      for (size_t block = 0; block < max_blocks; ++block) {
-        for (size_t s = 0; s < stat_shards; ++s) {
-          const int64_t c = block_shard_checks[block * stat_shards + s];
-          out.stats.shard_stats[s].candidates += c;
-          out.stats.shard_stats[s].exact_checks += c;
-        }
-      }
-    }
+    per_shard.Fold(/*checks=*/true, &out.stats);
     scan_span.Rows(out.stats.exact_checks, 0,
                    static_cast<int64_t>(out.matches.size()));
   }
@@ -1225,116 +1273,26 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
 
 Result<QueryResult> Database::ExecuteNearest(const Relation& relation,
                                              const Query& query) const {
-  QueryResult out;
   if (query.k <= 0) {
     return Status::InvalidArgument("k must be positive");
   }
-  SIMQ_RETURN_IF_ERROR(CheckExecution(query.exec));
+  QueryResult out;
+  Probe probe;
+  SIMQ_RETURN_IF_ERROR(PrepareProbe(relation, query, &probe, &out.stats));
+  if (!probe.checker.has_value()) {
+    return out;  // empty relation
+  }
+  // All nearest-neighbor exact checks are unbounded (kInf threshold).
+  const ExactChecker& checker = *probe.checker;
+  const ShardedRelation& data = relation.sharded();
   const ExecutionContext* exec = query.exec.get();
   obs::Trace* const trace = QueryTrace(query);
-  if (relation.size() == 0) {
-    return out;
-  }
-  Result<std::vector<double>> resolved =
-      ResolveSeries(relation, query.query_series);
-  if (!resolved.ok()) {
-    return resolved.status();
-  }
-  const std::vector<double>& raw_query = resolved.value();
-
-  const TransformationRule* rule = query.transform.get();
-  if (query.mode == DistanceMode::kNormalForm && rule != nullptr &&
-      rule->IsNormalFormInvariant()) {
-    rule = nullptr;
-  }
-  const int n = relation.series_length();
-  const int out_n = rule != nullptr ? rule->OutputLength(n) : n;
-  if (static_cast<int>(raw_query.size()) != out_n) {
-    return Status::InvalidArgument(
-        "query series length does not match the transformed data length");
-  }
-
-  std::vector<double> query_values;
-  if (query.mode == DistanceMode::kNormalForm && !query.query_prenormalized) {
-    query_values = ToNormalForm(raw_query).values;
-  } else {
-    query_values = raw_query;
-  }
-  const Spectrum query_spectrum = Dft(query_values);
-
-  const bool spectral = rule == nullptr || rule->IsSpectral(n);
-  std::optional<LinearTransform> index_transform;
-  if (rule != nullptr && spectral) {
-    index_transform = rule->IndexTransform(n, config_.num_coefficients);
-  }
-  const std::optional<Spectrum> multiplier =
-      spectral ? MaterializeMultiplier(rule, n) : std::nullopt;
-  const Spectrum* mult = multiplier.has_value() ? &*multiplier : nullptr;
-  const bool can_use_index =
-      query.mode == DistanceMode::kNormalForm &&
-      (rule == nullptr || (index_transform.has_value() &&
-                           index_transform->IsSafeIn(config_.space)));
-
-  ExecutionStrategy strategy = query.strategy;
-  if (strategy == ExecutionStrategy::kAuto) {
-    // An explicit MODE FILTERED biases planning toward the quantized
-    // filter scan whenever that path is eligible (normal-form spectral
-    // distance over same-length spectra); otherwise the usual
-    // index-first rule.
-    const bool filter_eligible = query.filter == FilterMode::kFiltered &&
-                                 query.mode == DistanceMode::kNormalForm &&
-                                 spectral && out_n == n;
-    strategy = filter_eligible  ? ExecutionStrategy::kScan
-               : can_use_index ? ExecutionStrategy::kIndex
-                                : ExecutionStrategy::kScan;
-  }
-  if (strategy == ExecutionStrategy::kIndex && !can_use_index) {
-    return Status::FailedPrecondition(
-        "query is not index-accelerable (requires normal-form mode and a "
-        "safe spectral transformation)");
-  }
-
-  // All nearest-neighbor exact checks are unbounded (kInf threshold); the
-  // checker picks columnar kernels or fallbacks exactly as in ExecuteRange.
-  const ExactChecker checker(relation, query, rule, spectral, out_n,
-                             query_spectrum, mult, query_values);
-  const ShardedRelation& data = relation.sharded();
-
-  // Same degradation discipline as ExecuteRange: resolve the quantized
-  // codes before the branch; a failed compile runs the batched exact scan.
-  std::optional<ShardFilterState> filter_state;
-  if (strategy == ExecutionStrategy::kScan && checker.columnar() && n >= 1 &&
-      UseQuantizedFilter(query.filter)) {
-    filter_state = MakeShardFilterState(
-        data, filter_options_.bits_per_dim, checker.query_ri().data(),
-        checker.mult_ri(), n, /*with_upper=*/true);
-    if (!filter_state.has_value()) {
-      degradation_->filter_compile_failures.fetch_add(
-          1, std::memory_order_relaxed);
-      degradation_->degraded_queries.fetch_add(1, std::memory_order_relaxed);
-      out.stats.degraded = true;
-    }
-  }
-
-  // Shard estimates / actuals only for explained or traced queries (see
-  // ExecuteRange); nearest estimates are min(rows, k) per shard.
-  const bool want_shard_stats = query.explain || trace != nullptr;
-  if (want_shard_stats) {
-    FillShardEstimates(data, filter_options_.bits_per_dim, checker, n,
-                       /*epsilon=*/0.0, query.k, &out.stats);
-  }
   const int trace_parent = trace != nullptr ? trace->engine_parent() : 0;
-
-  if (strategy == ExecutionStrategy::kIndex) {
-    const std::vector<Complex> query_coeffs =
-        ExtractCoefficients(query_spectrum, config_.num_coefficients);
-    const NnLowerBound bound(query_coeffs, config_);
-    std::vector<DimAffine> affines;
-    const std::vector<DimAffine>* affines_ptr = nullptr;
-    if (rule != nullptr) {
-      affines = LowerToFeatureSpace(*index_transform, config_);
-      affines_ptr = &affines;
-    }
+  const int n = relation.series_length();
+  const bool want_shard_stats = probe.want_shard_stats;
+  if (probe.strategy == ExecutionStrategy::kIndex) {
+    const NnLowerBound bound(probe.query_coeffs, config_);
+    const std::vector<DimAffine>* affines_ptr = probe.affines_or_null();
     const auto exact = [&](int64_t id) {
       if (!data.alive(id) ||
           !StatsAdmit(data.mean(id), data.std_dev(id), query.pattern)) {
@@ -1422,7 +1380,7 @@ Result<QueryResult> Database::ExecuteNearest(const Relation& relation,
       }
       out.matches.push_back(Match{id, relation.record(id).name, distance});
     }
-  } else if (filter_state.has_value()) {
+  } else if (probe.filter.has_value()) {
     // Two-phase VA-file-style kNN. Phase 1 bound-scans the codes keeping
     // a running lower bound per record AND a per-block heap of the k
     // smallest upper bounds: once k upper bounds <= tau exist, any record
@@ -1432,7 +1390,7 @@ Result<QueryResult> Database::ExecuteNearest(const Relation& relation,
     // the bound to the running k-th exact distance; ties at the k-th
     // distance resolve by (distance, id), exactly like the unfiltered
     // ranking, so the answer is bit-identical.
-    const ShardFilterState& filter = *filter_state;
+    const ShardFilterState& filter = *probe.filter;
     const int k = query.k;
     struct Candidate {
       int64_t id;
@@ -1449,11 +1407,8 @@ Result<QueryResult> Database::ExecuteNearest(const Relation& relation,
     // phase, not RAII -- the boundary falls mid-block).
     const int filter_span =
         trace != nullptr ? trace->StartSpan("filter", trace_parent) : -1;
-    const size_t stat_shards = static_cast<size_t>(data.num_shards());
-    std::vector<int64_t> block_shard_cands;
-    if (want_shard_stats) {
-      block_shard_cands.assign(max_blocks * stat_shards, 0);
-    }
+    BlockShardCounts per_shard(want_shard_stats, max_blocks,
+                               data.num_shards());
     WithFilterBits(filter.bits, [&](auto bits_tag) {
       constexpr int kBits = decltype(bits_tag)::value;
       pool.ParallelFor(
@@ -1499,11 +1454,7 @@ Result<QueryResult> Database::ExecuteNearest(const Relation& relation,
                 if (lb_sq == kInf) {
                   continue;  // provably outside the top k
                 }
-                if (want_shard_stats) {
-                  block_shard_cands[static_cast<size_t>(block) *
-                                        stat_shards +
-                                    static_cast<size_t>(unit.shard)] += 1;
-                }
+                per_shard.Add(block, unit.shard, 1);
                 cands.push_back(Candidate{shard.global_id(i), lb_sq});
                 ubs.push_back(ub_sq);
                 std::push_heap(ubs.begin(), ubs.end());
@@ -1554,19 +1505,33 @@ Result<QueryResult> Database::ExecuteNearest(const Relation& relation,
                      out.stats.candidates);
       trace->EndSpan(filter_span);
     }
-    if (want_shard_stats) {
-      for (size_t block = 0; block < max_blocks; ++block) {
-        for (size_t s = 0; s < stat_shards; ++s) {
-          out.stats.shard_stats[s].candidates +=
-              block_shard_cands[block * stat_shards + s];
-        }
-      }
-    }
+    // Exact checks are counted per shard in the serial refine below.
+    per_shard.Fold(/*checks=*/false, &out.stats);
     const int refine_span =
         trace != nullptr ? trace->StartSpan("refine", trace_parent) : -1;
     // Refine in lower-bound order; `best` stays sorted by (distance, id).
     std::vector<std::pair<double, int64_t>> best;
     best.reserve(static_cast<size_t>(k) + 1);
+    const auto refine = [&](int64_t id) {
+      ++out.stats.exact_checks;
+      if (want_shard_stats) {
+        ++out.stats.shard_stats[static_cast<size_t>(data.shard_of(id))]
+              .exact_checks;
+      }
+      // Unbounded exact distance: the unfiltered kNN scan computes every
+      // distance with the no-abandon kernel, whose summation association
+      // differs from the abandoning one -- refining with a finite limit
+      // would change result doubles by ulps. The lower-bound pruning
+      // already did the work an abandon would.
+      const std::pair<double, int64_t> entry(checker.Distance(id, kInf), id);
+      if (static_cast<int>(best.size()) >= k) {
+        if (!(entry < best.back())) {
+          return;
+        }
+        best.pop_back();
+      }
+      best.insert(std::upper_bound(best.begin(), best.end(), entry), entry);
+    };
     // Delta rows (past each shard's code coverage) first, exact-checked
     // unconditionally: they have no code lower bound, so giving them one
     // (e.g. zero) could not legally participate in the early break below.
@@ -1579,25 +1544,10 @@ Result<QueryResult> Database::ExecuteNearest(const Relation& relation,
       const int64_t covered =
           filter.codes[static_cast<size_t>(s)]->size();
       for (int64_t i = covered; i < shard.size(); ++i) {
-        if (!shard.alive(i) ||
-            !StatsAdmit(store.mean(i), store.std_dev(i), query.pattern)) {
-          continue;
+        if (shard.alive(i) &&
+            StatsAdmit(store.mean(i), store.std_dev(i), query.pattern)) {
+          refine(shard.global_id(i));
         }
-        const int64_t id = shard.global_id(i);
-        ++out.stats.exact_checks;
-        if (want_shard_stats) {
-          ++out.stats.shard_stats[static_cast<size_t>(s)].exact_checks;
-        }
-        const std::pair<double, int64_t> entry(checker.Distance(id, kInf),
-                                               id);
-        if (static_cast<int>(best.size()) >= k) {
-          if (!(entry < best.back())) {
-            continue;
-          }
-          best.pop_back();
-        }
-        best.insert(std::upper_bound(best.begin(), best.end(), entry),
-                    entry);
       }
     }
     for (size_t c = 0; c < cands.size(); ++c) {
@@ -1611,26 +1561,7 @@ Result<QueryResult> Database::ExecuteNearest(const Relation& relation,
           break;  // lb ascending: nothing later can enter either
         }
       }
-      ++out.stats.exact_checks;
-      if (want_shard_stats) {
-        ++out.stats
-              .shard_stats[static_cast<size_t>(data.shard_of(cand.id))]
-              .exact_checks;
-      }
-      // Unbounded exact distance: the unfiltered kNN scan computes every
-      // distance with the no-abandon kernel, whose summation association
-      // differs from the abandoning one -- refining with a finite limit
-      // would change result doubles by ulps. The lower-bound pruning
-      // above already did the work an abandon would.
-      const double distance = checker.Distance(cand.id, kInf);
-      const std::pair<double, int64_t> entry(distance, cand.id);
-      if (static_cast<int>(best.size()) >= k) {
-        if (!(entry < best.back())) {
-          continue;
-        }
-        best.pop_back();
-      }
-      best.insert(std::upper_bound(best.begin(), best.end(), entry), entry);
+      refine(cand.id);
     }
     if (trace != nullptr) {
       trace->SetRows(refine_span, out.stats.exact_checks, 0,
@@ -1652,11 +1583,8 @@ Result<QueryResult> Database::ExecuteNearest(const Relation& relation,
     const size_t max_blocks = static_cast<size_t>(pool.max_blocks());
     std::vector<int64_t> block_checks(max_blocks, 0);
     obs::ScopedSpan scan_span(trace, "scan", trace_parent);
-    const size_t stat_shards = static_cast<size_t>(data.num_shards());
-    std::vector<int64_t> block_shard_checks;
-    if (want_shard_stats) {
-      block_shard_checks.assign(max_blocks * stat_shards, 0);
-    }
+    BlockShardCounts per_shard(want_shard_stats, max_blocks,
+                               data.num_shards());
     pool.ParallelFor(
         0, static_cast<int64_t>(units.size()), /*min_grain=*/1,
         [&](int64_t block, int64_t unit_lo, int64_t unit_hi) {
@@ -1679,26 +1607,14 @@ Result<QueryResult> Database::ExecuteNearest(const Relation& relation,
               const int64_t id = shard.global_id(i);
               distances[static_cast<size_t>(id)] = checker.Distance(id, kInf);
             }
-            if (want_shard_stats) {
-              block_shard_checks[static_cast<size_t>(block) * stat_shards +
-                                 static_cast<size_t>(unit.shard)] +=
-                  checks - unit_checks_before;
-            }
+            per_shard.Add(block, unit.shard, checks - unit_checks_before);
           }
           block_checks[static_cast<size_t>(block)] = checks;
         });
     for (size_t block = 0; block < max_blocks; ++block) {
       out.stats.exact_checks += block_checks[block];
     }
-    if (want_shard_stats) {
-      for (size_t block = 0; block < max_blocks; ++block) {
-        for (size_t s = 0; s < stat_shards; ++s) {
-          const int64_t c = block_shard_checks[block * stat_shards + s];
-          out.stats.shard_stats[s].candidates += c;
-          out.stats.shard_stats[s].exact_checks += c;
-        }
-      }
-    }
+    per_shard.Fold(/*checks=*/true, &out.stats);
     scan_span.Rows(out.stats.exact_checks, 0, std::min<int64_t>(
         static_cast<int64_t>(query.k), out.stats.exact_checks));
     std::vector<Match> all;
@@ -1826,11 +1742,7 @@ Result<QueryResult> Database::SelfJoin(
           if (codes == nullptr) {
             // Compile failed ("filter.compile"): degrade to the unfiltered
             // early-abandoning scan below -- identical pairs, no screen.
-            degradation_->filter_compile_failures.fetch_add(
-                1, std::memory_order_relaxed);
-            degradation_->degraded_queries.fetch_add(
-                1, std::memory_order_relaxed);
-            out.stats.degraded = true;
+            CountFilterDegradation(&out.stats);
             shard_codes.clear();
             join_filter = false;
             break;
@@ -1840,6 +1752,24 @@ Result<QueryResult> Database::SelfJoin(
               std::max(max_energy, codes->quantizer().max_row_energy());
         }
       }
+      // Both join loops below run over outer-row blocks with per-block
+      // pair buffers and counters, gathered in block order. Each outer row
+      // costs up to count * n work: one row of outer loop is already a
+      // coarse unit for any nontrivial relation.
+      const size_t max_blocks = static_cast<size_t>(pool.max_blocks());
+      std::vector<std::vector<PairMatch>> block_pairs(max_blocks);
+      std::vector<int64_t> block_checks(max_blocks, 0);
+      std::vector<int64_t> block_scanned(max_blocks, 0);
+      const int64_t grain =
+          std::max<int64_t>(1, RecordGrain(n) / std::max<int64_t>(1, count));
+      const auto gather = [&] {
+        for (size_t block = 0; block < max_blocks; ++block) {
+          out.stats.exact_checks += block_checks[block];
+          out.stats.filter_scanned += block_scanned[block];
+          out.pairs.insert(out.pairs.end(), block_pairs[block].begin(),
+                           block_pairs[block].end());
+        }
+      };
       if (join_filter) {
         const ShardedRelation& data = relation->sharded();
         const int num_shards = data.num_shards();
@@ -1848,12 +1778,6 @@ Result<QueryResult> Database::SelfJoin(
             SafeThreshold(eps_sq, 1e-9 * 2.0 * max_energy);
         const int cells = shard_codes[0]->cells();
         const int ranks = std::min(16, 2 * n);
-        const size_t max_blocks = static_cast<size_t>(pool.max_blocks());
-        std::vector<std::vector<PairMatch>> block_pairs(max_blocks);
-        std::vector<int64_t> block_checks(max_blocks, 0);
-        std::vector<int64_t> block_scanned(max_blocks, 0);
-        const int64_t grain = std::max<int64_t>(
-            1, RecordGrain(n) / std::max<int64_t>(1, count));
         pool.ParallelFor(
             0, count, grain, [&](int64_t block, int64_t lo, int64_t hi) {
               std::vector<PairMatch>& local =
@@ -1923,13 +1847,8 @@ Result<QueryResult> Database::SelfJoin(
               block_scanned[static_cast<size_t>(block)] = scanned;
             });
         out.stats.used_filter = true;
-        for (size_t block = 0; block < max_blocks; ++block) {
-          out.stats.exact_checks += block_checks[block];
-          out.stats.candidates += block_checks[block];
-          out.stats.filter_scanned += block_scanned[block];
-          out.pairs.insert(out.pairs.end(), block_pairs[block].begin(),
-                           block_pairs[block].end());
-        }
+        gather();
+        out.stats.candidates = out.stats.exact_checks;
         SIMQ_RETURN_IF_ERROR(CheckExecution(exec));
         return out;
       }
@@ -2000,13 +1919,6 @@ Result<QueryResult> Database::SelfJoin(
           p[3] = row[3];
         }
       }
-      const size_t max_blocks = static_cast<size_t>(pool.max_blocks());
-      std::vector<std::vector<PairMatch>> block_pairs(max_blocks);
-      std::vector<int64_t> block_checks(max_blocks, 0);
-      // Each outer row costs up to count * n work: one row of outer loop
-      // is already a coarse unit for any nontrivial relation.
-      const int64_t grain =
-          std::max<int64_t>(1, RecordGrain(n) / std::max<int64_t>(1, count));
       pool.ParallelFor(
           0, count, grain, [&](int64_t block, int64_t lo, int64_t hi) {
             std::vector<PairMatch>& local =
@@ -2043,11 +1955,7 @@ Result<QueryResult> Database::SelfJoin(
             }
             block_checks[static_cast<size_t>(block)] = checks;
           });
-      for (size_t block = 0; block < max_blocks; ++block) {
-        out.stats.exact_checks += block_checks[block];
-        out.pairs.insert(out.pairs.end(), block_pairs[block].begin(),
-                         block_pairs[block].end());
-      }
+      gather();
     } else {
       // Non-spectral rule(s): transform every series once per side, then
       // compare in the time domain.
@@ -2059,7 +1967,8 @@ Result<QueryResult> Database::SelfJoin(
         if (alive[static_cast<size_t>(i)] == 0) {
           continue;  // dead rows never join; skip their transforms too
         }
-        const std::vector<double>& base = relation->record(i).normal_values;
+        const double* normal = relation->sharded().NormalRow(i);
+        const std::vector<double> base(normal, normal + n);
         left_values[static_cast<size_t>(i)] =
             left_rule != nullptr ? left_rule->Apply(base) : base;
         right_values[static_cast<size_t>(i)] =
@@ -2186,15 +2095,19 @@ Result<QueryResult> Database::SelfJoin(
           if (alive[static_cast<size_t>(i)] == 0) {
             continue;
           }
-          const Record& probe = relation->record(i);
-          std::vector<Complex> query_coeffs = ExtractCoefficients(
-              probe.features.normal_spectrum, config_.num_coefficients);
+          // X1..Xk of the probe, read from its stored spectrum row as
+          // ExtractCoefficients reads a Spectrum (zero past n).
+          const double* a = base_rows[static_cast<size_t>(i)];
+          std::vector<Complex> query_coeffs(
+              static_cast<size_t>(config_.num_coefficients));
+          for (int c = 0; c < config_.num_coefficients && c + 1 < n; ++c) {
+            query_coeffs[static_cast<size_t>(c)] = RowCoefficient(a, c + 1);
+          }
           if (left_transform.has_value()) {
             query_coeffs = left_transform->Apply(query_coeffs);
           }
           const SearchRegion region =
               SearchRegion::MakeRange(query_coeffs, epsilon, config_);
-          const double* a = base_rows[static_cast<size_t>(i)];
           for (const PackedSnapshotCache::View& view : views) {
             if (view.tree == nullptr) {
               continue;

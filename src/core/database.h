@@ -51,25 +51,27 @@
 
 namespace simq {
 
-// One stored series with everything precomputed for query processing.
+// One stored series as it was inserted. Everything derived from `raw` --
+// normal form, spectrum, mean/std, feature point -- lives once, in the
+// owning shard's FeatureStore; read it by global id through
+// Relation::sharded() (SpectrumRow, NormalRow, mean, std_dev).
 struct Record {
   int64_t id = 0;
   std::string name;
-  std::vector<double> raw;            // original values
-  std::vector<double> normal_values;  // Goldin-Kanellakis normal form
-  SeriesFeatures features;            // mean, std, normal-form spectrum
+  std::vector<double> raw;  // original values
 };
 
 // A unary relation of series. All members must have one common length
 // (established by the first insert); cross-length similarity is expressed
 // through time-warp transformations, not mixed relations.
 //
-// The relation keeps two synchronized views of its records: the global
-// row store (records(), names, dense insertion-order ids) and a sharded
-// data plane (sharded(): per-shard FeatureStore columns, feature points
-// and packed R-tree; see core/sharded_relation.h). With the default
-// ShardingOptions this is one shard and behaves exactly like the
-// pre-sharding engine.
+// The relation splits each series in two, with no field held twice: the
+// global record list (records(): dense insertion-order ids, names, raw
+// values -- what snapshots save and the raw-mode distance reads) and a
+// sharded data plane holding everything derived from the raw values
+// (sharded(): per-shard FeatureStore columns, feature points and packed
+// R-tree; see core/sharded_relation.h). With the default ShardingOptions
+// this is one shard and behaves exactly like the pre-sharding engine.
 class Relation {
  public:
   // `max_entries` is the node fanout of the shards' packed trees.
@@ -289,9 +291,24 @@ class Database {
   Result<std::vector<double>> ResolveSeries(const Relation& relation,
                                             const SeriesRef& ref) const;
 
+  // A range or nearest query planned against one relation: the resolved
+  // query representation, the chosen strategy, the exact checker, and the
+  // quantized filter state. Defined in database.cc; built in place by
+  // PrepareProbe and never moved (the checker refers to fields beside it).
+  struct Probe;
+  // The planning prologue ExecuteRange and ExecuteNearest share (see its
+  // definition for the steps). Leaves `probe` without a checker when the
+  // relation is empty, whose answer is empty. Records a filter-compile
+  // degradation and the EXPLAIN shard estimates in `stats`.
+  Status PrepareProbe(const Relation& relation, const Query& query,
+                      Probe* probe, ExecutionStats* stats) const;
+
   // True when `filter` (resolved against the engine default) selects the
   // quantized filter path.
   bool UseQuantizedFilter(FilterMode filter) const;
+  // Counts one failed quantized-code compile that sent a query to the
+  // exact kernels, and marks `stats` degraded.
+  void CountFilterDegradation(ExecutionStats* stats) const;
 
   // Resolves every shard's (packed tree, covered rows) pair once, before
   // a query's fan-out, compiling stale snapshots in parallel on the pool.

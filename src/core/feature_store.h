@@ -1,16 +1,19 @@
 /// Columnar (structure-of-arrays) storage of a relation's derived data, plus
 /// the batch distance kernels that run over it.
 ///
-/// The row-of-structs layout (std::vector<Record>, each record owning its
-/// own heap-allocated Spectrum) forces every scan and join to chase a
-/// pointer per record and to run a branch-per-coefficient early-abandon
-/// loop. The FeatureStore lays the same data out as flat double arrays:
+/// Each shard's FeatureStore is the only copy of its rows' derived data:
+/// a Record keeps just id, name and raw values, and everything computed
+/// from the raw values lives here. A row-of-structs layout (one
+/// heap-allocated Spectrum per record) would force every scan and join to
+/// chase a pointer per record and to run a branch-per-coefficient
+/// early-abandon loop; the FeatureStore lays the data out as flat double
+/// arrays:
 ///
 ///   spectra_  : one row per record, the full normal-form unitary DFT as
 ///               interleaved (re, im) pairs, rows padded to a 64-byte
 ///               multiple so every row starts on a cache-line boundary;
 ///   normals_  : one row per record, the Goldin-Kanellakis normal form
-///               (time domain), used by the non-spectral scan path;
+///               (time domain), read by the non-spectral exact checks;
 ///   means_/stds_: the per-record statistics as dense columns, so pattern
 ///               predicates scan without touching the records.
 ///

@@ -110,8 +110,8 @@ class BufferReader {
 };
 
 // The SIMQDB2+ per-relation summary block: min/max of the records' means
-// and standard deviations. Derived bit-for-bit from the stored features,
-// so the loader can recompute and compare exactly.
+// and standard deviations. Derived bit-for-bit from the shard stores'
+// statistics columns, so the loader can recompute and compare exactly.
 struct StatsSummary {
   double mean_min = 0.0;
   double mean_max = 0.0;
@@ -121,14 +121,13 @@ struct StatsSummary {
 
 StatsSummary SummarizeRelation(const Relation& relation) {
   StatsSummary stats;
-  bool first = true;
-  for (const Record& record : relation.records()) {
-    const double mean = record.features.mean;
-    const double std_dev = record.features.std_dev;
-    if (first) {
+  const ShardedRelation& data = relation.sharded();
+  for (int64_t id = 0; id < relation.size(); ++id) {
+    const double mean = data.mean(id);
+    const double std_dev = data.std_dev(id);
+    if (id == 0) {
       stats.mean_min = stats.mean_max = mean;
       stats.std_min = stats.std_max = std_dev;
-      first = false;
     } else {
       stats.mean_min = std::min(stats.mean_min, mean);
       stats.mean_max = std::max(stats.mean_max, mean);

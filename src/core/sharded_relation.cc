@@ -123,9 +123,7 @@ int ShardedRelation::RouteNext() const {
   return target;
 }
 
-void ShardedRelation::Append(const SeriesFeatures& features,
-                             const std::vector<double>& normal_values,
-                             const std::vector<double>& point) {
+void ShardedRelation::Append(const RowData& row) {
   const int64_t global = size();
   const int target = RouteNext();
   RelationShard& shard = *shards_[static_cast<size_t>(target)];
@@ -133,8 +131,9 @@ void ShardedRelation::Append(const SeriesFeatures& features,
   local_of_.push_back(shard.size());
   shard.global_ids_.push_back(global);
   shard.alive_.push_back(1);
-  shard.points_.insert(shard.points_.end(), point.begin(), point.end());
-  shard.store_.Append(features, normal_values);
+  shard.points_.insert(shard.points_.end(), row.point.begin(),
+                       row.point.end());
+  shard.store_.Append(row.features, row.normal_values);
   ++shard.mutations_since_publish_;
   ++shard.epoch_;
 }
@@ -194,9 +193,9 @@ void ShardedRelation::BulkLoad(int64_t count, const LoadFn& load_row) {
 
   // Fill every shard in parallel: derived-data computation and the store
   // fill run inside the shard task, so the load scales with
-  // min(num_shards, pool threads). Each task touches only its own shard
-  // (and, via load_row, only its own records), so the result is
-  // deterministic and identical to a serial load.
+  // min(num_shards, pool threads). Each task writes only its own shard
+  // (load_row only reads), so the result is deterministic and identical
+  // to a serial load.
   ThreadPool::Global().ParallelFor(
       0, num, /*min_grain=*/1, [&](int64_t /*block*/, int64_t lo, int64_t hi) {
         for (int64_t s = lo; s < hi; ++s) {
@@ -209,12 +208,11 @@ void ShardedRelation::BulkLoad(int64_t count, const LoadFn& load_row) {
           shard.global_ids_.reserve(shard.global_ids_.size() + ids.size());
           for (const int64_t g : ids) {
             const RowData row = load_row(g);
-            SIMQ_CHECK(row.features != nullptr && row.normal_values != nullptr);
             shard.global_ids_.push_back(g);
             shard.alive_.push_back(1);
             shard.points_.insert(shard.points_.end(), row.point.begin(),
                                  row.point.end());
-            shard.store_.Append(*row.features, *row.normal_values);
+            shard.store_.Append(row.features, row.normal_values);
           }
           // A bulk load is the one mutation that stales the compiled
           // artifacts; the next compile covers every row, so no delta

@@ -2,15 +2,18 @@
 ///
 /// A `ShardedRelation` partitions a relation's derived data -- the columnar
 /// FeatureStore, the feature points, and the packed R-tree over them --
-/// into N `RelationShard`s. Record identity stays global: ids are dense in
-/// insertion order exactly as in the unsharded engine, shard trees store
-/// *global* ids, and a locator (two flat arrays, global id -> (shard,
-/// local row)) maps between the two spaces in O(1). Because every
-/// per-record computation (normal form, spectrum, distance kernels) is a
-/// pure function of that record alone, partitioning cannot change any
-/// distance the engine computes -- the scatter-gather drivers in
-/// core/database.cc therefore return answers bit-identical to the
-/// unsharded engine (see DESIGN.md "Sharded execution").
+/// into N `RelationShard`s. The shard stores are the only copy of a row's
+/// normal form, spectrum and statistics; the relation's `Record`s keep
+/// just id, name and raw values (core/database.h). Record identity stays
+/// global: ids are dense in insertion order exactly as in the unsharded
+/// engine, shard trees store *global* ids, and a locator (two flat
+/// arrays, global id -> (shard, local row)) maps between the two spaces
+/// in O(1). Because every per-record computation (normal form, spectrum,
+/// distance kernels) is a pure function of that record alone,
+/// partitioning cannot change any distance the engine computes -- the
+/// scatter-gather drivers in core/database.cc therefore return answers
+/// bit-identical to the unsharded engine (see DESIGN.md "Sharded
+/// execution").
 ///
 /// Partitioning policies (ShardingOptions::Partition):
 ///   * kHash:  shard = global id mod N. Balanced for the dense id
@@ -196,17 +199,18 @@ class RelationShard {
 
 class ShardedRelation {
  public:
-  /// Derived data of one record, handed to BulkLoad's per-record callback.
-  /// The pointers must stay valid until BulkLoad returns (they normally
-  /// point into the caller's Record).
+  /// Derived data of one record: what Append and BulkLoad copy into the
+  /// owning shard's store and points. A temporary -- the shard keeps the
+  /// only copy.
   struct RowData {
-    const SeriesFeatures* features = nullptr;
-    const std::vector<double>* normal_values = nullptr;
-    std::vector<double> point;  // feature point for the shard tree
+    SeriesFeatures features;            // mean, std, normal-form spectrum
+    std::vector<double> normal_values;  // Goldin-Kanellakis normal form
+    std::vector<double> point;          // feature point for the shard tree
   };
   /// Computes one record's derived data. BulkLoad invokes it from
   /// concurrent shard tasks, each global id exactly once; the callback
-  /// must only touch state owned by that id (it may write records_[id]).
+  /// must not mutate shared state (it normally only reads that id's raw
+  /// values).
   using LoadFn = std::function<RowData(int64_t global_id)>;
 
   ShardedRelation(int dims, int max_entries, const ShardingOptions& options);
@@ -269,9 +273,7 @@ class ShardedRelation {
   /// the shard store and feature points and bumps that shard's epoch. The
   /// shard's compiled artifacts stay valid (the new row is their delta).
   /// Caller holds exclusive access.
-  void Append(const SeriesFeatures& features,
-              const std::vector<double>& normal_values,
-              const std::vector<double>& point);
+  void Append(const RowData& row);
 
   /// Parallel per-shard bulk load of `count` records with global ids
   /// [size(), size() + count). Partitions the ids per the configured

@@ -60,12 +60,18 @@ void FlightRecorder::Record(const char* type, const char* fields) {
 
   Slot& slot = slots_[seq % slots_.size()];
   // Seqlock write: odd marks in-progress, the final release store
-  // publishes. A writer lapped by a full ring revolution mid-copy could
-  // race another writer on this slot; with thousands of slots that needs
-  // the process to record its entire history inside one memcpy, so the
-  // (benign, version-detected) window is accepted.
-  const uint32_t v = slot.version.load(std::memory_order_relaxed);
-  slot.version.store(v + 1, std::memory_order_relaxed);
+  // publishes. Two writers meet on one slot when the later one laps the
+  // ring while the earlier one is still copying. The compare-exchange
+  // from even to odd lets exactly one of them own the slot; the other
+  // drops its event, which the dump shows as a gap in "seq". A plain
+  // store here would let both open the slot, leave the version odd at
+  // rest and glue their bytes together.
+  uint32_t v = slot.version.load(std::memory_order_relaxed);
+  if ((v & 1u) != 0 ||
+      !slot.version.compare_exchange_strong(v, v + 1,
+                                            std::memory_order_relaxed)) {
+    return;
+  }
   std::atomic_thread_fence(std::memory_order_release);
   uint64_t words[kWords] = {};
   std::memcpy(words, line, static_cast<size_t>(n));

@@ -10,10 +10,14 @@
 /// Design constraints, in order:
 ///
 ///  * Recording is lock-free and bounded. A writer formats its line into
-///    a stack buffer, claims a slot with one fetch_add on the ring
-///    sequence, and publishes with a per-slot version counter (odd while
-///    writing, even when published -- a seqlock per slot). No mutex, no
-///    allocation after construction, ~one memcpy of <= kLineBytes.
+///    a stack buffer, takes a sequence number with one fetch_add, and
+///    owns that number's slot by compare-exchanging its version from even
+///    to odd; the release store of the next even version publishes (a
+///    seqlock per slot). When a writer laps the ring while an earlier one
+///    is still copying into the same slot, the one that finds the version
+///    odd drops its event instead of sharing the slot -- the dump shows
+///    the drop as a gap in "seq". No mutex, no allocation after
+///    construction, ~one memcpy of <= kLineBytes.
 ///  * Dumping from a fatal context is async-signal-safe. The crash-path
 ///    dump reads slot memory and calls only open()/write()/fsync():
 ///    torn slots (version mismatch across the copy) are skipped, never

@@ -333,8 +333,7 @@ QueryService::QueryService(Database db, ServiceOptions options)
       max_concurrent_(options.max_concurrent_queries > 0
                           ? options.max_concurrent_queries
                           : ThreadPool::Global().num_threads()),
-      cache_(options.enable_result_cache ? options.result_cache_capacity : 0,
-             options.result_cache_max_bytes),
+      cache_(options.result_cache_capacity, options.result_cache_max_bytes),
       owned_registry_(options.metrics_registry == nullptr
                           ? std::make_unique<obs::MetricRegistry>()
                           : nullptr),

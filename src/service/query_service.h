@@ -149,18 +149,13 @@ struct ServiceOptions {
   /// Maximum queries executing simultaneously; 0 means the thread pool
   /// width (ThreadPool::Global().num_threads()).
   int max_concurrent_queries = 0;
-  /// Result cache entries; 0 disables caching entirely.
+  /// Result cache entries; 0 disables caching entirely (no lookups, no
+  /// inserts -- the switch for callers that need every read to execute).
   size_t result_cache_capacity = 256;
   /// Approximate byte budget for the result cache; 0 = unbounded. LRU
   /// entries are evicted past it, so one huge answer set cannot pin
   /// unbounded memory (service/result_cache.h).
   size_t result_cache_max_bytes = 0;
-  bool enable_result_cache = true;
-  /// Historical knob for the latency sample ring buffer. The percentile
-  /// stats now come from a bounded log-bucketed histogram
-  /// (obs/metrics.h), so this field is ignored; it remains so existing
-  /// callers keep compiling.
-  size_t latency_reservoir = 4096;
 
   /// Metrics registry to record into. Null (the default) means the
   /// service constructs and owns a private registry -- counters never

@@ -2,14 +2,21 @@
 // workloads, every execution strategy (index, early-abandoning scan, full
 // scan) must return exactly the same answer set, and the batched columnar
 // kernels must agree with a record-at-a-time AoS reference computed
-// directly from the stored spectra. Epsilons are chosen as midpoints
-// between consecutive reference distances so no answer sits on a rounding
+// directly from the stored spectra. The shard stores must hold exactly
+// the features of each record's raw values, and the exact checks that
+// bypass the columnar kernels must reproduce the record-at-a-time
+// formulas bit for bit. Epsilons are chosen as midpoints between
+// consecutive reference distances so no answer sits on a rounding
 // knife-edge.
 
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstdint>
+#include <cstring>
+#include <memory>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -18,6 +25,8 @@
 #include "core/database.h"
 #include "core/feature_store.h"
 #include "core/transformation.h"
+#include "ts/dft.h"
+#include "ts/feature.h"
 #include "ts/transforms.h"
 #include "util/random.h"
 #include "util/stats.h"
@@ -190,7 +199,7 @@ TEST(ColumnarEquivalenceTest, JoinMethodsAgreeOnStockWorkload) {
   std::vector<std::vector<double>> smoothed;
   smoothed.reserve(static_cast<size_t>(relation->size()));
   for (const Record& record : relation->records()) {
-    smoothed.push_back(mavg->Apply(record.normal_values));
+    smoothed.push_back(mavg->Apply(ToNormalForm(record.raw).values));
   }
   std::vector<double> pair_distances;
   for (size_t i = 0; i < smoothed.size(); ++i) {
@@ -253,8 +262,8 @@ TEST(ColumnarEquivalenceTest, AsymmetricJoinAgreesAcrossMethods) {
         continue;
       }
       pair_distances.push_back(EuclideanDistance(
-          relation->record(i).normal_values,
-          reverse->Apply(relation->record(j).normal_values)));
+          ToNormalForm(relation->record(i).raw).values,
+          reverse->Apply(ToNormalForm(relation->record(j).raw).values)));
     }
   }
   const double epsilon = MidpointEpsilon(pair_distances, 8);
@@ -269,35 +278,317 @@ TEST(ColumnarEquivalenceTest, AsymmetricJoinAgreesAcrossMethods) {
   EXPECT_EQ(PairSet(scan.value()), PairSet(indexed.value()));
 }
 
-TEST(ColumnarEquivalenceTest, StoreMirrorsRecordData) {
-  // The SoA store must hold exactly the spectra/statistics of the records
-  // it mirrors, including after incremental inserts.
-  const std::vector<TimeSeries> series = workload::RandomWalkSeries(50, 33, 3);
-  Database db;
-  ASSERT_TRUE(db.CreateRelation("r").ok());
-  for (const TimeSeries& ts : series) {
-    ASSERT_TRUE(db.Insert("r", ts).ok());
-  }
-  const Relation* relation = db.GetRelation("r");
-  const FeatureStore& store = relation->store();
-  ASSERT_EQ(store.size(), relation->size());
-  ASSERT_EQ(store.spectrum_length(), 33);
-  for (int64_t i = 0; i < relation->size(); ++i) {
-    const Record& record = relation->record(i);
-    EXPECT_EQ(store.mean(i), record.features.mean);
-    EXPECT_EQ(store.std_dev(i), record.features.std_dev);
-    const double* row = store.SpectrumRow(i);
-    for (int f = 0; f < store.spectrum_length(); ++f) {
-      EXPECT_EQ(row[2 * f],
-                record.features.normal_spectrum[static_cast<size_t>(f)]
-                    .real());
-      EXPECT_EQ(row[2 * f + 1],
-                record.features.normal_spectrum[static_cast<size_t>(f)]
-                    .imag());
+uint64_t Bits(double value) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+// Every shard row must be ComputeFeatures / ToNormalForm of the record's
+// raw values, bit for bit: the stores are the only copy of that data.
+void ExpectStoresMatchRaw(const Relation& relation) {
+  const ShardedRelation& data = relation.sharded();
+  int64_t rows = 0;
+  for (int s = 0; s < data.num_shards(); ++s) {
+    const RelationShard& shard = data.shard(s);
+    const FeatureStore& store = shard.store();
+    ASSERT_EQ(store.size(), shard.size());
+    rows += store.size();
+    for (int64_t local = 0; local < store.size(); ++local) {
+      const std::vector<double>& raw =
+          relation.record(shard.global_id(local)).raw;
+      const SeriesFeatures features = ComputeFeatures(raw);
+      const std::vector<double> normal = ToNormalForm(raw).values;
+      ASSERT_EQ(store.spectrum_length(), features.length());
+      ASSERT_EQ(store.series_length(), static_cast<int>(normal.size()));
+      EXPECT_EQ(Bits(store.mean(local)), Bits(features.mean));
+      EXPECT_EQ(Bits(store.std_dev(local)), Bits(features.std_dev));
+      const double* row = store.SpectrumRow(local);
+      for (int f = 0; f < features.length(); ++f) {
+        const Complex& c = features.normal_spectrum[static_cast<size_t>(f)];
+        EXPECT_EQ(Bits(row[2 * f]), Bits(c.real()));
+        EXPECT_EQ(Bits(row[2 * f + 1]), Bits(c.imag()));
+      }
+      const double* normal_row = store.NormalRow(local);
+      for (size_t t = 0; t < normal.size(); ++t) {
+        EXPECT_EQ(Bits(normal_row[t]), Bits(normal[t]));
+      }
     }
-    const double* normal = store.NormalRow(i);
-    for (int t = 0; t < store.series_length(); ++t) {
-      EXPECT_EQ(normal[t], record.normal_values[static_cast<size_t>(t)]);
+  }
+  EXPECT_EQ(rows, relation.size());
+}
+
+TEST(ColumnarEquivalenceTest, ShardStoresHoldFeaturesOfRaw) {
+  const std::vector<TimeSeries> loaded = workload::RandomWalkSeries(50, 33, 3);
+  std::vector<TimeSeries> inserted = workload::RandomWalkSeries(20, 33, 4);
+  for (size_t i = 0; i < inserted.size(); ++i) {
+    inserted[i].id = "ins" + std::to_string(i);
+  }
+  for (const int shards : {1, 3}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardingOptions sharding;
+    sharding.num_shards = shards;
+    Database db(FeatureConfig(), RTree::Options(), sharding);
+    ASSERT_TRUE(db.CreateRelation("r").ok());
+    ASSERT_TRUE(db.BulkLoad("r", loaded).ok());
+    ExpectStoresMatchRaw(*db.GetRelation("r"));
+    for (const TimeSeries& ts : inserted) {
+      ASSERT_TRUE(db.Insert("r", ts).ok());
+    }
+    ExpectStoresMatchRaw(*db.GetRelation("r"));
+  }
+}
+
+// Per-record reference formulas for the exact checks that bypass the
+// columnar kernels (expanding spectral rules, non-spectral rules, raw
+// mode), written against representations computed here from raw values.
+// RefFreqDistance is the record-at-a-time wraparound distance over a
+// complex spectrum, early-abandoning like the engine's. noipa keeps it
+// one generic function, as in the engine: the build contracts to FMA, and
+// a copy specialized to this file's call sites (a multiplier known to be
+// present) may round the last bit differently.
+__attribute__((noipa)) double RefFreqDistance(const Spectrum& data,
+                                              const Spectrum& query,
+                                              const Spectrum* multiplier,
+                                              double threshold) {
+  const int n = static_cast<int>(data.size());
+  const int out_n =
+      multiplier != nullptr ? static_cast<int>(multiplier->size()) : n;
+  const double limit = threshold == kInf ? kInf : threshold * threshold;
+  double sum = 0.0;
+  for (int f = 0; f < out_n; ++f) {
+    Complex value = data[static_cast<size_t>(f % n)];
+    if (multiplier != nullptr) {
+      value *= (*multiplier)[static_cast<size_t>(f)];
+    }
+    sum += std::norm(value - query[static_cast<size_t>(f)]);
+    if (sum > limit) {
+      return kInf;
+    }
+  }
+  return std::sqrt(sum);
+}
+
+Spectrum RefMultiplier(const TransformationRule& rule, int n) {
+  Spectrum multiplier(static_cast<size_t>(rule.OutputLength(n)));
+  for (size_t f = 0; f < multiplier.size(); ++f) {
+    multiplier[f] = *rule.Multiplier(static_cast<int>(f), n);
+  }
+  return multiplier;
+}
+
+// Time-domain check: `rule` (may be null) applied to the data values.
+double RefTimeDistance(std::vector<double> values,
+                       const TransformationRule* rule,
+                       const std::vector<double>& query, double threshold) {
+  if (rule != nullptr) {
+    values = rule->Apply(values);
+  }
+  return threshold == kInf
+             ? EuclideanDistance(values, query)
+             : EuclideanDistanceEarlyAbandon(values, query, threshold);
+}
+
+// Expected range answer: ids whose reference distance (at the engine's
+// threshold, epsilon) is within epsilon, in (distance, id) order.
+std::vector<Match> RefRange(const std::vector<double>& distances,
+                            double epsilon) {
+  std::vector<Match> matches;
+  for (size_t id = 0; id < distances.size(); ++id) {
+    if (distances[id] <= epsilon) {
+      matches.push_back(Match{static_cast<int64_t>(id), "", distances[id]});
+    }
+  }
+  std::sort(matches.begin(), matches.end(),
+            [](const Match& a, const Match& b) {
+              return a.distance != b.distance ? a.distance < b.distance
+                                              : a.id < b.id;
+            });
+  return matches;
+}
+
+std::vector<Match> RefNearest(const std::vector<double>& distances, int k) {
+  std::vector<Match> matches = RefRange(distances, kInf);
+  matches.resize(std::min(matches.size(), static_cast<size_t>(k)));
+  return matches;
+}
+
+void ExpectSameMatches(const Result<QueryResult>& result,
+                       const std::vector<Match>& expected,
+                       const std::string& label) {
+  ASSERT_TRUE(result.ok()) << label << ": " << result.status().ToString();
+  const std::vector<Match>& got = result.value().matches;
+  ASSERT_EQ(got.size(), expected.size()) << label;
+  EXPECT_FALSE(got.empty()) << label;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, expected[i].id) << label << " rank " << i;
+    EXPECT_EQ(Bits(got[i].distance), Bits(expected[i].distance))
+        << label << " rank " << i;
+  }
+}
+
+TEST(ColumnarEquivalenceTest, FallbackExactChecksMatchRecordFormulas) {
+  constexpr int kLength = 32;
+  constexpr int kCount = 60;
+  constexpr int kNearest = 5;
+  const std::vector<TimeSeries> series =
+      workload::RandomWalkSeries(kCount, kLength, 11);
+  std::vector<SeriesFeatures> features;
+  std::vector<std::vector<double>> normals;
+  for (const TimeSeries& ts : series) {
+    features.push_back(ComputeFeatures(ts.values));
+    normals.push_back(ToNormalForm(ts.values).values);
+  }
+  const std::shared_ptr<const TransformationRule> warp = MakeTimeWarpRule(2);
+  const std::shared_ptr<const TransformationRule> despike =
+      MakeDespikeRule(0.5);
+  const std::shared_ptr<const TransformationRule> mavg =
+      MakeMovingAverageRule(4);
+
+  for (const int shards : {1, 3}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardingOptions sharding;
+    sharding.num_shards = shards;
+    Database db(FeatureConfig(), RTree::Options(), sharding);
+    ASSERT_TRUE(db.CreateRelation("r").ok());
+    ASSERT_TRUE(db.BulkLoad("r", series).ok());
+
+    // warp(2): an expanding spectral rule, checked by the wraparound
+    // frequency-domain distance under both strategies.
+    {
+      const std::vector<double> literal = warp->Apply(normals[5]);
+      const Spectrum query_spectrum = Dft(ToNormalForm(literal).values);
+      const Spectrum multiplier = RefMultiplier(*warp, kLength);
+      std::vector<double> unbounded;
+      for (const SeriesFeatures& f : features) {
+        unbounded.push_back(RefFreqDistance(f.normal_spectrum, query_spectrum,
+                                            &multiplier, kInf));
+      }
+      const double epsilon = MidpointEpsilon(unbounded, 8);
+      std::vector<double> bounded;
+      for (const SeriesFeatures& f : features) {
+        bounded.push_back(RefFreqDistance(f.normal_spectrum, query_spectrum,
+                                          &multiplier, epsilon));
+      }
+      Query query;
+      query.relation = "r";
+      query.query_series.literal = literal;
+      query.transform = warp;
+      for (const ExecutionStrategy strategy :
+           {ExecutionStrategy::kScan, ExecutionStrategy::kIndex}) {
+        const std::string via =
+            strategy == ExecutionStrategy::kScan ? "scan" : "index";
+        query.strategy = strategy;
+        query.kind = QueryKind::kRange;
+        query.epsilon = epsilon;
+        ExpectSameMatches(db.Execute(query), RefRange(bounded, epsilon),
+                          "warp range via " + via);
+        query.kind = QueryKind::kNearest;
+        query.k = kNearest;
+        ExpectSameMatches(db.Execute(query), RefNearest(unbounded, kNearest),
+                          "warp nearest via " + via);
+      }
+    }
+
+    // MODE RAW: the time-domain distance over raw values, with no rule
+    // (range) and under a spectral rule the raw mode cannot lower
+    // (nearest).
+    {
+      const std::vector<double>& query_raw = series[9].values;
+      std::vector<double> unbounded;
+      for (const TimeSeries& ts : series) {
+        unbounded.push_back(
+            RefTimeDistance(ts.values, nullptr, query_raw, kInf));
+      }
+      const double epsilon = MidpointEpsilon(unbounded, 6);
+      std::vector<double> bounded;
+      std::vector<double> smoothed;
+      for (const TimeSeries& ts : series) {
+        bounded.push_back(
+            RefTimeDistance(ts.values, nullptr, query_raw, epsilon));
+        smoothed.push_back(
+            RefTimeDistance(ts.values, mavg.get(), query_raw, kInf));
+      }
+      Query query;
+      query.relation = "r";
+      query.query_series.id = 9;
+      query.mode = DistanceMode::kRaw;
+      query.kind = QueryKind::kRange;
+      query.epsilon = epsilon;
+      ExpectSameMatches(db.Execute(query), RefRange(bounded, epsilon),
+                        "raw range");
+      query.kind = QueryKind::kNearest;
+      query.k = kNearest;
+      query.transform = mavg;
+      ExpectSameMatches(db.Execute(query), RefNearest(smoothed, kNearest),
+                        "raw nearest under mavg(4)");
+    }
+
+    // A non-spectral rule: the time-domain distance over normal forms, in
+    // a range query and in a scanned self-join.
+    {
+      const std::vector<double>& query_normal = normals[3];
+      std::vector<double> unbounded;
+      for (const std::vector<double>& normal : normals) {
+        unbounded.push_back(
+            RefTimeDistance(normal, despike.get(), query_normal, kInf));
+      }
+      const double epsilon = MidpointEpsilon(unbounded, 6);
+      std::vector<double> bounded;
+      for (const std::vector<double>& normal : normals) {
+        bounded.push_back(
+            RefTimeDistance(normal, despike.get(), query_normal, epsilon));
+      }
+      Query query;
+      query.relation = "r";
+      query.query_series.id = 3;
+      query.transform = despike;
+      query.kind = QueryKind::kRange;
+      query.epsilon = epsilon;
+      ExpectSameMatches(db.Execute(query), RefRange(bounded, epsilon),
+                        "despike range");
+
+      std::vector<std::vector<double>> despiked;
+      for (const std::vector<double>& normal : normals) {
+        despiked.push_back(despike->Apply(normal));
+      }
+      std::vector<double> pair_distances;
+      for (int i = 0; i < kCount; ++i) {
+        for (int j = i + 1; j < kCount; ++j) {
+          pair_distances.push_back(EuclideanDistance(
+              despiked[static_cast<size_t>(i)],
+              despiked[static_cast<size_t>(j)]));
+        }
+      }
+      const double pair_epsilon = MidpointEpsilon(pair_distances, 10);
+      std::vector<PairMatch> expected;
+      for (int i = 0; i < kCount; ++i) {
+        for (int j = i + 1; j < kCount; ++j) {
+          const double distance = EuclideanDistanceEarlyAbandon(
+              despiked[static_cast<size_t>(i)],
+              despiked[static_cast<size_t>(j)], pair_epsilon);
+          if (distance <= pair_epsilon) {
+            expected.push_back(PairMatch{i, j, distance});
+          }
+        }
+      }
+      Query pairs;
+      pairs.kind = QueryKind::kAllPairs;
+      pairs.relation = "r";
+      pairs.epsilon = pair_epsilon;
+      pairs.transform = despike;
+      pairs.strategy = ExecutionStrategy::kScan;
+      const Result<QueryResult> result = db.Execute(pairs);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      const std::vector<PairMatch>& got = result.value().pairs;
+      ASSERT_EQ(got.size(), expected.size());
+      EXPECT_FALSE(got.empty());
+      for (size_t p = 0; p < got.size(); ++p) {
+        EXPECT_EQ(got[p].first, expected[p].first) << "pair " << p;
+        EXPECT_EQ(got[p].second, expected[p].second) << "pair " << p;
+        EXPECT_EQ(Bits(got[p].distance), Bits(expected[p].distance))
+            << "pair " << p;
+      }
     }
   }
 }

@@ -171,6 +171,35 @@ TEST(FlightRecorderTest, ConcurrentWritersNeverTearLines) {
   }
 }
 
+// A tiny ring makes writers lap each other mid-copy all the time. Each
+// slot must still come to rest holding one published event: a slot two
+// writers opened together would stay odd (never dumped) or glue two
+// events into one line.
+TEST(FlightRecorderTest, LappingWritersLeaveEverySlotPublished) {
+  constexpr size_t kSlots = 4;
+  obs::FlightRecorder recorder(kSlots);
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 20000;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&recorder, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        recorder.Recordf("tick", "\"t\":%d,\"i\":%d", t, i);
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  const std::string dump = recorder.DumpJsonl();
+  const std::vector<std::string> lines = SplitLines(dump);
+  ASSERT_EQ(lines.size(), kSlots) << dump;
+  for (const std::string& line : lines) {
+    EXPECT_TRUE(IsCompleteJsonObject(line)) << line;
+  }
+}
+
 TEST(FlightRecorderTest, CrashPathDumpWritesTheRing) {
   obs::FlightRecorder recorder(16);
   EXPECT_FALSE(recorder.DumpToCrashPath());  // unset path: no-op

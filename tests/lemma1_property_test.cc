@@ -92,13 +92,14 @@ TEST_P(Lemma1Test, IndexFilterNeverDismissesTrueAnswers) {
     const double epsilon = rng.UniformDouble(0.1, 10.0);
 
     // Ground truth in the time domain.
-    std::vector<double> target = relation->record(probe).normal_values;
+    std::vector<double> target =
+        ToNormalForm(relation->record(probe).raw).values;
     if (rule != nullptr) {
       target = rule->Apply(target);
     }
     std::set<int64_t> truth;
     for (const Record& record : relation->records()) {
-      std::vector<double> transformed = record.normal_values;
+      std::vector<double> transformed = ToNormalForm(record.raw).values;
       if (rule != nullptr) {
         transformed = rule->Apply(transformed);
       }
@@ -188,12 +189,12 @@ TEST(Lemma1WarpTest, CrossLengthNoFalseDismissals) {
     const int64_t probe = rng.UniformInt(0, 149);
     const double epsilon = rng.UniformDouble(0.5, 8.0);
     const std::vector<double> target =
-        warp->Apply(relation->record(probe).normal_values);
+        warp->Apply(ToNormalForm(relation->record(probe).raw).values);
 
     std::set<int64_t> truth;
     for (const Record& record : relation->records()) {
-      if (EuclideanDistance(warp->Apply(record.normal_values), target) <=
-          epsilon) {
+      if (EuclideanDistance(warp->Apply(ToNormalForm(record.raw).values),
+                            target) <= epsilon) {
         truth.insert(record.id);
       }
     }

@@ -22,6 +22,7 @@
 #include "service/query_service.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -221,6 +222,15 @@ TEST(MvccStressTest, BackgroundRecompactorKeepsDeltaBounded) {
         service.ExecuteText("RANGE r WITHIN 3.0 OF #walk1 VIA FULLSCAN");
     ASSERT_TRUE(final_answer.ok());
     expect_names = MatchNames(final_answer.value().result);
+    // The folds the threshold crossings scheduled run detached and may
+    // still be building; wait for the first to publish (bounded, so a
+    // fold that was never scheduled still fails below).
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (service.stats().recompactions < 1 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
     const ServiceStats stats = service.stats();
     EXPECT_GE(stats.recompactions, 1)
         << "threshold crossings never scheduled a background fold";

@@ -246,7 +246,7 @@ TEST(TraceTest, ForcedTraceCarriesServiceAndEngineSpans) {
 TEST(TraceTest, SamplerTracesOneInN) {
   ServiceOptions options;
   options.trace_sample_every = 4;
-  options.enable_result_cache = false;  // hits would still trace; keep 1:1
+  options.result_cache_capacity = 0;  // hits would still trace; keep 1:1
   QueryService service(MakeDatabase(), options);
   int traced = 0;
   for (int i = 0; i < 16; ++i) {
@@ -558,7 +558,7 @@ TEST(ServiceMetricsTest, InjectedRegistryIsShared) {
 
 TEST(ServiceMetricsTest, ConcurrentQueriesKeepCountersExact) {
   ServiceOptions options;
-  options.enable_result_cache = false;
+  options.result_cache_capacity = 0;
   QueryService service(MakeDatabase(), options);
   constexpr int kThreads = 4;
   constexpr int kPerThread = 25;

@@ -228,7 +228,7 @@ TEST(ServiceLifecycleTest, CompileFailureSurfacesAsDegradedPlan) {
   // Cache off: a degraded answer is (correctly) cacheable, and a replay
   // would report the cached degraded plan instead of a fresh healthy run.
   ServiceOptions cache_off;
-  cache_off.enable_result_cache = false;
+  cache_off.result_cache_capacity = 0;
   QueryService service(MakeDatabase(60, 32), cache_off);
   Failpoints::Global().Reset();
   const std::string text = "RANGE r WITHIN 2.0 OF #walk3";

@@ -328,7 +328,7 @@ TEST(QueryServiceTest, ErrorPaths) {
 
 TEST(QueryServiceTest, CacheDisabledServesColdEveryTime) {
   ServiceOptions options;
-  options.enable_result_cache = false;
+  options.result_cache_capacity = 0;
   QueryService service(MakeDatabase(30, 32, 4), options);
   const std::string text = "RANGE r WITHIN 2.0 OF #walk1";
   const Result<ServiceResult> first = service.ExecuteText(text);
