@@ -421,6 +421,14 @@ std::unique_ptr<TransformationRule> MakeCompositeRule(
   return std::make_unique<CompositeRule>(std::move(rules));
 }
 
+std::optional<int> PositiveIntegerArg(double value, int limit) {
+  if (!(value >= 1.0 && value <= static_cast<double>(limit) &&
+        value == std::floor(value))) {
+    return std::nullopt;
+  }
+  return static_cast<int>(value);
+}
+
 Result<std::unique_ptr<TransformationRule>> MakeRuleByName(
     const std::string& name, const std::vector<double>& args) {
   auto arg_count_error = [&](const char* expected) {
@@ -446,21 +454,27 @@ Result<std::unique_ptr<TransformationRule>> MakeRuleByName(
     if (args.empty() || args.size() > 2) {
       return arg_count_error("window [, cost]");
     }
-    const int window = static_cast<int>(args[0]);
-    if (window <= 0 || static_cast<double>(window) != args[0]) {
-      return Status::InvalidArgument("mavg window must be a positive integer");
+    const std::optional<int> window =
+        PositiveIntegerArg(args[0], kMaxRuleIntegerArg);
+    if (!window.has_value()) {
+      return Status::InvalidArgument(
+          "mavg window must be a positive integer (at most " +
+          std::to_string(kMaxRuleIntegerArg) + ")");
     }
-    return MakeMovingAverageRule(window, args.size() == 2 ? cost : 0.0);
+    return MakeMovingAverageRule(*window, args.size() == 2 ? cost : 0.0);
   }
   if (name == "warp") {
     if (args.empty() || args.size() > 2) {
       return arg_count_error("factor [, cost]");
     }
-    const int factor = static_cast<int>(args[0]);
-    if (factor <= 0 || static_cast<double>(factor) != args[0]) {
-      return Status::InvalidArgument("warp factor must be a positive integer");
+    const std::optional<int> factor =
+        PositiveIntegerArg(args[0], kMaxRuleIntegerArg);
+    if (!factor.has_value()) {
+      return Status::InvalidArgument(
+          "warp factor must be a positive integer (at most " +
+          std::to_string(kMaxRuleIntegerArg) + ")");
     }
-    return MakeTimeWarpRule(factor, args.size() == 2 ? cost : 0.0);
+    return MakeTimeWarpRule(*factor, args.size() == 2 ? cost : 0.0);
   }
   if (name == "shift") {
     if (args.empty() || args.size() > 2) {
@@ -477,6 +491,9 @@ Result<std::unique_ptr<TransformationRule>> MakeRuleByName(
   if (name == "despike") {
     if (args.empty() || args.size() > 2) {
       return arg_count_error("threshold [, cost]");
+    }
+    if (!(args[0] >= 0.0)) {
+      return Status::InvalidArgument("despike threshold must be nonnegative");
     }
     return MakeDespikeRule(args[0], args.size() == 2 ? cost : 0.0);
   }

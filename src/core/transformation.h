@@ -112,9 +112,22 @@ std::unique_ptr<TransformationRule> MakeDespikeRule(double spike_threshold,
 std::unique_ptr<TransformationRule> MakeCompositeRule(
     std::vector<std::unique_ptr<TransformationRule>> rules);
 
+// Largest mavg window and warp factor MakeRuleByName accepts. A mavg rule
+// allocates its window when it is built, at parse time, so the bound keeps
+// one query text from allocating without limit (ewma caps its tail at 512
+// weights for the same reason).
+inline constexpr int kMaxRuleIntegerArg = 1 << 16;
+
+// `value` as an int when it is a whole number in [1, limit]; nullopt
+// otherwise (NaN and the infinities included). Every integer the query
+// text carries (NEAREST k, mavg windows, warp factors) passes through it,
+// so no out-of-range double is ever cast to int.
+std::optional<int> PositiveIntegerArg(double value, int limit);
+
 // Factory used by the query-language parser: name plus numeric arguments.
 // Recognized: identity | mavg(w) | reverse | warp(m) | shift(c) | scale(c)
-// | despike(t), each with an optional trailing cost argument.
+// | despike(t), each with an optional trailing cost argument; w and m are
+// whole numbers in [1, kMaxRuleIntegerArg].
 Result<std::unique_ptr<TransformationRule>> MakeRuleByName(
     const std::string& name, const std::vector<double>& args);
 

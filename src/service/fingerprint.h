@@ -11,20 +11,27 @@
 ///    the EXPLAIN flag, keyword case, clause order, whitespace -- all
 ///    already normalized away by the parser/AST.
 ///  * Floating-point parameters (epsilon, literals, statistic ranges) are
-///    rendered as exact IEEE-754 bit patterns, never decimal round-trips,
-///    so distinct doubles never collide and equal doubles always agree.
+///    rendered as exact IEEE-754 bit patterns in lower-case hex, never
+///    decimal round-trips, so distinct doubles never collide and equal
+///    doubles always agree.
 ///  * Transformations are rendered via TransformationRule::name(), the
 ///    canonical textual form of the rule chain.
 ///
-/// The service appends "@<relation epoch>" before using the key, pinning
-/// every cache entry to the data version it was computed against (see
-/// service/query_service.h).
+/// The key is written straight into one string; a literal series costs at
+/// most 17 bytes per value. The service renders it once per execution and
+/// shares it: KeyFingerprint of it names the statements-table row and the
+/// flight-recorder events, the statements table and the slow-query log show
+/// it as the query's text, and the result cache keys on it with
+/// "@<relation epoch>@g<generation>" (plus "@fq<bits>" when the quantized
+/// filter runs) appended, pinning every entry to the data version and plan
+/// it was computed against (see service/query_service.h).
 
 #ifndef SIMQ_SERVICE_FINGERPRINT_H_
 #define SIMQ_SERVICE_FINGERPRINT_H_
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "core/query.h"
 
@@ -33,9 +40,12 @@ namespace simq {
 /// The canonical rendering described above.
 std::string CanonicalQueryKey(const Query& query);
 
-/// FNV-1a 64-bit hash of CanonicalQueryKey -- a compact identity for logs
-/// and the shell's EXPLAIN output. The cache itself keys on the full string
-/// (hashes may collide; answers must not).
+/// FNV-1a 64-bit hash of a CanonicalQueryKey -- a compact identity for
+/// logs, the statements table and the shell's EXPLAIN output. The cache
+/// itself keys on the full string (hashes may collide; answers must not).
+uint64_t KeyFingerprint(std::string_view canonical_key);
+
+/// KeyFingerprint(CanonicalQueryKey(query)).
 uint64_t QueryFingerprint(const Query& query);
 
 }  // namespace simq

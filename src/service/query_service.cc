@@ -905,9 +905,12 @@ Result<ServiceResult> QueryService::ExecuteInternal(const Query& query,
     metrics_.traced_queries->Add();
   }
   const ExecutionContext* exec = effective->exec.get();
-  // The fingerprint keys the statements-table row and names the query in
-  // flight-recorder events, so every outcome path below needs it.
-  const uint64_t fingerprint = QueryFingerprint(*effective);
+  // The canonical key is rendered once and shared: it is the statements
+  // row's text, the slow-log entry's fingerprint and the stem of the
+  // result-cache key, and its hash keys the statements row and names the
+  // query in flight-recorder events -- so every outcome path below needs it.
+  const std::string canonical = CanonicalQueryKey(*effective);
+  const uint64_t fingerprint = KeyFingerprint(canonical);
   obs::ResourceUsage usage;
   // Fast-fail before admission: born cancelled (session in the cancelled
   // state) or a deadline already in the past.
@@ -918,7 +921,7 @@ Result<ServiceResult> QueryService::ExecuteInternal(const Query& query,
         effective->exec->set_trace(nullptr);
       }
       CountTermination(start);
-      RecordQueryOutcome(*effective, fingerprint, start, false,
+      RecordQueryOutcome(canonical, fingerprint, start, false,
                          watch.ElapsedMillis(), usage);
       return start;
     }
@@ -934,7 +937,7 @@ Result<ServiceResult> QueryService::ExecuteInternal(const Query& query,
       effective->exec->set_trace(nullptr);
     }
     CountTermination(slot.status());
-    RecordQueryOutcome(*effective, fingerprint, slot.status(), false,
+    RecordQueryOutcome(canonical, fingerprint, slot.status(), false,
                        watch.ElapsedMillis(), usage);
     return slot.status();
   }
@@ -963,7 +966,6 @@ Result<ServiceResult> QueryService::ExecuteInternal(const Query& query,
   uint64_t generation = 0;
   int64_t delta_rows = 0;
   int shards = 0;
-  std::string canonical;
   const int execute_span =
       trace != nullptr ? trace->StartSpan("execute") : -1;
   if (trace != nullptr) {
@@ -990,17 +992,21 @@ Result<ServiceResult> QueryService::ExecuteInternal(const Query& query,
         effective->filter == FilterMode::kFiltered ||
         (effective->filter == FilterMode::kDefault &&
          db_.filter_engine() == FilterEngine::kQuantized);
-    canonical = CanonicalQueryKey(*effective);
     // The generation joins the key because cached entries replay their
     // execution's plan metadata: answers are identical across
     // generations, but an entry cached before a recompaction would keep
     // reporting the old generation's delta_rows.
-    const std::string key =
-        canonical + "@" + std::to_string(epoch) + "@g" +
-        std::to_string(generation) +
-        (effectively_quantized
-             ? "@fq" + std::to_string(db_.filter_options().bits_per_dim)
-             : "");
+    std::string key;
+    key.reserve(canonical.size() + 64);
+    key += canonical;
+    key += '@';
+    key += std::to_string(epoch);
+    key += "@g";
+    key += std::to_string(generation);
+    if (effectively_quantized) {
+      key += "@fq";
+      key += std::to_string(db_.filter_options().bits_per_dim);
+    }
     if (!cache_.Get(key, &out.result)) {
       Result<QueryResult> executed = [&]() -> Result<QueryResult> {
         try {
@@ -1039,7 +1045,7 @@ Result<ServiceResult> QueryService::ExecuteInternal(const Query& query,
           }
         }
         CountTermination(executed.status());
-        RecordQueryOutcome(*effective, fingerprint, executed.status(), false,
+        RecordQueryOutcome(canonical, fingerprint, executed.status(), false,
                            watch.ElapsedMillis(), usage);
         return executed.status();
       }
@@ -1140,7 +1146,7 @@ Result<ServiceResult> QueryService::ExecuteInternal(const Query& query,
     metrics_.admission_waits->Add();
   }
   metrics_.latency->Observe(out.elapsed_ms);
-  RecordQueryOutcome(*effective, fingerprint, Status::Ok(), cache_hit,
+  RecordQueryOutcome(canonical, fingerprint, Status::Ok(), cache_hit,
                      out.elapsed_ms, usage);
 
   if (trace != nullptr && slow_log_ != nullptr &&
@@ -1164,14 +1170,14 @@ Result<ServiceResult> QueryService::ExecuteInternal(const Query& query,
   return out;
 }
 
-void QueryService::RecordQueryOutcome(const Query& query,
+void QueryService::RecordQueryOutcome(const std::string& canonical,
                                       uint64_t fingerprint,
                                       const Status& status, bool cache_hit,
                                       double elapsed_ms,
                                       const obs::ResourceUsage& usage) {
   if (statements_.enabled()) {
-    statements_.Record(fingerprint, CanonicalQueryKey(query), status,
-                       cache_hit, elapsed_ms, usage);
+    statements_.Record(fingerprint, canonical, status, cache_hit, elapsed_ms,
+                       usage);
   }
   if (options_.flight_recorder != nullptr) {
     options_.flight_recorder->Recordf(

@@ -24,7 +24,7 @@
 ///    bit-identical to a cold parse->execute of the same text.
 ///
 ///  * Result cache. Successful results are cached under the canonical
-///    query fingerprint + relation epoch (service/fingerprint.h,
+///    query key + relation epoch + generation (service/fingerprint.h,
 ///    service/result_cache.h); mutations invalidate per relation. A hit
 ///    replays the original answer set without touching the engine. The
 ///    cache is bounded both by entry count and by approximate bytes
@@ -598,8 +598,9 @@ class QueryService {
   void RefreshDeltaGauges() const;
   void OnSessionClosed();
   /// Statements-table row + flight-recorder event for one finished
-  /// execution (success and every typed failure alike).
-  void RecordQueryOutcome(const Query& query, uint64_t fingerprint,
+  /// execution (success and every typed failure alike). `canonical` is the
+  /// execution's CanonicalQueryKey, `fingerprint` its KeyFingerprint.
+  void RecordQueryOutcome(const std::string& canonical, uint64_t fingerprint,
                           const Status& status, bool cache_hit,
                           double elapsed_ms,
                           const obs::ResourceUsage& usage);

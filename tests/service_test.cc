@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <set>
 #include <string>
@@ -11,6 +13,9 @@
 #include <gtest/gtest.h>
 
 #include "core/database.h"
+#include "core/parser.h"
+#include "obs/slow_query_log.h"
+#include "obs/statements.h"
 #include "service/fingerprint.h"
 #include "service/result_cache.h"
 #include "workload/generators.h"
@@ -408,6 +413,75 @@ TEST(FingerprintTest, CanonicalKeySeparatesAndUnifiesCorrectly) {
   EXPECT_NE(CanonicalQueryKey(scale_a), CanonicalQueryKey(scale_b));
 
   EXPECT_NE(QueryFingerprint(base), QueryFingerprint(other_series));
+}
+
+// The service renders one canonical key per execution and every surface
+// shows that key: after a miss and a hit, the statements row carries it as
+// its text (cut at kStatementTextCap) under its fingerprint, the plan
+// reports the same fingerprint, and each slow-log line carries the key.
+TEST(FingerprintTest, StatementsRowAndSlowLogShowTheExecutionsKey) {
+  const std::string path = ::testing::TempDir() + "/fingerprint_slow.jsonl";
+  std::remove(path.c_str());
+  ServiceOptions options;
+  options.statements_capacity = 16;
+  options.trace_sample_every = 1;  // every execution reaches the slow log
+  options.slow_query_log_path = path;
+  options.slow_query_threshold_ms = 0.0;
+  QueryService service(MakeDatabase(), options);
+
+  std::string literal = "[";
+  for (int i = 0; i < 64; ++i) {
+    literal += (i > 0 ? ", " : "") + std::to_string(0.25 * i - 3.0);
+  }
+  literal += "]";
+  const std::vector<std::string> texts = {
+      "NEAREST 3 r TO #walk1 USING mavg(4) VIA SCAN",
+      "RANGE r WITHIN 3.5 OF " + literal + " USING mavg(8) MODE FILTERED",
+  };
+  std::vector<std::string> keys;
+  for (const std::string& text : texts) {
+    const Result<Query> parsed = ParseQuery(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    const std::string key = CanonicalQueryKey(parsed.value());
+    const uint64_t fingerprint = QueryFingerprint(parsed.value());
+    keys.push_back(key);
+
+    const Result<ServiceResult> miss = service.ExecuteText(text);
+    const Result<ServiceResult> hit = service.ExecuteText(text);
+    ASSERT_TRUE(miss.ok()) << miss.status().ToString();
+    ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+    EXPECT_FALSE(miss.value().plan.cache_hit);
+    EXPECT_TRUE(hit.value().plan.cache_hit);
+    EXPECT_EQ(miss.value().plan.fingerprint, fingerprint);
+    EXPECT_EQ(hit.value().plan.fingerprint, fingerprint);
+
+    bool found = false;
+    for (const obs::StatementStats& row : service.statements()->Top(0)) {
+      if (row.fingerprint != fingerprint) {
+        continue;
+      }
+      found = true;
+      EXPECT_EQ(row.calls, 2);
+      EXPECT_EQ(row.cache_hits, 1);
+      EXPECT_EQ(row.text, key.substr(0, obs::kStatementTextCap));
+    }
+    EXPECT_TRUE(found) << text;
+  }
+  // The first row shows its whole key, the second a prefix of its key.
+  EXPECT_LE(keys[0].size(), obs::kStatementTextCap);
+  EXPECT_GT(keys[1].size(), obs::kStatementTextCap);
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.is_open());
+  std::vector<std::string> logged;
+  std::string line;
+  while (std::getline(in, line)) {
+    obs::SlowQueryEntry entry;
+    ASSERT_TRUE(obs::ParseSlowQueryJson(line, &entry)) << line;
+    logged.push_back(entry.fingerprint);
+  }
+  EXPECT_EQ(logged,
+            (std::vector<std::string>{keys[0], keys[0], keys[1], keys[1]}));
 }
 
 }  // namespace
