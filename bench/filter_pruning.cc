@@ -9,9 +9,10 @@
 //                packed 2-coefficient prefix screen (the strongest
 //                pre-existing scan engine).
 //   filtered_bN  VIA SCAN MODE FILTERED at N bits/dim -- phase 1 scans
-//                the bit-packed codes with the lower-bound LUT kernel,
+//                the code columns with the lower-bound LUT kernel,
 //                phase 2 refines survivors through the exact kernels.
-// plus the same comparison for kNN (scan vs filtered two-phase) and, on
+// plus the same comparison for kNN (scan vs the filtered scan at a
+// shrinking radius) and, on
 // the 1067-series workload, the self-join (early-abandon vs pairwise
 // code-gap filtered).
 //
@@ -236,7 +237,7 @@ WorkloadResult RunWorkload(const std::string& name, int count,
   result.range_speedup_vs_ea =
       filtered_best_ms > 0.0 ? result.range[1].ms / filtered_best_ms : 0.0;
 
-  // ---- kNN: exact scan vs the filtered two-phase scan (8 bits). ----
+  // ---- kNN: exact scan vs the filtered shrinking-radius scan (8 bits). ----
   {
     FilterOptions filter_options;
     filter_options.bits_per_dim = 8;

@@ -66,7 +66,7 @@ std::optional<Spectrum> MaterializeMultiplier(const TransformationRule* rule,
   if (rule == nullptr) {
     return std::nullopt;
   }
-  const int out_n = rule->OutputLength(n);
+  const int out_n = static_cast<int>(rule->OutputLength(n));
   Spectrum multiplier(static_cast<size_t>(out_n));
   for (int f = 0; f < out_n; ++f) {
     const std::optional<Complex> m = rule->Multiplier(f, n);
@@ -74,6 +74,20 @@ std::optional<Spectrum> MaterializeMultiplier(const TransformationRule* rule,
     multiplier[static_cast<size_t>(f)] = *m;
   }
   return multiplier;
+}
+
+// InvalidArgument when `rule` stretches length-n series past INT_MAX
+// values (a warp chain): no series that long can exist. Runs before
+// anything reads the rule's length or multiplier as an int.
+Status CheckOutputLength(const TransformationRule* rule, int n) {
+  if (rule != nullptr &&
+      rule->OutputLength(n) > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument(
+        "transformation " + rule->name() + " stretches " +
+        std::to_string(n) + "-value series past " +
+        std::to_string(std::numeric_limits<int>::max()) + " values");
+  }
+  return Status::Ok();
 }
 
 // Coefficient f of an interleaved (re, im) spectrum row (FeatureStore).
@@ -249,9 +263,8 @@ struct ShardFilterState {
   std::vector<const QuantizedCodes*> codes;
   std::vector<QueryLuts> luts;
   // Largest absolute FP slack across the shards: the guard for
-  // comparisons that mix bounds from different shards (the kNN tau).
+  // comparisons that mix bounds from different shards (the kNN radius).
   double max_slack = 0.0;
-  int bits = 8;
 };
 
 // Nullopt when any shard's code compile fails (the "filter.compile"
@@ -259,7 +272,7 @@ struct ShardFilterState {
 // instead -- same answers, no acceleration.
 std::optional<ShardFilterState> MakeShardFilterState(
     const ShardedRelation& data, int bits, const double* query_ri,
-    const double* mult_ri, int n, bool with_upper) {
+    const double* mult_ri, int n) {
   ShardFilterState state;
   const int num_shards = data.num_shards();
   state.codes.reserve(static_cast<size_t>(num_shards));
@@ -270,10 +283,9 @@ std::optional<ShardFilterState> MakeShardFilterState(
       return std::nullopt;
     }
     state.codes.push_back(codes);
-    state.luts.push_back(BuildQueryLuts(codes->quantizer(), query_ri,
-                                        mult_ri, n, with_upper));
+    state.luts.push_back(
+        BuildQueryLuts(codes->quantizer(), query_ri, mult_ri, n));
     state.max_slack = std::max(state.max_slack, state.luts.back().slack);
-    state.bits = codes->bits();
   }
   return state;
 }
@@ -315,6 +327,28 @@ class BlockShardCounts {
   size_t shards_;
   std::vector<int64_t> counts_;
 };
+
+// Appends to `out` the offsets from `unit_lo` of the rows of [lo, hi)
+// that are alive and admitted by the pattern: the rows a filtered scan
+// bound-scans or exact-checks (mirrors the exact scan's predicates).
+void AppendAdmitted(const RelationShard& shard, const Pattern& pattern,
+                    int64_t unit_lo, int64_t lo, int64_t hi,
+                    std::vector<int32_t>* out) {
+  const FeatureStore& store = shard.store();
+  for (int64_t i = lo; i < hi; ++i) {
+    if (shard.alive(i) &&
+        StatsAdmit(store.mean(i), store.std_dev(i), pattern)) {
+      out->push_back(static_cast<int32_t>(i - unit_lo));
+    }
+  }
+}
+
+// Orders unit-relative row offsets by (bound[offset], offset).
+auto ByBound(const double* bound) {
+  return [bound](int32_t a, int32_t b) {
+    return bound[a] != bound[b] ? bound[a] < bound[b] : a < b;
+  };
+}
 
 void SortMatches(std::vector<Match>* matches) {
   std::sort(matches->begin(), matches->end(),
@@ -698,6 +732,7 @@ Result<QueryResult> Database::Execute(const Query& query) const {
         if (rule == nullptr || n == 0) {
           continue;
         }
+        SIMQ_RETURN_IF_ERROR(CheckOutputLength(rule, n));
         const std::optional<LinearTransform> lowered =
             rule->IndexTransform(n, config_.num_coefficients);
         // Only the data-side (right) transformation must be safe in the
@@ -809,8 +844,8 @@ struct Database::Probe {
 // index search inputs or compile the quantized filter state, and fill the
 // EXPLAIN shard estimates. A range query with a constant pattern stops
 // after the checker: ExecuteRange checks its one row directly, with no
-// codes to compile or shards to estimate. Nearest queries build their
-// LUTs with upper bounds and estimate min(rows, k) per shard.
+// codes to compile or shards to estimate. Nearest queries estimate
+// min(rows, k) per shard.
 Status Database::PrepareProbe(const Relation& relation, const Query& query,
                               Probe* probe, ExecutionStats* stats) const {
   SIMQ_RETURN_IF_ERROR(CheckExecution(query.exec));
@@ -830,7 +865,9 @@ Status Database::PrepareProbe(const Relation& relation, const Query& query,
     rule = nullptr;  // the [GK95] shortcut: invisible to normal forms
   }
   const int n = relation.series_length();
-  const int out_n = rule != nullptr ? rule->OutputLength(n) : n;
+  SIMQ_RETURN_IF_ERROR(CheckOutputLength(rule, n));
+  const int out_n =
+      rule != nullptr ? static_cast<int>(rule->OutputLength(n)) : n;
   if (static_cast<int>(raw_query.size()) != out_n) {
     return Status::InvalidArgument(
         "query series length does not match the transformed data length");
@@ -906,7 +943,7 @@ Status Database::PrepareProbe(const Relation& relation, const Query& query,
       UseQuantizedFilter(query.filter)) {
     probe->filter = MakeShardFilterState(
         data, filter_options_.bits_per_dim, checker.query_ri().data(),
-        checker.mult_ri(), n, /*with_upper=*/nearest);
+        checker.mult_ri(), n);
     if (!probe->filter.has_value()) {
       CountFilterDegradation(stats);
     }
@@ -1065,7 +1102,7 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
     }
   } else if (probe.filter.has_value()) {
     // Two-phase quantized filter-and-refine scan (DESIGN.md "Quantized
-    // filter"): phase 1 bound-scans the per-shard bit-packed codes and
+    // filter"): phase 1 bound-scans the per-shard code columns and
     // drops every record whose lower-bound distance already exceeds eps
     // (Lemma-1 style: the bound is conservative, so nothing true is
     // dropped); phase 2 refines only the survivors through the exact
@@ -1086,8 +1123,6 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
     obs::ScopedSpan filter_span(trace, "filter+refine", trace_parent);
     BlockShardCounts per_shard(want_shard_stats, max_blocks,
                                data.num_shards());
-    const bool has_pattern = query.pattern.mean_range.has_value() ||
-                             query.pattern.std_range.has_value();
     pool.ParallelFor(
         0, static_cast<int64_t>(units.size()), /*min_grain=*/1,
         [&](int64_t block, int64_t unit_lo, int64_t unit_hi) {
@@ -1103,52 +1138,32 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
             }
             const ScanUnit& unit = units[static_cast<size_t>(u)];
             const RelationShard& shard = data.shard(unit.shard);
-            const FeatureStore& store = shard.store();
             const QuantizedCodes& codes =
                 *filter.codes[static_cast<size_t>(unit.shard)];
             const QueryLuts& luts =
                 filter.luts[static_cast<size_t>(unit.shard)];
+            const double abandon_sq = SafeThreshold(eps_sq, luts.slack);
             // The codes cover a row prefix frozen at their compile; rows
             // past it are the codes' delta and skip the screen entirely
             // (exact-checked below), so a mutation never invalidates the
-            // compiled codes.
+            // compiled codes. Pattern and tombstone predicates run before
+            // the code scan, so excluded records are never bound-scanned.
             const int64_t screen_hi = std::min(unit.hi, codes.size());
-            // Pattern and tombstone predicates run before the code scan,
-            // so excluded records are never bound-scanned (mirrors the
-            // exact scan).
             active.clear();
-            if (has_pattern) {
-              for (int64_t i = unit.lo; i < screen_hi; ++i) {
-                if (shard.alive(i) &&
-                    StatsAdmit(store.mean(i), store.std_dev(i),
-                               query.pattern)) {
-                  active.push_back(static_cast<int32_t>(i - unit.lo));
-                }
-              }
-            } else {
-              for (int64_t i = unit.lo; i < screen_hi; ++i) {
-                if (shard.alive(i)) {
-                  active.push_back(static_cast<int32_t>(i - unit.lo));
-                }
-              }
-            }
+            AppendAdmitted(shard, query.pattern, unit.lo, unit.lo, screen_hi,
+                           &active);
             scanned += static_cast<int64_t>(active.size());
-            if (!active.empty()) {
-              ColumnLowerBoundScan(codes, luts,
-                                   SafeThreshold(eps_sq, luts.slack),
-                                   unit.lo, screen_hi, &active, &scratch);
-            }
+            ColumnLowerBoundScan(
+                codes, luts, unit.lo, screen_hi,
+                [abandon_sq](std::vector<int32_t>*, const double*) {
+                  return abandon_sq;
+                },
+                &active, &scratch);
             // Delta rows of this unit join the survivors unscreened:
             // always exact-checked -- the unmodified kernels keep the
             // answer bit-identical to the unfiltered scan.
-            for (int64_t i = std::max(unit.lo, screen_hi); i < unit.hi;
-                 ++i) {
-              if (shard.alive(i) &&
-                  StatsAdmit(store.mean(i), store.std_dev(i),
-                             query.pattern)) {
-                active.push_back(static_cast<int32_t>(i - unit.lo));
-              }
-            }
+            AppendAdmitted(shard, query.pattern, unit.lo,
+                           std::max(unit.lo, screen_hi), unit.hi, &active);
             const int64_t unit_checks = static_cast<int64_t>(active.size());
             for (const int32_t offset : active) {
               const int64_t id = shard.global_id(unit.lo + offset);
@@ -1381,196 +1396,155 @@ Result<QueryResult> Database::ExecuteNearest(const Relation& relation,
       out.matches.push_back(Match{id, relation.record(id).name, distance});
     }
   } else if (probe.filter.has_value()) {
-    // Two-phase VA-file-style kNN. Phase 1 bound-scans the codes keeping
-    // a running lower bound per record AND a per-block heap of the k
-    // smallest upper bounds: once k upper bounds <= tau exist, any record
-    // whose lower bound exceeds tau provably cannot enter the top k and
-    // is abandoned mid-scan. Phase 2 refines the surviving candidates in
-    // ascending lower-bound order through the exact kernels, shrinking
-    // the bound to the running k-th exact distance; ties at the k-th
-    // distance resolve by (distance, id), exactly like the unfiltered
-    // ranking, so the answer is bit-identical.
+    // The range path's filter-and-refine scan at a radius that shrinks
+    // (DESIGN.md "Quantized filter"). Each block keeps its own k best
+    // (distance, id) entries; its radius is the k-th best distance so
+    // far, made safe with the largest shard slack (a block can span
+    // shards), and +infinity until it holds k entries. It carries from
+    // one unit of the block to the next. Per unit: the codes' delta rows
+    // are exact-checked first; the column scan compacts against the
+    // radius after every group of dimensions, and in the block's first
+    // unit it also exact-checks, after groups 1, 2, 4, 8, ..., the k
+    // unchecked rows with the smallest partial bounds within the radius
+    // -- cheap exact distances that make the radius tight early, so later
+    // units run as plain range scans. Survivors refine in ascending
+    // (bound, row) order until a bound passes the radius. A pruned row's
+    // distance provably exceeds its block's k-th; every distance comes
+    // from the no-abandon kernel the unfiltered kNN scan runs (the
+    // abandoning kernel's association differs by ulps); and the merge
+    // keeps the k smallest (distance, id) entries -- so the answer, ties
+    // included, is bit-identical.
     const ShardFilterState& filter = *probe.filter;
-    const int k = query.k;
-    struct Candidate {
-      int64_t id;
-      double lb_sq;
-    };
+    const size_t k = static_cast<size_t>(query.k);
+    using Entry = std::pair<double, int64_t>;  // (distance, id)
     ThreadPool& pool = ThreadPool::Global();
     const std::vector<ScanUnit> units = MakeScanUnits(data, RecordGrain(n));
     const size_t max_blocks = static_cast<size_t>(pool.max_blocks());
-    std::vector<std::vector<Candidate>> block_cands(max_blocks);
-    std::vector<std::vector<double>> block_ubs(max_blocks);
+    std::vector<std::vector<Entry>> block_best(max_blocks);
+    std::vector<int64_t> block_checks(max_blocks, 0);
     std::vector<int64_t> block_scanned(max_blocks, 0);
-    // Phase spans: the bound scan and the refine are distinct stages on
-    // this path, so each gets its own span (opened/closed around the
-    // phase, not RAII -- the boundary falls mid-block).
-    const int filter_span =
-        trace != nullptr ? trace->StartSpan("filter", trace_parent) : -1;
+    obs::ScopedSpan filter_span(trace, "filter+refine", trace_parent);
     BlockShardCounts per_shard(want_shard_stats, max_blocks,
                                data.num_shards());
-    WithFilterBits(filter.bits, [&](auto bits_tag) {
-      constexpr int kBits = decltype(bits_tag)::value;
-      pool.ParallelFor(
-          0, static_cast<int64_t>(units.size()), /*min_grain=*/1,
-          [&](int64_t block, int64_t unit_lo, int64_t unit_hi) {
-            std::vector<Candidate>& cands =
-                block_cands[static_cast<size_t>(block)];
-            // Max-heap of the k smallest upper bounds seen by this block.
-            std::vector<double>& ubs = block_ubs[static_cast<size_t>(block)];
-            int64_t scanned = 0;
-            for (int64_t u = unit_lo; u < unit_hi; ++u) {
-              if (ShouldStop(exec)) {
-                break;
+    pool.ParallelFor(
+        0, static_cast<int64_t>(units.size()), /*min_grain=*/1,
+        [&](int64_t block, int64_t unit_lo, int64_t unit_hi) {
+          // Sorted by (distance, id); never longer than k.
+          std::vector<Entry>& best = block_best[static_cast<size_t>(block)];
+          best.reserve(std::min(k, static_cast<size_t>(relation.size())));
+          double radius_sq = kInf;
+          int64_t checks = 0;
+          int64_t scanned = 0;
+          std::vector<int32_t> active;
+          std::vector<double> scratch;
+          std::vector<int32_t> seed;
+          const auto refine = [&](int64_t id) {
+            ++checks;
+            const Entry entry(checker.Distance(id, kInf), id);
+            if (best.size() >= k) {
+              if (!(entry < best.back())) {
+                return;
               }
-              const ScanUnit& unit = units[static_cast<size_t>(u)];
-              const RelationShard& shard = data.shard(unit.shard);
-              const FeatureStore& store = shard.store();
-              const QuantizedCodes& codes =
-                  *filter.codes[static_cast<size_t>(unit.shard)];
-              const QueryLuts& luts =
-                  filter.luts[static_cast<size_t>(unit.shard)];
-              // Rows past the codes' coverage are the codes' delta; they
-              // are exact-checked up front in the refine phase below and
-              // never bound-scanned.
-              const int64_t screen_hi = std::min(unit.hi, codes.size());
-              for (int64_t i = unit.lo; i < screen_hi; ++i) {
-                if (!shard.alive(i) ||
-                    !StatsAdmit(store.mean(i), store.std_dev(i),
-                                query.pattern)) {
-                  continue;
-                }
-                ++scanned;
-                const double tau_sq = static_cast<int>(ubs.size()) >= k
-                                          ? ubs.front()
-                                          : kInf;
-                double ub_sq = kInf;
-                // max_slack, not this shard's: a block's heap spans scan
-                // units of several shards, so tau may be an upper bound
-                // computed against another shard's grid.
-                const double lb_sq = LowerUpperBoundSq<kBits>(
-                    codes.CodeRow(i), luts,
-                    SafeThreshold(tau_sq, filter.max_slack), &ub_sq);
-                if (lb_sq == kInf) {
-                  continue;  // provably outside the top k
-                }
-                per_shard.Add(block, unit.shard, 1);
-                cands.push_back(Candidate{shard.global_id(i), lb_sq});
-                ubs.push_back(ub_sq);
-                std::push_heap(ubs.begin(), ubs.end());
-                if (static_cast<int>(ubs.size()) > k) {
-                  std::pop_heap(ubs.begin(), ubs.end());
-                  ubs.pop_back();
-                }
-              }
+              best.pop_back();
             }
-            block_scanned[static_cast<size_t>(block)] = scanned;
-          });
-    });
-    // Gather phase: the global tau is the k-th smallest upper bound over
-    // every block (at most as large as any block-local tau, so the
-    // phase-1 pruning above was conservative).
-    std::vector<Candidate> cands;
-    std::vector<double> ubs;
-    for (size_t block = 0; block < max_blocks; ++block) {
-      out.stats.filter_scanned += block_scanned[block];
-      cands.insert(cands.end(), block_cands[block].begin(),
-                   block_cands[block].end());
-      ubs.insert(ubs.end(), block_ubs[block].begin(),
-                 block_ubs[block].end());
-    }
-    out.stats.used_filter = true;
-    double tau_sq = kInf;
-    if (static_cast<int>(ubs.size()) >= k) {
-      std::nth_element(ubs.begin(), ubs.begin() + (k - 1), ubs.end());
-      tau_sq = ubs[static_cast<size_t>(k - 1)];
-    }
-    const double tau_safe = SafeThreshold(tau_sq, filter.max_slack);
-    cands.erase(std::remove_if(cands.begin(), cands.end(),
-                               [&](const Candidate& c) {
-                                 return c.lb_sq > tau_safe;
-                               }),
-                cands.end());
-    std::sort(cands.begin(), cands.end(),
-              [](const Candidate& a, const Candidate& b) {
-                if (a.lb_sq != b.lb_sq) {
-                  return a.lb_sq < b.lb_sq;
+            best.insert(std::upper_bound(best.begin(), best.end(), entry),
+                        entry);
+            if (best.size() >= k) {
+              const double kth = best.back().first;
+              radius_sq = SafeThreshold(kth * kth, filter.max_slack);
+            }
+          };
+          for (int64_t u = unit_lo; u < unit_hi; ++u) {
+            if (ShouldStop(exec)) {
+              break;
+            }
+            const ScanUnit& unit = units[static_cast<size_t>(u)];
+            const RelationShard& shard = data.shard(unit.shard);
+            const QuantizedCodes& codes =
+                *filter.codes[static_cast<size_t>(unit.shard)];
+            const int64_t checks_before = checks;
+            const int64_t screen_hi = std::min(unit.hi, codes.size());
+            const auto refine_offset = [&](int32_t offset) {
+              refine(shard.global_id(unit.lo + offset));
+            };
+            active.clear();
+            AppendAdmitted(shard, query.pattern, unit.lo,
+                           std::max(unit.lo, screen_hi), unit.hi, &active);
+            for (const int32_t r : active) {
+              refine_offset(r);
+            }
+            active.clear();
+            AppendAdmitted(shard, query.pattern, unit.lo, unit.lo, screen_hi,
+                           &active);
+            scanned += static_cast<int64_t>(active.size());
+            // Exact-checks the k rows with the smallest partial bounds
+            // within the radius, and drops them from the scan.
+            const auto reseed = [&](std::vector<int32_t>* rows,
+                                    const double* partial) {
+              seed.clear();
+              for (const int32_t r : *rows) {
+                if (partial[r] <= radius_sq) {
+                  seed.push_back(r);
                 }
-                return a.id < b.id;
-              });
-    out.stats.candidates = static_cast<int64_t>(cands.size());
-    if (trace != nullptr) {
-      trace->SetRows(filter_span, out.stats.filter_scanned,
-                     out.stats.filter_scanned - out.stats.candidates,
-                     out.stats.candidates);
-      trace->EndSpan(filter_span);
+              }
+              if (seed.size() > k) {
+                std::nth_element(seed.begin(), seed.begin() + (k - 1),
+                                 seed.end(), ByBound(partial));
+                seed.resize(k);
+              }
+              std::sort(seed.begin(), seed.end());
+              for (const int32_t r : seed) {
+                refine_offset(r);
+              }
+              rows->erase(std::remove_if(rows->begin(), rows->end(),
+                                         [&](int32_t r) {
+                                           return std::binary_search(
+                                               seed.begin(), seed.end(), r);
+                                         }),
+                          rows->end());
+            };
+            int groups = 0;
+            ColumnLowerBoundScan(
+                codes, filter.luts[static_cast<size_t>(unit.shard)], unit.lo,
+                screen_hi,
+                [&](std::vector<int32_t>* rows, const double* partial) {
+                  ++groups;
+                  if (u == unit_lo && (groups & (groups - 1)) == 0) {
+                    reseed(rows, partial);
+                  }
+                  return radius_sq;
+                },
+                &active, &scratch);
+            std::sort(active.begin(), active.end(), ByBound(scratch.data()));
+            for (const int32_t r : active) {
+              if (scratch[static_cast<size_t>(r)] > radius_sq) {
+                break;  // bounds ascend and the radius only shrinks
+              }
+              refine_offset(r);
+            }
+            per_shard.Add(block, unit.shard, checks - checks_before);
+          }
+          block_checks[static_cast<size_t>(block)] = checks;
+          block_scanned[static_cast<size_t>(block)] = scanned;
+        });
+    std::vector<Entry> merged;
+    for (size_t block = 0; block < max_blocks; ++block) {
+      out.stats.exact_checks += block_checks[block];
+      out.stats.filter_scanned += block_scanned[block];
+      merged.insert(merged.end(), block_best[block].begin(),
+                    block_best[block].end());
     }
-    // Exact checks are counted per shard in the serial refine below.
-    per_shard.Fold(/*checks=*/false, &out.stats);
-    const int refine_span =
-        trace != nullptr ? trace->StartSpan("refine", trace_parent) : -1;
-    // Refine in lower-bound order; `best` stays sorted by (distance, id).
-    std::vector<std::pair<double, int64_t>> best;
-    best.reserve(static_cast<size_t>(k) + 1);
-    const auto refine = [&](int64_t id) {
-      ++out.stats.exact_checks;
-      if (want_shard_stats) {
-        ++out.stats.shard_stats[static_cast<size_t>(data.shard_of(id))]
-              .exact_checks;
-      }
-      // Unbounded exact distance: the unfiltered kNN scan computes every
-      // distance with the no-abandon kernel, whose summation association
-      // differs from the abandoning one -- refining with a finite limit
-      // would change result doubles by ulps. The lower-bound pruning
-      // already did the work an abandon would.
-      const std::pair<double, int64_t> entry(checker.Distance(id, kInf), id);
-      if (static_cast<int>(best.size()) >= k) {
-        if (!(entry < best.back())) {
-          return;
-        }
-        best.pop_back();
-      }
-      best.insert(std::upper_bound(best.begin(), best.end(), entry), entry);
-    };
-    // Delta rows (past each shard's code coverage) first, exact-checked
-    // unconditionally: they have no code lower bound, so giving them one
-    // (e.g. zero) could not legally participate in the early break below.
-    // Seeding them as finished exact distances keeps the break sound, and
-    // the final top-k by (distance, id) is insertion-order independent,
-    // so answers stay bit-identical.
-    for (int s = 0; s < data.num_shards(); ++s) {
-      const RelationShard& shard = data.shard(s);
-      const FeatureStore& store = shard.store();
-      const int64_t covered =
-          filter.codes[static_cast<size_t>(s)]->size();
-      for (int64_t i = covered; i < shard.size(); ++i) {
-        if (shard.alive(i) &&
-            StatsAdmit(store.mean(i), store.std_dev(i), query.pattern)) {
-          refine(shard.global_id(i));
-        }
-      }
-    }
-    for (size_t c = 0; c < cands.size(); ++c) {
-      if (c % static_cast<size_t>(kPollStride) == 0) {
-        SIMQ_RETURN_IF_ERROR(CheckExecution(query.exec));
-      }
-      const Candidate& cand = cands[c];
-      if (static_cast<int>(best.size()) >= k) {
-        const double kth = best.back().first;
-        if (cand.lb_sq > SafeThreshold(kth * kth, filter.max_slack)) {
-          break;  // lb ascending: nothing later can enter either
-        }
-      }
-      refine(cand.id);
-    }
-    if (trace != nullptr) {
-      trace->SetRows(refine_span, out.stats.exact_checks, 0,
-                     static_cast<int64_t>(best.size()));
-      trace->EndSpan(refine_span);
-    }
-    for (const auto& [distance, id] : best) {
+    std::sort(merged.begin(), merged.end());
+    merged.resize(std::min(k, merged.size()));
+    for (const auto& [distance, id] : merged) {
       out.matches.push_back(Match{id, relation.record(id).name, distance});
     }
+    out.stats.used_filter = true;
+    out.stats.candidates = out.stats.exact_checks;
+    per_shard.Fold(/*checks=*/true, &out.stats);
+    filter_span.Rows(out.stats.filter_scanned,
+                     out.stats.filter_scanned - out.stats.candidates,
+                     static_cast<int64_t>(out.matches.size()));
   } else {
     const int64_t count = relation.size();
     // Batched scan: all exact distances are needed (no abandoning), so the

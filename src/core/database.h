@@ -119,7 +119,7 @@ class Relation {
 
 // Which scan-side filter the execution engine runs. kQuantized routes
 // eligible scans (normal-form spectral distances) through the two-phase
-// quantized filter-and-refine path: bound-scan the bit-packed codes
+// quantized filter-and-refine path: bound-scan the quantized codes
 // (filter/), refine only survivors through the exact columnar kernels.
 // Answers are bit-identical to kExact by construction; the per-query
 // MODE FILTERED / MODE EXACT clauses override this engine-wide default.
@@ -214,8 +214,9 @@ class Database {
   Status Delete(const std::string& relation, int64_t id);
 
   // Synchronous recompaction of one relation: folds every shard's delta
-  // and tombstones into a fresh generation (packed tree of the live rows
-  // and new quantized codes). Answers are unaffected; generation()
+  // and tombstones into a fresh generation (packed tree of the live rows,
+  // and new quantized codes where a filtered query had compiled them).
+  // Answers are unaffected; generation()
   // advances. The service runs the same two phases split across its
   // shared/exclusive locks (BuildRecompaction/PublishRecompaction on the
   // relation's ShardedRelation); this entry point is for single-threaded

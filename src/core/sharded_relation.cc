@@ -237,8 +237,10 @@ Status ShardedRelation::BuildRecompaction(
     built.bits = bits;
     built.packed = shard.CompileSnapshot(built.build_rows);
     built.shed = built.build_rows - built.packed->size();
-    if (bits >= ScalarQuantizer::kMinBits &&
-        bits <= ScalarQuantizer::kMaxBits && built.build_rows > 0) {
+    // Codes only where a filtered query compiled them: elsewhere the
+    // publish installs none, the cache stays empty but fresh, and the
+    // next filtered query compiles them lazily.
+    if (shard.quantized_.Peek(bits) != nullptr && built.build_rows > 0) {
       built.codes = std::make_unique<QuantizedCodes>(shard.store_, bits);
     }
     out->push_back(std::move(built));

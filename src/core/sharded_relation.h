@@ -42,12 +42,14 @@
 /// scan them exactly. Deletes are tombstones in a per-shard aliveness
 /// bitmap, filtered on every read path and shed from the snapshot at
 /// recompaction. `BuildRecompaction` (under a shared lock: readers keep
-/// running, the store is frozen) compiles a fresh live-only snapshot +
-/// codes per shard; `PublishRecompaction` (under the exclusive lock,
-/// brief) installs them at their build coverage -- rows appended since
-/// the build stay delta -- and bumps the shard *generation*, a second
-/// monotone counter, summed like the epoch, that counts published
-/// snapshot generations.
+/// running, the store is frozen) compiles a fresh live-only snapshot per
+/// shard, plus fresh codes for each shard whose codes a filtered query
+/// had compiled (a shard no filtered query reads gets none, and compiles
+/// them lazily if one ever does); `PublishRecompaction` (under the
+/// exclusive lock, brief) installs them at their build coverage -- rows
+/// appended since the build stay delta -- and bumps the shard
+/// *generation*, a second monotone counter, summed like the epoch, that
+/// counts published snapshot generations.
 ///
 /// Thread-safety: all const accessors are safe under concurrent readers
 /// (the packed snapshot cache takes its own mutex). `Append`/`BulkLoad`/
@@ -292,11 +294,11 @@ class ShardedRelation {
   bool Delete(int64_t g);
 
   /// Compiles fresh recompaction artifacts for every shard: a packed
-  /// snapshot of the live rows (RelationShard's one compile helper) and
-  /// quantized codes at `bits` bits per dimension (skipped when `bits` is
-  /// outside the supported widths). Requires shared access -- concurrent
-  /// readers are fine, the store must not grow underneath. Fails only at
-  /// the "recompact.build" failpoint.
+  /// snapshot of the live rows (RelationShard's one compile helper) and,
+  /// only where the shard's codes at `bits` bits per dimension are
+  /// compiled and fresh, new codes at that width. Requires shared access
+  /// -- concurrent readers are fine, the store must not grow underneath.
+  /// Fails only at the "recompact.build" failpoint.
   Status BuildRecompaction(int bits,
                            std::vector<RelationShard::Recompaction>* out) const;
 

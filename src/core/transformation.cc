@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -111,7 +112,7 @@ class TimeWarpRule : public TransformationRule {
     return out.str();
   }
   double cost() const override { return cost_; }
-  int OutputLength(int input_length) const override {
+  int64_t OutputLength(int64_t input_length) const override {
     return input_length * warp_factor_;
   }
   std::vector<double> Apply(const std::vector<double>& series) const override {
@@ -272,9 +273,14 @@ class CompositeRule : public TransformationRule {
     }
     return total;
   }
-  int OutputLength(int input_length) const override {
-    int length = input_length;
+  int64_t OutputLength(int64_t input_length) const override {
+    int64_t length = input_length;
     for (const auto& rule : rules_) {
+      // Past INT_MAX the chain is rejected anyway; stopping there keeps
+      // every product of an int length and an int warp factor in range.
+      if (length > std::numeric_limits<int>::max()) {
+        break;
+      }
       length = rule->OutputLength(length);
     }
     return length;
@@ -288,11 +294,16 @@ class CompositeRule : public TransformationRule {
   }
   std::optional<Complex> Multiplier(int f, int n) const override {
     // Chain multipliers back to front, reducing the coefficient index
-    // modulo each stage's input length (length changes only via warps).
+    // modulo each stage's input length (length changes only via warps,
+    // which never shrink it, so every stage fits an int when the output
+    // does).
+    if (OutputLength(n) > std::numeric_limits<int>::max()) {
+      return std::nullopt;
+    }
     std::vector<int> lengths(rules_.size() + 1);
     lengths[0] = n;
     for (size_t i = 0; i < rules_.size(); ++i) {
-      lengths[i + 1] = rules_[i]->OutputLength(lengths[i]);
+      lengths[i + 1] = static_cast<int>(rules_[i]->OutputLength(lengths[i]));
     }
     Complex product(1.0, 0.0);
     int index = f;

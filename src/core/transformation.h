@@ -12,6 +12,7 @@
 #ifndef SIMQ_CORE_TRANSFORMATION_H_
 #define SIMQ_CORE_TRANSFORMATION_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -33,8 +34,12 @@ class TransformationRule {
   virtual double cost() const = 0;
 
   // Length of the output series for an input of length n (time warping
-  // stretches it; everything else preserves it).
-  virtual int OutputLength(int input_length) const { return input_length; }
+  // stretches it; everything else preserves it). Computed in 64 bits: a
+  // warp chain can stretch past INT_MAX, and the engine rejects such a
+  // rule instead of running it at a wrapped length.
+  virtual int64_t OutputLength(int64_t input_length) const {
+    return input_length;
+  }
 
   // Time-domain application; the reference semantics of the rule.
   virtual std::vector<double> Apply(

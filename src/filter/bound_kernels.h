@@ -1,22 +1,24 @@
-/// Branch-light lower/upper-bound distance kernels over bit-packed
-/// quantized codes, plus the per-query LUT builder that feeds them (the
-/// refine half's gatekeeper; see DESIGN.md "Quantized filter").
+/// Lower-bound distance scans over column-major quantized codes, plus the
+/// per-query LUT builder that feeds them (the refine half's gatekeeper;
+/// see DESIGN.md "Quantized filter").
 ///
 /// Correctness contract. For a query q and a record x encoded as codes
 /// c_d with cell edges [lo_d, hi_d] = [bounds(d)[c_d], bounds(d)[c_d+1]]
 /// (which bracket x_d exactly; filter/quantizer.h):
 ///
-///   LB(q, codes(x)) <= |x - q|^2 <= UB(q, codes(x))     (real arithmetic)
+///   LB(q, codes(x)) <= |x - q|^2                        (real arithmetic)
 ///
-/// per dimension: the squared distance from q_d to the nearest (LB) or
-/// farthest (UB) edge of the cell, zero for LB when q_d lies inside.
-/// Spectral multiplier rules m fold in exactly: per coefficient f,
+/// per dimension: the squared distance from q_d to the nearest edge of
+/// the cell, zero when q_d lies inside. A sum over any subset of the
+/// dimensions is a lower bound too, which is what lets a scan drop a row
+/// as soon as its partial sum passes the threshold. Spectral multiplier
+/// rules m fold in exactly: per coefficient f,
 /// |x_f*m_f - q_f|^2 == |m_f|^2 * |x_f - q_f/m_f|^2, so the LUT stores
 /// bounds against the transformed query q/m scaled by the weight |m|^2
 /// (coefficients with m_f == 0 contribute the constant |q_f|^2, kept in
 /// `base`).
 ///
-/// Floating point. The bounds hold in real arithmetic; the kernels and
+/// Floating point. The bound holds in real arithmetic; the LUT sums and
 /// the exact columnar kernels round differently (different association,
 /// the multiplier identity above, possible FMA contraction), so a
 /// computed LB may exceed the computed exact distance by a few ulps. All
@@ -29,13 +31,13 @@
 /// bit-identical to the unfiltered engines by construction: pruning can
 /// only ever be too weak, never wrong.
 ///
-/// Per-query LUTs are laid out dimension-major (dims x cells doubles):
-/// the scan touches row d at dimension d, so the handful of leading rows
-/// that decide most records stay cache-hot. The code word is read via
-/// one unaligned 64-bit load per dimension (guard bytes guaranteed by
-/// QuantizedCodes), shifted and masked with compile-time constants --
-/// instantiate the kernels through WithFilterBits so `kBits` is a
-/// template parameter.
+/// One scan core serves the range scan, the kNN scan and the join screen:
+/// it adds one dimension at a time across a run of rows (the dimension's
+/// code column and LUT row stay cache-hot for the whole pass) and
+/// compacts the survivor list after every group of dimensions against a
+/// threshold it asks the caller for each time. A range query answers with
+/// its fixed epsilon; the kNN driver answers with a radius that shrinks
+/// as it exact-checks rows (core/database.cc).
 ///
 /// Everything here is stateless or immutable after construction; safe
 /// for any number of concurrent query threads.
@@ -44,10 +46,7 @@
 #define SIMQ_FILTER_BOUND_KERNELS_H_
 
 #include <cstdint>
-#include <cstring>
-#include <limits>
-#include <type_traits>
-#include <utility>
+#include <functional>
 #include <vector>
 
 #include "filter/quantizer.h"
@@ -64,7 +63,6 @@ struct QueryLuts {
   /// Absolute floating-point safety slack (see SafeThreshold).
   double slack = 0.0;
   std::vector<double> lb;  // dims * cells, dimension-major
-  std::vector<double> ub;  // dims * cells when built with upper bounds
   /// Dimensions sorted by descending mean lower-bound contribution
   /// (quantile cells are equi-populated, so the unweighted row mean IS
   /// the expected per-record contribution). The column scan consumes
@@ -77,70 +75,15 @@ struct QueryLuts {
 /// Builds the LUTs for `query_ri` (2n interleaved (re, im) doubles, the
 /// exact query the columnar kernels consume) against `quantizer`'s grid.
 /// `mult_ri` is the interleaved spectral multiplier (nullptr = identity).
-/// Upper-bound tables are built only when `with_upper` (the kNN path).
 QueryLuts BuildQueryLuts(const ScalarQuantizer& quantizer,
                          const double* query_ri, const double* mult_ri,
-                         int n, bool with_upper);
+                         int n);
 
 /// Threshold against which pruning decisions compare a computed lower
 /// bound: `thr_sq` inflated so rounding differences between the bound
 /// kernels and the exact kernels can never cause a false dismissal.
 inline double SafeThreshold(double thr_sq, double slack) {
   return thr_sq + 1e-9 * thr_sq + slack;
-}
-
-namespace internal {
-
-constexpr double kBoundInf = std::numeric_limits<double>::infinity();
-
-template <int kBits>
-inline uint32_t PackedCodeAt(const uint8_t* row, int d) {
-  const int64_t bit = static_cast<int64_t>(d) * kBits;
-  uint64_t word;
-  std::memcpy(&word, row + (bit >> 3), sizeof(word));
-  return static_cast<uint32_t>(word >> (bit & 7)) & ((1u << kBits) - 1u);
-}
-
-}  // namespace internal
-
-/// Lower and upper bound of |x - q|^2 in one row-major pass over the
-/// packed code row (the kNN scan), abandoning once the running lower
-/// bound exceeds `abandon_sq` (pass SafeThreshold(...)): returns
-/// +infinity on abandon -- `*ub_sq` is then not written -- else the full
-/// lower bound. Four dimensions are accumulated per abandon check to
-/// keep the loop branch-light.
-template <int kBits>
-inline double LowerUpperBoundSq(const uint8_t* row, const QueryLuts& luts,
-                                double abandon_sq, double* ub_sq) {
-  const double* lb = luts.lb.data();
-  const double* ub = luts.ub.data();
-  const int cells = luts.cells;
-  const int dims = luts.dims;
-  double acc = luts.base;
-  double acc_ub = luts.base;
-  int d = 0;
-  for (; d + 4 <= dims; d += 4) {
-    for (int j = 0; j < 4; ++j) {
-      const int64_t idx = static_cast<int64_t>(d + j) * cells +
-                          internal::PackedCodeAt<kBits>(row, d + j);
-      acc += lb[idx];
-      acc_ub += ub[idx];
-    }
-    if (acc > abandon_sq) {
-      return internal::kBoundInf;
-    }
-  }
-  for (; d < dims; ++d) {
-    const int64_t idx = static_cast<int64_t>(d) * cells +
-                        internal::PackedCodeAt<kBits>(row, d);
-    acc += lb[idx];
-    acc_ub += ub[idx];
-  }
-  if (acc > abandon_sq) {
-    return internal::kBoundInf;
-  }
-  *ub_sq = acc_ub;
-  return acc;
 }
 
 class QuantizedCodes;
@@ -165,18 +108,27 @@ void PairScreenScan(const QuantizedCodes& codes, const double* lut,
                     int64_t lo, int64_t hi, std::vector<int32_t>* active,
                     std::vector<double>* scratch);
 
-/// Column-major lower-bound scan over rows [lo, hi) of `codes` (the range
-/// path's phase 1). `active` holds the unit-relative offsets of the rows
-/// still in play (the caller has already applied pattern predicates);
-/// the scan accumulates one dimension at a time across all active rows --
-/// the dimension's LUT row and code column stay cache-hot for the whole
-/// pass -- and re-compacts the survivor list after every few dimensions,
-/// so work collapses as the running bounds cross `abandon_sq`. On return
-/// `active` holds only the offsets whose full lower bound is <=
-/// `abandon_sq`, in ascending order (the order the refine phase wants).
+/// The threshold a column scan compacts its survivors against, asked for
+/// after every group of dimensions. It receives the rows still in play
+/// and their partial bounds so far (indexed by unit-relative offset); it
+/// may drop rows from `active`, keeping the rest ascending. The kNN
+/// driver exact-checks a few rows this way and answers with its shrunken
+/// radius; a range scan answers with its fixed threshold.
+using ScanThreshold =
+    std::function<double(std::vector<int32_t>* active, const double* partial)>;
+
+/// Column-major lower-bound scan over rows [lo, hi) of `codes`. `active`
+/// holds the unit-relative offsets of the rows in play (the caller has
+/// already applied tombstones and pattern predicates); the scan adds one
+/// dimension at a time, in the LUT's discrimination order, across all
+/// active rows, and after every few dimensions drops the rows whose
+/// running bound exceeds `threshold`'s answer. On return `active` holds
+/// the offsets whose full lower bound passed every compaction, ascending,
+/// and `(*scratch)[r]` holds row r's full lower bound for each of them.
 /// `scratch` is caller-provided accumulator storage, resized as needed.
 void ColumnLowerBoundScan(const QuantizedCodes& codes, const QueryLuts& luts,
-                          double abandon_sq, int64_t lo, int64_t hi,
+                          int64_t lo, int64_t hi,
+                          const ScanThreshold& threshold,
                           std::vector<int32_t>* active,
                           std::vector<double>* scratch);
 
@@ -196,31 +148,6 @@ double EstimateRangeSurvivorFraction(const ScalarQuantizer& quantizer,
                                      const double* query_ri,
                                      const double* mult_ri, int n,
                                      double epsilon);
-
-/// Runs `fn` with std::integral_constant<int, bits> so kernel loops see
-/// the code width as a compile-time constant: WithFilterBits(codes.bits(),
-/// [&](auto b) { ... LowerUpperBoundSq<b()>(...) ... }).
-template <typename Fn>
-void WithFilterBits(int bits, Fn&& fn) {
-  switch (bits) {
-    case 4:
-      std::forward<Fn>(fn)(std::integral_constant<int, 4>{});
-      break;
-    case 5:
-      std::forward<Fn>(fn)(std::integral_constant<int, 5>{});
-      break;
-    case 6:
-      std::forward<Fn>(fn)(std::integral_constant<int, 6>{});
-      break;
-    case 7:
-      std::forward<Fn>(fn)(std::integral_constant<int, 7>{});
-      break;
-    case 8:
-    default:
-      std::forward<Fn>(fn)(std::integral_constant<int, 8>{});
-      break;
-  }
-}
 
 }  // namespace simq
 

@@ -10,30 +10,16 @@ QuantizedCodes::QuantizedCodes(const FeatureStore& store, int bits)
   if (count_ == 0 || dims == 0) {
     return;
   }
-  const int64_t payload =
-      (static_cast<int64_t>(dims) * quantizer_.bits() + 7) / 8;
-  // 8 guard bytes per row so CodeAt's unaligned 64-bit load never reads
-  // past the allocation; round to 8 so rows start word-aligned.
-  row_stride_ = (payload + 8 + 7) & ~int64_t{7};
-  codes_.assign(static_cast<size_t>(count_ * row_stride_), 0);
   columns_.resize(static_cast<size_t>(dims) * count_);
-  const int code_bits = quantizer_.bits();
   // Per-dimension sums for the discrimination order, accumulated inside
-  // the row-major encode loop so the store is streamed exactly once.
+  // the encode loop so the store is streamed exactly once.
   std::vector<double> sum(static_cast<size_t>(dims), 0.0);
   std::vector<double> sum_sq(static_cast<size_t>(dims), 0.0);
   for (int64_t i = 0; i < count_; ++i) {
     const double* row = store.SpectrumRow(i);
-    uint8_t* out = codes_.data() + i * row_stride_;
     for (int d = 0; d < dims; ++d) {
-      const uint64_t code = quantizer_.Encode(d, row[d]);
-      const int64_t bit = static_cast<int64_t>(d) * code_bits;
-      uint64_t word = 0;
-      std::memcpy(&word, out + (bit >> 3), sizeof(word));
-      word |= code << (bit & 7);
-      std::memcpy(out + (bit >> 3), &word, sizeof(word));
       columns_[static_cast<size_t>(d) * count_ + i] =
-          static_cast<uint8_t>(code);
+          static_cast<uint8_t>(quantizer_.Encode(d, row[d]));
       sum[static_cast<size_t>(d)] += row[d];
       sum_sq[static_cast<size_t>(d)] += row[d] * row[d];
     }

@@ -1,29 +1,30 @@
-/// Bit-packed scalar-quantized codes of one relation shard, plus the
-/// stale-on-mutation cache that owns them (the same contract as the
-/// packed R-tree snapshot; see DESIGN.md "Quantized filter").
+/// Scalar-quantized codes of one relation shard, plus the cache that owns
+/// them (the same coverage contract as the packed R-tree snapshot; see
+/// DESIGN.md "Quantized filter").
 ///
 /// A QuantizedCodes object is a compiled, immutable artifact: it trains a
 /// ScalarQuantizer over the shard's FeatureStore and encodes every
-/// spectrum row into one bit-packed code word of dims * bits bits,
-/// stored row-major (structure-of-arrays across records, all codes of a
-/// record contiguous). Rows are padded with 8 guard bytes so the decode
-/// kernels can read an aligned 64-bit word at any code's byte offset and
-/// shift/mask the code out -- no per-code branches, no byte loops.
+/// spectrum row, one byte per code, stored column-major (dimension-major):
 ///
-///   code of (row i, dim d) = bits [d*bits, (d+1)*bits) of CodeRow(i)
+///   code of (row i, dim d) = Column(d)[i]
 ///
 /// With the default 8-bit layout a 128-length series shrinks from 2048
-/// bytes of spectrum doubles to 256 bytes of codes; a full-relation code
-/// scan therefore streams 8x less memory than the exact columnar scan,
-/// and the lower-bound kernels (filter/bound_kernels.h) prune most
-/// records after the first few dimensions of that.
+/// bytes of spectrum doubles to 256 bytes of codes. Every filtered path
+/// scans these columns one dimension at a time across a run of rows
+/// (filter/bound_kernels.h), so the dimension's code column and its
+/// 2^bits-entry LUT row stay cache-hot for the whole pass, and most rows
+/// are pruned after the first few dimensions.
+///
+/// The codes cover the row prefix [0, size()) frozen at their compile;
+/// rows appended later are the codes' delta, which the query drivers
+/// exact-check instead of screening.
 ///
 /// Thread-safety: QuantizedCodes is immutable after construction -- any
 /// number of query threads may scan one concurrently. QuantizedCodesCache
-/// follows PackedSnapshotCache: mutators call Invalidate() under the
+/// follows PackedSnapshotCache: a bulk load calls Invalidate() under the
 /// owner's exclusive lock, readers call Get() under the shared lock, and
-/// the cache's internal mutex serializes only the post-mutation rebuild
-/// (also triggered when a query asks for a different bit width).
+/// the cache's internal mutex serializes only the compile (also triggered
+/// when a query asks for a different bit width).
 
 #ifndef SIMQ_FILTER_QUANTIZED_CODES_H_
 #define SIMQ_FILTER_QUANTIZED_CODES_H_
@@ -31,7 +32,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -58,19 +58,8 @@ class QuantizedCodes {
   int cells() const { return quantizer_.cells(); }
   const ScalarQuantizer& quantizer() const { return quantizer_; }
 
-  /// Packed code word of row `i`; row_stride() bytes apart, 8 readable
-  /// guard bytes past the last code.
-  const uint8_t* CodeRow(int64_t i) const {
-    return codes_.data() + i * row_stride_;
-  }
-  int64_t row_stride() const { return row_stride_; }
-
-  /// Dimension-major mirror of the codes, one unpacked byte per code:
-  /// Column(d)[i] == code of (row i, dim d). The range scan runs
-  /// dim-at-a-time over these planes with a survivor selection vector
-  /// (filter/bound_kernels.h ColumnLowerBoundScan), which keeps one
-  /// 2^bits-entry LUT row L1-hot per pass -- the row-major layout above
-  /// stays the format of the per-record paths (kNN bounds, join pairs).
+  /// Codes of dimension `d`, one byte per row: Column(d)[i] == code of
+  /// (row i, dim d).
   const uint8_t* Column(int d) const {
     return columns_.data() + static_cast<int64_t>(d) * count_;
   }
@@ -82,35 +71,25 @@ class QuantizedCodes {
   /// entries so the few most discriminating dimensions run first.
   const std::vector<int32_t>& scan_order() const { return scan_order_; }
 
-  /// Decodes one dimension of a packed row. The kernels inline this with
-  /// a compile-time `bits`; this runtime form is for tests and encoding.
-  static uint32_t CodeAt(const uint8_t* row, int d, int bits) {
-    const int64_t bit = static_cast<int64_t>(d) * bits;
-    uint64_t word = 0;
-    std::memcpy(&word, row + (bit >> 3), sizeof(word));
-    return static_cast<uint32_t>(word >> (bit & 7)) &
-           ((1u << bits) - 1u);
-  }
-
  private:
   ScalarQuantizer quantizer_;
   int64_t count_ = 0;
-  int64_t row_stride_ = 0;  // bytes per packed row, incl. guard padding
-  std::vector<uint8_t> codes_;
   std::vector<uint8_t> columns_;  // dims * count, dimension-major
   std::vector<int32_t> scan_order_;  // dims, descending column variance
 };
 
 /// Lazily (re)compiled QuantizedCodes of one shard, keyed by bit width.
-/// Same discipline as PackedSnapshotCache: Invalidate() under the owner's
-/// exclusive lock on every mutation, Get() under the shared lock.
+/// Same discipline as PackedSnapshotCache: Invalidate() (a bulk load) and
+/// Install() (a recompaction publish) under the owner's exclusive lock,
+/// Get() under the shared lock.
 ///
 /// One entry per bit width, not one entry total: concurrent queries may
 /// run at different widths (Database::set_filter_options is a plain
 /// setter), and a single-slot cache would destroy the codes one reader
 /// is still scanning when another asks for a new width. Per-width
-/// entries are only ever destroyed by Invalidate(), which mutators call
-/// under exclusive access -- when no reader can exist. The width space
+/// entries are only ever destroyed after an Invalidate() or by Install(),
+/// which the owner calls under exclusive access -- so no reader still
+/// holds them. The width space
 /// is tiny (kMinBits..kMaxBits), so the extra memory is bounded.
 class QuantizedCodesCache {
  public:

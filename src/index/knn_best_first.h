@@ -17,6 +17,9 @@
 ///    distance -- a set independent of heap tie order and of the tree
 ///    layout, which is what keeps the node-access counters equal.
 ///
+/// `queue_reserve` sizes the queue's first allocation; callers keep it
+/// within their entry count plus one root-to-leaf frontier.
+///
 /// `expand(node, push_node, push_entry)` must count the node access and
 /// push every child subtree (lower bound, child handle) or leaf entry
 /// (lower bound, data id); `exact_distance(id)` upgrades an entry's bound
@@ -69,7 +72,9 @@ std::vector<std::pair<int64_t, double>> BestFirstNearestNeighbors(
   queue.push(Item{0.0, true, root, -1, false});
 
   std::vector<std::pair<int64_t, double>> results;
-  results.reserve(static_cast<size_t>(k) + 8);
+  // Callers bound queue_reserve by the tree's entry count, which k (up to
+  // INT_MAX from query text) need not respect.
+  results.reserve(std::min(static_cast<size_t>(k), queue_reserve));
   const auto push_node = [&](double priority, NodeHandle child) {
     queue.push(Item{priority, true, child, -1, false});
   };

@@ -412,7 +412,7 @@ std::vector<std::pair<int64_t, double>> PackedRTree::NearestNeighbors(
   const std::vector<DimAffine>& actions =
       affines != nullptr ? *affines : identity;
   const size_t queue_reserve =
-      static_cast<size_t>(k) +
+      static_cast<size_t>(std::min<int64_t>(k, size_)) +
       static_cast<size_t>(height_ + 1) * static_cast<size_t>(cap_) + 64;
   // The driver shared with RTree (index/knn_best_first.h) owns the queue,
   // tie draining, and deterministic (distance, id) ordering; this tree

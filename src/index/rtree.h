@@ -32,6 +32,7 @@
 #ifndef SIMQ_INDEX_RTREE_H_
 #define SIMQ_INDEX_RTREE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <limits>
@@ -254,7 +255,7 @@ class RTree {
     const std::vector<DimAffine>& actions =
         affines != nullptr ? *affines : identity;
     const size_t queue_reserve =
-        static_cast<size_t>(k) +
+        static_cast<size_t>(std::min<int64_t>(k, size_)) +
         static_cast<size_t>(height() + 1) *
             static_cast<size_t>(options_.max_entries) +
         64;

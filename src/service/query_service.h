@@ -250,9 +250,10 @@ struct QueryPlan {
   bool prepared = false;
   bool explain = false;  // the query carried the EXPLAIN prefix
   bool analyze = false;  // EXPLAIN ANALYZE: executed and traced
-  /// A derived-artifact compile failed and the engine fell back (packed ->
-  /// pointer, filtered -> exact). Answers identical; `engine`/`filter`
-  /// report the path actually taken.
+  /// A derived-artifact compile failed and the engine fell back: a failed
+  /// packed-tree compile sends the shard's rows to the exact delta scan,
+  /// a failed code compile sends a filtered query to the exact kernels.
+  /// Answers identical; `engine`/`filter` report the path actually taken.
   bool degraded = false;
   /// Shards of the queried relation (the scatter-gather width); 0 when the
   /// relation does not exist.

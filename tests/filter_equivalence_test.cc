@@ -7,7 +7,7 @@
 // may only change HOW MANY exact checks run (stats), never the answer.
 //
 // Also covered: the bracketing invariant of the quantizer, the code
-// round-trip through the bit-packed rows, the lower/upper-bound sandwich
+// round-trip through the code columns, the column scan's lower bound
 // against brute-force distances, the stale-on-mutation rebuild contract,
 // and the planner bias of an explicit MODE FILTERED under VIA AUTO.
 
@@ -152,7 +152,7 @@ TEST(Quantizer, CellsBracketEveryEncodedValue) {
   }
 }
 
-TEST(QuantizedCodes, PackedRowsRoundTripEveryWidth) {
+TEST(QuantizedCodes, ColumnsRoundTripEveryWidth) {
   const std::vector<TimeSeries> series =
       workload::RandomWalkSeries(40, 33, 11);  // odd length: tail dims
   FeatureStore store;
@@ -166,15 +166,14 @@ TEST(QuantizedCodes, PackedRowsRoundTripEveryWidth) {
     for (int64_t i = 0; i < codes.size(); ++i) {
       const double* row = store.SpectrumRow(i);
       for (int d = 0; d < codes.dims(); ++d) {
-        EXPECT_EQ(QuantizedCodes::CodeAt(codes.CodeRow(i), d, bits),
-                  codes.quantizer().Encode(d, row[d]))
+        EXPECT_EQ(codes.Column(d)[i], codes.quantizer().Encode(d, row[d]))
             << "bits " << bits << " row " << i << " dim " << d;
       }
     }
   }
 }
 
-TEST(BoundKernels, LowerUpperSandwichBruteForceDistances) {
+TEST(BoundKernels, LowerBoundBelowBruteForceDistances) {
   const int length = 40;
   const std::vector<TimeSeries> series =
       workload::RandomWalkSeries(80, length, 19);
@@ -193,25 +192,31 @@ TEST(BoundKernels, LowerUpperSandwichBruteForceDistances) {
       for (int d = 0; d < 2 * n; ++d) {
         query[static_cast<size_t>(d)] = src[d] + (qi % 3 - 1) * 0.01 * d;
       }
-      const QueryLuts luts = BuildQueryLuts(
-          codes.quantizer(), query.data(), nullptr, n, /*with_upper=*/true);
-      WithFilterBits(bits, [&](auto tag) {
-        constexpr int kBits = decltype(tag)::value;
-        for (int64_t i = 0; i < codes.size(); ++i) {
-          const double exact_sq = RowDistanceSq(
-              store.SpectrumRow(i), query.data(), n,
-              std::numeric_limits<double>::infinity());
-          double ub_sq = 0.0;
-          const double lb_sq = LowerUpperBoundSq<kBits>(
-              codes.CodeRow(i), luts,
-              std::numeric_limits<double>::infinity(), &ub_sq);
-          // The sandwich must hold up to the documented FP slack.
-          EXPECT_LE(lb_sq, SafeThreshold(exact_sq, luts.slack))
-              << "bits " << bits << " row " << i;
-          EXPECT_LE(exact_sq, SafeThreshold(ub_sq, luts.slack))
-              << "bits " << bits << " row " << i;
-        }
-      });
+      const QueryLuts luts =
+          BuildQueryLuts(codes.quantizer(), query.data(), nullptr, n);
+      // An infinite threshold keeps every row, so the scan leaves each
+      // row's full lower bound in `bounds`.
+      std::vector<int32_t> active;
+      for (int64_t i = 0; i < codes.size(); ++i) {
+        active.push_back(static_cast<int32_t>(i));
+      }
+      std::vector<double> bounds;
+      ColumnLowerBoundScan(
+          codes, luts, 0, codes.size(),
+          [](std::vector<int32_t>*, const double*) {
+            return std::numeric_limits<double>::infinity();
+          },
+          &active, &bounds);
+      ASSERT_EQ(active.size(), static_cast<size_t>(codes.size()));
+      for (int64_t i = 0; i < codes.size(); ++i) {
+        const double exact_sq = RowDistanceSq(
+            store.SpectrumRow(i), query.data(), n,
+            std::numeric_limits<double>::infinity());
+        // The bound must hold up to the documented FP slack.
+        EXPECT_LE(bounds[static_cast<size_t>(i)],
+                  SafeThreshold(exact_sq, luts.slack))
+            << "bits " << bits << " row " << i;
+      }
     }
   }
 }
@@ -431,6 +436,30 @@ TEST(FilterEquivalence, CodesRebuildAfterMutationLikeTheSnapshot) {
   ASSERT_TRUE(probe.ok());
   ASSERT_FALSE(probe.value().matches.empty());
   EXPECT_EQ(probe.value().matches[0].name, "fresh");
+}
+
+TEST(FilterEquivalence, FoldsBuildCodesOnlyWhereAQueryCompiledThem) {
+  std::vector<TimeSeries> series = TieHeavyWorkload(8, 24, 89);
+  Database db = BuildDatabase(series, 2, 8);
+  const ShardedRelation& data = db.GetRelation("r")->sharded();
+  TimeSeries extra = series[0];
+  extra.id = "fresh";
+  extra.values[3] += 0.01;
+  ASSERT_TRUE(db.Insert("r", extra).ok());
+  // No filtered query has compiled codes, so the fold builds none: the
+  // caches stay empty but fresh.
+  ASSERT_TRUE(db.Recompact("r").ok());
+  for (int s = 0; s < data.num_shards(); ++s) {
+    EXPECT_EQ(data.shard(s).quantized_codes_if_fresh(8), nullptr) << s;
+  }
+  // The next filtered query compiles them lazily, over every row.
+  ExpectFilteredMatchesExact(db, "NEAREST 5 r TO #fresh VIA SCAN",
+                             "after a fold without codes");
+  for (int s = 0; s < data.num_shards(); ++s) {
+    const QuantizedCodes* codes = data.shard(s).quantized_codes_if_fresh(8);
+    ASSERT_NE(codes, nullptr) << s;
+    EXPECT_EQ(codes->size(), data.shard(s).size()) << s;
+  }
 }
 
 TEST(FilterEquivalence, RawModeAndNonSpectralRulesFallBackExactly) {

@@ -9,6 +9,10 @@
 //    are rejected with the usual message before any cast or allocation.
 //    The sanitize CI job builds this file with -fsanitize=float-cast-overflow,
 //    so a cast that comes back fails it.
+//  * The same integers at execution: NEAREST 2147483647 returns every row
+//    on every strategy with no k-sized allocation, and warp chains that
+//    stretch a series past INT_MAX values are rejected, not run at a
+//    wrapped length (the sanitize job's UBSan checks the arithmetic).
 //  * Robustness: random and mutated texts never crash, fail only with an
 //    "at offset N" message inside the text, and no single allocation made
 //    while parsing exceeds a bound linear in the text's length.
@@ -30,9 +34,12 @@
 
 #include <gtest/gtest.h>
 
+#include "core/database.h"
 #include "core/parser.h"
 #include "core/transformation.h"
 #include "service/fingerprint.h"
+#include "util/thread_pool.h"
+#include "workload/generators.h"
 
 // The largest single heap request made on this thread while
 // g_watch_allocations is set. Replacing the global operator new is the
@@ -292,6 +299,71 @@ TEST(ParserBoundsTest, RuleFactoryChecksBeforeCasting) {
   EXPECT_FALSE(PositiveIntegerArg(3.0, 2).has_value());
   EXPECT_EQ(PositiveIntegerArg(2147483647.0, INT_MAX), INT_MAX);
   EXPECT_FALSE(PositiveIntegerArg(2147483648.0, INT_MAX).has_value());
+}
+
+// --- the same integers at execution ---
+
+Database WalkDatabase(int rows, int length) {
+  Database db;
+  EXPECT_TRUE(db.CreateRelation("r").ok());
+  EXPECT_TRUE(
+      db.BulkLoad("r", workload::RandomWalkSeries(rows, length, 5)).ok());
+  return db;
+}
+
+TEST(ExecutorBoundsTest, LargestNearestCountReturnsEveryRowOnEveryStrategy) {
+  const Database db = WalkDatabase(20, 128);
+  // One thread, so every allocation of the query is on the watched one.
+  ThreadPool::ScopedParallelismBudget budget(1);
+  std::vector<QueryResult> answers;
+  for (const std::string via :
+       {"VIA SCAN", "VIA SCAN MODE FILTERED", "VIA INDEX"}) {
+    const std::string text = "NEAREST 2147483647 r TO #walk0 " + via;
+    g_largest_allocation = 0;
+    g_watch_allocations = true;
+    const Result<QueryResult> result = db.ExecuteText(text);
+    g_watch_allocations = false;
+    ASSERT_TRUE(result.ok()) << text << ": " << result.status().ToString();
+    EXPECT_EQ(result.value().matches.size(), 20u) << text;
+    // The largest legitimate blocks are the filter's 256 x 256 grid and
+    // LUT (about 512 KiB each); a k-sized reservation is 32 GiB or more.
+    EXPECT_LT(g_largest_allocation, size_t{1} << 20) << text;
+    answers.push_back(result.value());
+  }
+  for (size_t a = 1; a < answers.size(); ++a) {
+    ASSERT_EQ(answers[a].matches.size(), answers[0].matches.size());
+    for (size_t i = 0; i < answers[0].matches.size(); ++i) {
+      EXPECT_EQ(answers[a].matches[i].id, answers[0].matches[i].id);
+      EXPECT_EQ(answers[a].matches[i].name, answers[0].matches[i].name);
+      EXPECT_EQ(Bits(answers[a].matches[i].distance),
+                Bits(answers[0].matches[i].distance));
+    }
+  }
+}
+
+TEST(ExecutorBoundsTest, WarpChainsPastIntMaxAreRejected) {
+  const auto expect_rejected = [](const Database& db,
+                                  const std::string& rule) {
+    for (const std::string& text :
+         {"RANGE r WITHIN 1 OF #walk0" + rule,
+          "NEAREST 3 r TO #walk0" + rule, "PAIRS r WITHIN 1" + rule}) {
+      const Result<QueryResult> result = db.ExecuteText(text);
+      ASSERT_FALSE(result.ok()) << text;
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << text;
+      EXPECT_NE(result.status().message().find("2147483647 values"),
+                std::string::npos)
+          << text << ": " << result.status().message();
+    }
+  };
+  // 128 * 8283 * 4051 == 2^32 + 128, which wraps to 128 in 32 bits.
+  const Database narrow = WalkDatabase(20, 128);
+  expect_rejected(narrow, " USING warp(8283)|warp(4051)");
+  // 32768 * 65536 == 2^31, one past INT_MAX.
+  expect_rejected(WalkDatabase(2, 32768), " USING warp(65536)");
+  // A chain that fits still runs.
+  EXPECT_TRUE(
+      narrow.ExecuteText("RANGE r WITHIN 1 OF #walk0 USING warp(1)|warp(1)")
+          .ok());
 }
 
 // --- robustness ---
