@@ -35,6 +35,35 @@ bool StatsAdmit(double mean, double std_dev, const Pattern& pattern) {
   return true;
 }
 
+// Position of the first NaN or infinity in `values`, or -1. Stored and
+// query series must be finite: the spectra, the index geometry and the
+// quantizer grid built from them assume finite coordinates.
+int64_t FirstNonFinite(const std::vector<double>& values) {
+  const auto it = std::find_if(values.begin(), values.end(),
+                               [](double v) { return !std::isfinite(v); });
+  return it == values.end() ? -1 : it - values.begin();
+}
+
+Status CheckFiniteSeries(const std::string& name,
+                         const std::vector<double>& values) {
+  const int64_t at = FirstNonFinite(values);
+  if (at < 0) {
+    return Status::Ok();
+  }
+  return Status::InvalidArgument("series '" + name +
+                                 "' has a non-finite value at position " +
+                                 std::to_string(at));
+}
+
+// RANGE and PAIRS thresholds. A NaN passes `epsilon < 0`, and neither a
+// NaN nor an infinite threshold makes a search region or a bound.
+Status CheckEpsilon(double epsilon) {
+  if (!std::isfinite(epsilon) || epsilon < 0.0) {
+    return Status::InvalidArgument("epsilon must be finite and nonnegative");
+  }
+  return Status::Ok();
+}
+
 // Cooperative-stop poll for the parallel driver loops: workers check this
 // at block boundaries (scan units, shards, outer rows, candidate batches)
 // and bail out early; the driver's epilogue then re-checks the context and
@@ -598,6 +627,7 @@ Result<int64_t> Database::Insert(const std::string& relation,
   record.id = rel->size();
   record.name =
       series.id.empty() ? "s" + std::to_string(record.id) : series.id;
+  SIMQ_RETURN_IF_ERROR(CheckFiniteSeries(record.name, series.values));
   if (rel->by_name_.count(record.name) > 0) {
     return Status::AlreadyExists("series '" + record.name +
                                  "' already exists in relation");
@@ -649,6 +679,10 @@ Status Database::BulkLoad(const std::string& relation,
     Record record;
     record.id = rel->size();
     record.name = ts.id.empty() ? "s" + std::to_string(record.id) : ts.id;
+    const Status finite = CheckFiniteSeries(record.name, ts.values);
+    if (!finite.ok()) {
+      return fail(finite);
+    }
     if (rel->by_name_.count(record.name) > 0) {
       return fail(Status::AlreadyExists("series '" + record.name +
                                         "' already exists in relation"));
@@ -704,6 +738,12 @@ Result<std::vector<double>> Database::ResolveSeries(
   if (ref.literal.empty()) {
     return Status::InvalidArgument("query series is empty");
   }
+  const int64_t at = FirstNonFinite(ref.literal);
+  if (at >= 0) {
+    return Status::InvalidArgument(
+        "query series has a non-finite value at position " +
+        std::to_string(at));
+  }
   return ref.literal;
 }
 
@@ -711,6 +751,15 @@ Result<QueryResult> Database::Execute(const Query& query) const {
   const Relation* relation = GetRelation(query.relation);
   if (relation == nullptr) {
     return Status::NotFound("no relation named '" + query.relation + "'");
+  }
+  // An infinite MEAN/STD bound is legal (MEAN -1e999 1e999 admits every
+  // mean); a NaN one admits nothing and breaks the search region.
+  for (const std::optional<std::pair<double, double>>* range :
+       {&query.pattern.mean_range, &query.pattern.std_range}) {
+    if (range->has_value() &&
+        (std::isnan((*range)->first) || std::isnan((*range)->second))) {
+      return Status::InvalidArgument("MEAN and STD bounds must not be NaN");
+    }
   }
   switch (query.kind) {
     case QueryKind::kRange:
@@ -963,9 +1012,7 @@ Status Database::PrepareProbe(const Relation& relation, const Query& query,
 
 Result<QueryResult> Database::ExecuteRange(const Relation& relation,
                                            const Query& query) const {
-  if (query.epsilon < 0.0) {
-    return Status::InvalidArgument("epsilon must be nonnegative");
-  }
+  SIMQ_RETURN_IF_ERROR(CheckEpsilon(query.epsilon));
   QueryResult out;
   Probe probe;
   SIMQ_RETURN_IF_ERROR(PrepareProbe(relation, query, &probe, &out.stats));
@@ -1633,9 +1680,7 @@ Result<QueryResult> Database::SelfJoin(
   if (relation == nullptr) {
     return Status::NotFound("no relation named '" + relation_name + "'");
   }
-  if (epsilon < 0.0) {
-    return Status::InvalidArgument("epsilon must be nonnegative");
-  }
+  SIMQ_RETURN_IF_ERROR(CheckEpsilon(epsilon));
   QueryResult out;
   const int64_t count = relation->size();
   if (count == 0) {

@@ -1,5 +1,6 @@
 #include "core/transformation.h"
 
+#include <algorithm>
 #include <cmath>
 #include <iomanip>
 #include <limits>
@@ -440,7 +441,11 @@ std::optional<int> PositiveIntegerArg(double value, int limit) {
   return static_cast<int>(value);
 }
 
-Result<std::unique_ptr<TransformationRule>> MakeRuleByName(
+namespace {
+
+// MakeRuleByName before its finiteness check: the arity and each rule's
+// own argument rules.
+Result<std::unique_ptr<TransformationRule>> MakeRuleFromArgs(
     const std::string& name, const std::vector<double>& args) {
   auto arg_count_error = [&](const char* expected) {
     std::ostringstream out;
@@ -518,12 +523,31 @@ Result<std::unique_ptr<TransformationRule>> MakeRuleByName(
     if (args.empty() || args.size() > 2) {
       return arg_count_error("alpha [, cost]");
     }
-    if (args[0] <= 0.0 || args[0] > 1.0) {
+    if (!(args[0] > 0.0 && args[0] <= 1.0)) {
       return Status::InvalidArgument("ewma alpha must be in (0, 1]");
     }
     return MakeExponentialSmoothingRule(args[0], args.size() == 2 ? cost : 0.0);
   }
   return Status::InvalidArgument("unknown transformation rule: " + name);
+}
+
+}  // namespace
+
+Result<std::unique_ptr<TransformationRule>> MakeRuleByName(
+    const std::string& name, const std::vector<double>& args) {
+  Result<std::unique_ptr<TransformationRule>> rule =
+      MakeRuleFromArgs(name, args);
+  // Checked after the rule's own argument rules, whose messages are more
+  // specific. A non-finite amount, factor or cost would make a rule whose
+  // name does not re-parse (shift(1e999) is named shift(inf)) and whose
+  // output no index or filter bound can contain.
+  if (rule.ok() && std::any_of(args.begin(), args.end(), [](double arg) {
+        return !std::isfinite(arg);
+      })) {
+    return Status::InvalidArgument("rule '" + name +
+                                   "' arguments must be finite");
+  }
+  return rule;
 }
 
 }  // namespace simq

@@ -132,7 +132,8 @@ std::optional<int> PositiveIntegerArg(double value, int limit);
 // Factory used by the query-language parser: name plus numeric arguments.
 // Recognized: identity | mavg(w) | reverse | warp(m) | shift(c) | scale(c)
 // | despike(t), each with an optional trailing cost argument; w and m are
-// whole numbers in [1, kMaxRuleIntegerArg].
+// whole numbers in [1, kMaxRuleIntegerArg], and every argument must be
+// finite.
 Result<std::unique_ptr<TransformationRule>> MakeRuleByName(
     const std::string& name, const std::vector<double>& args);
 

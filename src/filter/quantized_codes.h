@@ -8,6 +8,14 @@
 ///
 ///   code of (row i, dim d) = Column(d)[i]
 ///
+/// The quantizer owns the grid rule and the encode; this class owns the
+/// layout. The compile is one pass over the store: Train gathers each
+/// block of 8 dimensions once, and hands every trained column to the
+/// codes, which encode it straight into Column(d) and sum it (in row
+/// order, so scan_order does not depend on the gather). About 0.1 s at
+/// 12000x128 and 8 bits, on the calling thread -- the first filtered
+/// query's, or a fold's -- with about 1 MB of transient scratch.
+///
 /// With the default 8-bit layout a 128-length series shrinks from 2048
 /// bytes of spectrum doubles to 256 bytes of codes. Every filtered path
 /// scans these columns one dimension at a time across a run of rows

@@ -13,8 +13,24 @@
 /// bound distance kernels (filter/bound_kernels.h) rely on:
 ///
 ///   bounds(d)[code] <= row[d] <= bounds(d)[code + 1]   (exactly, in
-///   the stored double values -- Encode assigns codes by binary search
-///   over the same doubles the exact kernels read).
+///   the stored double values -- Encode assigns codes by comparing the
+///   same doubles the exact kernels read).
+///
+/// The grid rule is Encode's and the edge ranks' below; the compile only
+/// computes them faster. Training reads the store 8 dimensions at a time
+/// (one 64-byte line of every row) into an 8 x size() scratch, never the
+/// full transpose. Per column, a monotone bucket map
+///
+///   b(v) = min(B - 1, floor((v - min) * B / (max - min))),  B = 4096
+///
+/// orders the values by bucket in one counting pass, so an edge -- the
+/// value at rank c * (n - 1) / cells -- is found by sorting only the
+/// bucket that holds its rank: the same value the full sort puts there.
+/// The encode uses the same map over the edges (edge 0 and edge `cells`
+/// are min and max, so it is rebuilt from the edges alone): every edge in
+/// a lower bucket than b(v) is < v and every edge in a higher one is > v,
+/// so a value's code costs a search of its own bucket's few edges. Both
+/// steps give exactly the sort-and-binary-search results.
 ///
 /// Quantizers are trained per relation shard from that shard's
 /// FeatureStore columns (core/sharded_relation.h owns the cache); they
@@ -25,6 +41,7 @@
 #define SIMQ_FILTER_QUANTIZER_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core/feature_store.h"
@@ -45,10 +62,21 @@ class ScalarQuantizer {
   static constexpr int kMinBits = 4;
   static constexpr int kMaxBits = 8;
 
+  /// Receives one trained dimension during Train: `column` holds the
+  /// store's size() values of dimension `d` in row order, and
+  /// `trained.bounds(d)` is already set (so are the bounds of every
+  /// lower dimension; higher ones are not yet).
+  using ColumnVisitor = std::function<void(const ScalarQuantizer& trained,
+                                           int d, const double* column)>;
+
   /// Trains per-dimension quantile boundaries over every spectrum row of
   /// `store`. `bits` is clamped to [kMinBits, kMaxBits]. An empty store
-  /// yields an empty quantizer (dims() == 0).
-  static ScalarQuantizer Train(const FeatureStore& store, int bits);
+  /// yields an empty quantizer (dims() == 0). When `visit` is set it sees
+  /// every dimension's column, in dimension order, right after that
+  /// dimension is trained, so a caller can encode the column from the
+  /// same gather.
+  static ScalarQuantizer Train(const FeatureStore& store, int bits,
+                               const ColumnVisitor& visit = nullptr);
 
   ScalarQuantizer() = default;
 
@@ -66,6 +94,11 @@ class ScalarQuantizer {
   /// <= value, clamped to [0, cells() - 1]. For any value in
   /// [bounds(d)[0], bounds(d)[cells()]] the returned cell brackets it.
   uint32_t Encode(int d, double value) const;
+
+  /// codes[i] = Encode(d, column[i]) for every finite column[i], i in
+  /// [0, n), computed with the bucket map of bounds(d).
+  void EncodeColumn(int d, const double* column, int64_t n,
+                    uint8_t* codes) const;
 
   /// Sum over all dimensions of the squared magnitude of the widest cell
   /// edge: an upper bound on the energy of any encoded row, used by the

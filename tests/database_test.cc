@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -184,6 +185,44 @@ TEST(DatabaseTest, FailedBulkLoadLeavesRelationEmptyAndReloadable) {
   ASSERT_TRUE(db.BulkLoad("r", good).ok());
   EXPECT_EQ(db.GetRelation("r")->size(), 4);
   EXPECT_EQ(db.GetRelation("r")->series_length(), 20);
+}
+
+TEST(DatabaseTest, NonFiniteValuesAreRejectedAtInsertAndBulkLoad) {
+  // A stored NaN or infinity used to reach the index geometry and abort
+  // the process at the first index kNN or join over it.
+  Database db = MakeLoadedDatabase(TestSeries(20, 16, 61));
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    TimeSeries series = TestSeries(1, 16, 62)[0];
+    series.id = "bad";
+    series.values[5] = bad;
+    const Result<int64_t> inserted = db.Insert("r", series);
+    ASSERT_FALSE(inserted.ok()) << bad;
+    EXPECT_EQ(inserted.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(inserted.status().message(),
+              "series 'bad' has a non-finite value at position 5");
+  }
+  EXPECT_EQ(db.GetRelation("r")->size(), 20);
+  EXPECT_FALSE(db.GetRelation("r")->FindByName("bad").ok());
+  for (const char* text :
+       {"NEAREST 10 r TO #walk0 VIA INDEX", "PAIRS r WITHIN 1"}) {
+    EXPECT_TRUE(db.ExecuteText(text).ok()) << text;
+  }
+
+  // All-or-nothing: one bad value anywhere in the batch loads nothing.
+  Database empty;
+  ASSERT_TRUE(empty.CreateRelation("r").ok());
+  std::vector<TimeSeries> batch = TestSeries(6, 16, 63);
+  batch[4].values[15] = std::numeric_limits<double>::quiet_NaN();
+  const Status loaded = empty.BulkLoad("r", batch);
+  EXPECT_EQ(loaded.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(loaded.message(), "series '" + batch[4].id +
+                                  "' has a non-finite value at position 15");
+  EXPECT_EQ(empty.GetRelation("r")->size(), 0);
+  batch[4].values[15] = 0.5;
+  ASSERT_TRUE(empty.BulkLoad("r", batch).ok());
+  EXPECT_EQ(empty.GetRelation("r")->size(), 6);
 }
 
 class RangeQueryEquivalenceTest

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <random>
 #include <string>
@@ -418,6 +419,42 @@ TEST(NetProtocolTest, HandshakeNegotiatesAndServesQueries) {
   net::ExecRequest request;
   request.text = text;
   Result<QueryResult> answer = client.ExecAll(request);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  ExpectSameAnswer(answer.value(), Oracle(&fixture.service, text));
+}
+
+TEST(NetProtocolTest, NonFiniteQueryNumbersAreTypedErrorsNotCrashes) {
+  // A NaN epsilon used to reach a check in the search region that aborts
+  // the process, ending the server for every client. It is now an
+  // InvalidArgument for that request alone, as is a NaN in a series
+  // bound in binary, and the same connection goes on serving.
+  TestServer fixture;
+  net::NetClient client;
+  ASSERT_TRUE(
+      client.Connect("127.0.0.1", fixture.port(), ClientOptions()).ok());
+  net::ExecRequest request;
+  request.text = "RANGE r WITHIN -nan OF #walk0";
+  const Result<QueryResult> rejected = client.ExecAll(request);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument)
+      << rejected.status().ToString();
+
+  const Result<uint64_t> prepared = client.Prepare("NEAREST 3 r TO #walk0");
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  net::ExecRequest bound;
+  bound.prepared = true;
+  bound.statement_id = prepared.value();
+  bound.has_series = true;
+  bound.series.assign(32, 1.0);
+  bound.series[9] = std::numeric_limits<double>::quiet_NaN();
+  const Result<QueryResult> bound_rejected = client.ExecAll(bound);
+  ASSERT_FALSE(bound_rejected.ok());
+  EXPECT_EQ(bound_rejected.status().code(), StatusCode::kInvalidArgument)
+      << bound_rejected.status().ToString();
+
+  const std::string text = "NEAREST 10 r TO #walk0";
+  request.text = text;
+  const Result<QueryResult> answer = client.ExecAll(request);
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
   ExpectSameAnswer(answer.value(), Oracle(&fixture.service, text));
 }

@@ -282,7 +282,11 @@ TEST(ParserBoundsTest, DespikeThresholdMustBeNonnegative) {
                        std::to_string(head.size()));
   }
   EXPECT_TRUE(ParseQuery(head + "despike(0)").ok());
-  EXPECT_TRUE(ParseQuery(head + "despike(+inf)").ok());
+  // +inf passes the despike rule's own check; every rule argument must
+  // also be finite.
+  ExpectRejected(head + "despike(+inf)",
+                 "rule 'despike' arguments must be finite at offset " +
+                     std::to_string(head.size()));
 }
 
 TEST(ParserBoundsTest, RuleFactoryChecksBeforeCasting) {
@@ -338,6 +342,49 @@ TEST(ExecutorBoundsTest, LargestNearestCountReturnsEveryRowOnEveryStrategy) {
       EXPECT_EQ(Bits(answers[a].matches[i].distance),
                 Bits(answers[0].matches[i].distance));
     }
+  }
+}
+
+// NaN and infinite query numbers: the parser accepts every strtod form,
+// so execution rejects the ones no search region, bound or rule can use.
+// Each of these aborted the process or answered wrongly (PAIRS WITHIN
+// 1e999 found no pairs, a NaN MEAN bound or scale factor no rows).
+TEST(ExecutorBoundsTest, NonFiniteQueryNumbersAreInvalidArguments) {
+  const Database db = WalkDatabase(200, 16);
+  const std::string series = "[1, 2, 3, 4, 5, 6, 7, 8, 9, 8, 7, 6, 5, 4, 3, ";
+  for (const std::string& text : std::vector<std::string>{
+           "RANGE r WITHIN -nan OF #walk0",
+           "RANGE r WITHIN 1e999 OF #walk0 VIA SCAN",
+           "PAIRS r WITHIN -nan",
+           "PAIRS r WITHIN 1e999",
+           "RANGE r WITHIN 1 OF #walk0 MEAN -nan 5",
+           "RANGE r WITHIN 1 OF #walk0 STD -nan 1",
+           "RANGE r WITHIN 1 OF #walk0 MEAN 0 -nan VIA SCAN",
+           "NEAREST 3 r TO #walk0 MEAN -nan 1",
+           "RANGE r WITHIN 3 OF " + series + "-nan]",
+           "RANGE r WITHIN 3 OF " + series + "1e999]",
+           "RANGE r WITHIN 3 OF " + series + "-1e999]",
+           "NEAREST 2 r TO " + series + "+inf] VIA SCAN MODE FILTERED",
+           "NEAREST 5 r TO #walk0 USING scale(-nan) VIA SCAN",
+           "NEAREST 5 r TO #walk0 USING shift(1e999) VIA SCAN",
+           "NEAREST 5 r TO #walk0 USING ewma(-nan) VIA SCAN",
+       }) {
+    const Result<QueryResult> result = db.ExecuteText(text);
+    ASSERT_FALSE(result.ok()) << text;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << text << ": " << result.status().ToString();
+  }
+  // Infinite MEAN/STD bounds stay legal: they admit every row.
+  const Result<QueryResult> any =
+      db.ExecuteText("RANGE r WITHIN 2 OF #walk0 MEAN -1e999 1e999 STD 0 +inf");
+  const Result<QueryResult> plain =
+      db.ExecuteText("RANGE r WITHIN 2 OF #walk0");
+  ASSERT_TRUE(any.ok()) << any.status().ToString();
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  ASSERT_EQ(any.value().matches.size(), plain.value().matches.size());
+  ASSERT_FALSE(plain.value().matches.empty());
+  for (size_t i = 0; i < plain.value().matches.size(); ++i) {
+    EXPECT_EQ(any.value().matches[i].id, plain.value().matches[i].id);
   }
 }
 

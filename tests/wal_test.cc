@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -189,6 +190,31 @@ TEST_F(WalTest, ValidCrcButUnappliableFrameIsCorruption) {
   Database db;
   WalReplayStats stats;
   EXPECT_EQ(ReplayWal(path, &db, &stats).code(), StatusCode::kCorruption);
+}
+
+TEST_F(WalTest, LoggedNonFiniteInsertStopsReplayAsCorruption) {
+  // Insert rejects a NaN series, so a log holding one does not match any
+  // database it could have come from: recovery stops with Corruption
+  // instead of loading a row the index geometry cannot hold.
+  const std::string path = TempPath("nan_insert.wal");
+  std::remove(path.c_str());
+  std::vector<TimeSeries> series = workload::RandomWalkSeries(3, 16, 9);
+  series[2].values[7] = std::numeric_limits<double>::quiet_NaN();
+  {
+    Result<WalWriter> writer = WalWriter::Open(path);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    WalWriter wal = std::move(writer).value();
+    ASSERT_TRUE(wal.AppendCreateRelation("r").ok());
+    ASSERT_TRUE(wal.AppendBulkLoad("r", {series[0], series[1]}).ok());
+    ASSERT_TRUE(wal.AppendInsert("r", series[2]).ok());
+  }
+  Database db;
+  WalReplayStats stats;
+  const Status replayed = ReplayWal(path, &db, &stats);
+  EXPECT_EQ(replayed.code(), StatusCode::kCorruption) << replayed.ToString();
+  EXPECT_NE(replayed.message().find("non-finite value at position 7"),
+            std::string::npos)
+      << replayed.message();
 }
 
 TEST_F(WalTest, RejectsForeignFile) {
