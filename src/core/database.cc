@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 
 #include "core/parser.h"
@@ -47,12 +48,21 @@ int64_t FirstNonFinite(const std::vector<double>& values) {
 Status CheckFiniteSeries(const std::string& name,
                          const std::vector<double>& values) {
   const int64_t at = FirstNonFinite(values);
-  if (at < 0) {
-    return Status::Ok();
+  if (at >= 0) {
+    return Status::InvalidArgument("series '" + name +
+                                   "' has a non-finite value at position " +
+                                   std::to_string(at));
   }
-  return Status::InvalidArgument("series '" + name +
-                                 "' has a non-finite value at position " +
-                                 std::to_string(at));
+  // Finite values near DBL_MAX can still overflow the mean or the
+  // standard deviation the normal form divides by (1.7e308 - i * 1e300
+  // over 16 values), leaving inf/NaN in the normal form, the spectrum and
+  // the index point. StdDev is non-finite whenever the mean is; with both
+  // finite, every normal-form value is at most sqrt(n) in magnitude.
+  if (!std::isfinite(StdDev(values))) {
+    return Status::InvalidArgument(
+        "series '" + name + "' has a non-finite mean or standard deviation");
+  }
+  return Status::Ok();
 }
 
 // RANGE and PAIRS thresholds. A NaN passes `epsilon < 0`, and neither a
@@ -245,9 +255,9 @@ class ExactChecker {
 };
 
 // One contiguous local-row range of one shard: the work unit of the
-// sharded scan drivers. Units are ordered (shard, row range); a
-// ParallelFor over the unit list with per-block buffers merged in block
-// order is deterministic for any thread count, exactly like the
+// sharded scan drivers. Units are ordered (shard, row range); RunBlocks
+// over the unit list, its tallies folded in block order, is
+// deterministic for any thread count, exactly like the
 // pre-sharding blocked scans.
 struct ScanUnit {
   int shard = 0;
@@ -319,43 +329,104 @@ std::optional<ShardFilterState> MakeShardFilterState(
   return state;
 }
 
-// Per-shard survivor counts of a blocked scan, for EXPLAIN's shard
-// actuals: each pool block adds into its own row of a (block, shard)
-// matrix, so blocks never share a counter or need atomics, and Fold adds
-// the shard columns into the shard stats afterwards. Holds nothing, and
-// Add does nothing, unless shard stats were requested.
-class BlockShardCounts {
- public:
-  BlockShardCounts(bool enabled, size_t blocks, int shards)
-      : shards_(static_cast<size_t>(shards)) {
-    if (enabled) {
-      counts_.assign(blocks * shards_, 0);
+// What one ParallelFor block of an executor loop found and did: its rows
+// (matches, pairs or (distance, id) entries) and its work counts, in an
+// ExecutionStats. Its shard_stats hold per-shard actuals only when the
+// query's stats do (explained or traced queries) and stay empty otherwise.
+// Each block writes only its own tally, so no counter is shared or atomic.
+template <typename Row>
+struct BlockTally {
+  std::vector<Row> rows;
+  ExecutionStats stats;
+
+  // Adds to `shard`'s actual candidates and exact checks, if kept.
+  void CountShard(int shard, int64_t candidates, int64_t checks) {
+    if (!stats.shard_stats.empty()) {
+      ExecutionStats::ShardStats& ss =
+          stats.shard_stats[static_cast<size_t>(shard)];
+      ss.candidates += candidates;
+      ss.exact_checks += checks;
     }
   }
-
-  void Add(int64_t block, int shard, int64_t count) {
-    if (!counts_.empty()) {
-      counts_[static_cast<size_t>(block) * shards_ +
-              static_cast<size_t>(shard)] += count;
-    }
-  }
-
-  // Adds each shard's total to its candidates and, with `checks`, to its
-  // exact_checks.
-  void Fold(bool checks, ExecutionStats* stats) const {
-    for (size_t i = 0; i < counts_.size(); ++i) {
-      ExecutionStats::ShardStats& ss = stats->shard_stats[i % shards_];
-      ss.candidates += counts_[i];
-      if (checks) {
-        ss.exact_checks += counts_[i];
-      }
-    }
-  }
-
- private:
-  size_t shards_;
-  std::vector<int64_t> counts_;
 };
+
+// The skeleton of every executor loop: runs body(tally, lo, hi) over the
+// blocks of [0, count) on the pool, each block into its own tally
+// (ThreadPool::max_blocks() of them), then folds the tallies into
+// `stats` -- work counts, and per-shard actuals where `stats` keeps them
+// -- and returns their rows joined in block order. Blocks partition the
+// range in order, so rows join in range order and a count summed over the
+// range is the same for any partition (not the filtered kNN's checks:
+// each of its blocks seeds its own radius).
+template <typename Row, typename Body>
+std::vector<Row> RunBlocks(int64_t count, int64_t grain, ExecutionStats* stats,
+                           const Body& body) {
+  ThreadPool& pool = ThreadPool::Global();
+  std::vector<BlockTally<Row>> tallies(static_cast<size_t>(pool.max_blocks()));
+  for (BlockTally<Row>& tally : tallies) {
+    tally.stats.shard_stats.resize(stats->shard_stats.size());
+  }
+  pool.ParallelFor(0, count, grain,
+                   [&](int64_t block, int64_t lo, int64_t hi) {
+                     body(tallies[static_cast<size_t>(block)], lo, hi);
+                   });
+  std::vector<Row> rows;
+  for (BlockTally<Row>& tally : tallies) {
+    const ExecutionStats& t = tally.stats;
+    stats->node_accesses += t.node_accesses;
+    stats->candidates += t.candidates;
+    stats->exact_checks += t.exact_checks;
+    stats->filter_scanned += t.filter_scanned;
+    for (size_t s = 0; s < t.shard_stats.size(); ++s) {
+      stats->shard_stats[s].candidates += t.shard_stats[s].candidates;
+      stats->shard_stats[s].exact_checks += t.shard_stats[s].exact_checks;
+    }
+    rows.insert(rows.end(), std::make_move_iterator(tally.rows.begin()),
+                std::make_move_iterator(tally.rows.end()));
+  }
+  return rows;
+}
+
+using Entry = std::pair<double, int64_t>;  // (distance, id)
+
+// The one k-best step of every kNN strategy. `best` is a max-heap of the k
+// smallest (distance, id) entries offered so far; offers `entry` and
+// returns the k-th smallest distance, or +infinity while fewer than k are
+// held -- the filtered scan's radius and the index path's cross-shard
+// pruning bound. The scans' blocks keep their k best with it, and the
+// merge of blocks and of index shards runs every entry through it again.
+// Like std::sort, it needs a strict weak order: no distance is NaN, since
+// stored and query series are checked finite.
+double KeepBest(size_t k, const Entry& entry, std::vector<Entry>* best) {
+  if (best->size() < k) {
+    best->push_back(entry);
+    std::push_heap(best->begin(), best->end());
+  } else if (entry < best->front()) {
+    std::pop_heap(best->begin(), best->end());
+    best->back() = entry;
+    std::push_heap(best->begin(), best->end());
+  }
+  return best->size() < k ? kInf : best->front().first;
+}
+
+// The k-best merge of every kNN strategy: runs `entries` (the scan
+// blocks' k best, joined, or the index shards' merged k best) through
+// KeepBest and returns the k best as named matches, ascending by
+// (distance, id).
+std::vector<Match> MergeBest(const Relation& relation, size_t k,
+                             const std::vector<Entry>& entries) {
+  std::vector<Entry> best;
+  for (const Entry& entry : entries) {
+    KeepBest(k, entry, &best);
+  }
+  std::sort_heap(best.begin(), best.end());
+  std::vector<Match> matches;
+  matches.reserve(best.size());
+  for (const auto& [distance, id] : best) {
+    matches.push_back(Match{id, relation.record(id).name, distance});
+  }
+  return matches;
+}
 
 // Appends to `out` the offsets from `unit_lo` of the rows of [lo, hi)
 // that are alive and admitted by the pattern: the rows a filtered scan
@@ -879,7 +950,6 @@ struct Database::Probe {
   // Per-shard codes and LUTs of the quantized scan; empty when the scan is
   // unfiltered or a code compile failed.
   std::optional<ShardFilterState> filter;
-  bool want_shard_stats = false;  // explained or traced
 
   const std::vector<DimAffine>* affines_or_null() const {
     return affines.has_value() ? &*affines : nullptr;
@@ -922,13 +992,29 @@ Status Database::PrepareProbe(const Relation& relation, const Query& query,
         "query series length does not match the transformed data length");
   }
 
-  // Query-side representation.
-  if (query.mode == DistanceMode::kNormalForm && !query.query_prenormalized) {
-    probe->query_values = ToNormalForm(raw_query).values;
+  // Query-side representation. A query series normalized here must have
+  // a finite mean and deviation, as a stored one must (CheckFiniteSeries);
+  // a PRENORMALIZED one is used as given, so its spectrum is checked.
+  const bool normal_form = query.mode == DistanceMode::kNormalForm;
+  if (normal_form && !query.query_prenormalized) {
+    NormalFormResult normal = ToNormalForm(raw_query);
+    if (!std::isfinite(normal.std_dev)) {
+      return Status::InvalidArgument(
+          "query series has a non-finite mean or standard deviation");
+    }
+    probe->query_values = std::move(normal.values);
   } else {
     probe->query_values = raw_query;
   }
   probe->query_spectrum = Dft(probe->query_values);
+  if (normal_form && query.query_prenormalized &&
+      std::any_of(probe->query_spectrum.begin(), probe->query_spectrum.end(),
+                  [](const Complex& c) {
+                    return !std::isfinite(c.real()) || !std::isfinite(c.imag());
+                  })) {
+    return Status::InvalidArgument(
+        "PRENORMALIZED query series has a non-finite spectrum");
+  }
 
   const bool spectral = rule == nullptr || rule->IsSpectral(n);
   std::optional<LinearTransform> index_transform;
@@ -1001,8 +1087,7 @@ Status Database::PrepareProbe(const Relation& relation, const Query& query,
   // Per-shard estimates (after the code compile above, so the quantizer
   // grid is visible to the estimator on the filtered path) and actuals
   // are produced only for explained or traced queries.
-  probe->want_shard_stats = query.explain || QueryTrace(query) != nullptr;
-  if (probe->want_shard_stats) {
+  if (query.explain || QueryTrace(query) != nullptr) {
     FillShardEstimates(data, filter_options_.bits_per_dim, checker, n,
                        nearest ? 0.0 : query.epsilon, nearest ? query.k : 0,
                        stats);
@@ -1045,7 +1130,6 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
   obs::Trace* const trace = QueryTrace(query);
   const int trace_parent = trace != nullptr ? trace->engine_parent() : 0;
   const int n = relation.series_length();
-  const bool want_shard_stats = probe.want_shard_stats;
   if (probe.strategy == ExecutionStrategy::kIndex) {
     SearchRegion region =
         SearchRegion::MakeRange(probe.query_coeffs, query.epsilon, config_);
@@ -1062,20 +1146,14 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
     const std::vector<DimAffine>* affines_ptr = probe.affines_or_null();
     // Scatter: every shard's tree is searched (in parallel across shards;
     // the admission scheduler's per-query parallelism budget caps this
-    // fan-out like any other ParallelFor). Gather: per-shard match
-    // buffers are concatenated in shard order and canonically sorted
-    // below, so the answer is independent of shard count and scheduling.
-    const int num_shards = data.num_shards();
-    std::vector<std::vector<Match>> shard_matches(
-        static_cast<size_t>(num_shards));
-    std::vector<int64_t> shard_candidates(static_cast<size_t>(num_shards), 0);
-    std::vector<int64_t> shard_checks(static_cast<size_t>(num_shards), 0);
-    std::vector<int64_t> shard_nodes(static_cast<size_t>(num_shards), 0);
+    // fan-out like any other ParallelFor). Gather: the blocks' matches are
+    // joined in shard order and canonically sorted below, so the answer is
+    // independent of shard count and scheduling.
     const std::vector<PackedSnapshotCache::View> views =
         ResolveSnapshots(data, &out.stats.degraded);
-    ThreadPool::Global().ParallelFor(
-        0, num_shards, /*min_grain=*/1,
-        [&](int64_t /*block*/, int64_t lo, int64_t hi) {
+    out.matches = RunBlocks<Match>(
+        data.num_shards(), /*grain=*/1, &out.stats,
+        [&](BlockTally<Match>& tally, int64_t lo, int64_t hi) {
           for (int64_t s = lo; s < hi; ++s) {
             if (ShouldStop(exec)) {
               break;
@@ -1085,10 +1163,10 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
                 views[static_cast<size_t>(s)];
             std::vector<int64_t> candidates;
             if (view.tree != nullptr) {
-              shard_nodes[static_cast<size_t>(s)] =
+              tally.stats.node_accesses +=
                   view.tree->Search(region, affines_ptr, &candidates);
             }
-            shard_candidates[static_cast<size_t>(s)] =
+            const int64_t tree_candidates =
                 static_cast<int64_t>(candidates.size());
             // Delta rows: rows past the snapshot's coverage (appended after
             // its compile, or every row when the compile failed) are not in
@@ -1097,7 +1175,7 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
             for (int64_t r = view.covered; r < shard.size(); ++r) {
               candidates.push_back(shard.global_id(r));
             }
-            std::vector<Match>& local = shard_matches[static_cast<size_t>(s)];
+            const size_t rows_before = tally.rows.size();
             int64_t checks = 0;
             bool stopped = false;
             for (size_t c = 0; c < candidates.size(); ++c) {
@@ -1114,18 +1192,21 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
               ++checks;
               const double distance = checker.Distance(id, query.epsilon);
               if (distance <= query.epsilon) {
-                local.push_back(Match{id, relation.record(id).name, distance});
+                tally.rows.push_back(
+                    Match{id, relation.record(id).name, distance});
               }
             }
-            shard_checks[static_cast<size_t>(s)] = checks;
+            tally.stats.candidates += tree_candidates;
+            tally.stats.exact_checks += checks;
+            tally.CountShard(static_cast<int>(s), tree_candidates, checks);
             if (trace != nullptr) {
               const int span =
                   trace->AddCompleted("index shard", trace_parent, span_start,
                                       trace->NowMs() - span_start);
               trace->SetShard(span, static_cast<int>(s));
-              trace->SetRows(span, shard_candidates[static_cast<size_t>(s)],
-                             shard_candidates[static_cast<size_t>(s)] - checks,
-                             static_cast<int64_t>(local.size()));
+              trace->SetRows(
+                  span, tree_candidates, tree_candidates - checks,
+                  static_cast<int64_t>(tally.rows.size() - rows_before));
             }
             if (stopped) {
               break;
@@ -1133,20 +1214,6 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
           }
         });
     out.stats.used_index = true;
-    for (int s = 0; s < num_shards; ++s) {
-      out.stats.node_accesses += shard_nodes[static_cast<size_t>(s)];
-      out.stats.candidates += shard_candidates[static_cast<size_t>(s)];
-      out.stats.exact_checks += shard_checks[static_cast<size_t>(s)];
-      out.matches.insert(out.matches.end(),
-                         shard_matches[static_cast<size_t>(s)].begin(),
-                         shard_matches[static_cast<size_t>(s)].end());
-      if (want_shard_stats) {
-        ExecutionStats::ShardStats& ss =
-            out.stats.shard_stats[static_cast<size_t>(s)];
-        ss.candidates = shard_candidates[static_cast<size_t>(s)];
-        ss.exact_checks = shard_checks[static_cast<size_t>(s)];
-      }
-    }
   } else if (probe.filter.has_value()) {
     // Two-phase quantized filter-and-refine scan (DESIGN.md "Quantized
     // filter"): phase 1 bound-scans the per-shard code columns and
@@ -1158,25 +1225,14 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
     // bit-identical by construction.
     const ShardFilterState& filter = *probe.filter;
     const double eps_sq = query.epsilon * query.epsilon;
-    ThreadPool& pool = ThreadPool::Global();
     const std::vector<ScanUnit> units = MakeScanUnits(data, RecordGrain(n));
-    const size_t max_blocks = static_cast<size_t>(pool.max_blocks());
-    std::vector<std::vector<Match>> block_matches(max_blocks);
-    std::vector<int64_t> block_checks(max_blocks, 0);
-    std::vector<int64_t> block_scanned(max_blocks, 0);
     // Phase 1 and 2 are fused per scan unit on this path, so one span
     // covers both; scanned/pruned/returned separate the phases in the
     // rendered tree.
     obs::ScopedSpan filter_span(trace, "filter+refine", trace_parent);
-    BlockShardCounts per_shard(want_shard_stats, max_blocks,
-                               data.num_shards());
-    pool.ParallelFor(
-        0, static_cast<int64_t>(units.size()), /*min_grain=*/1,
-        [&](int64_t block, int64_t unit_lo, int64_t unit_hi) {
-          std::vector<Match>& local =
-              block_matches[static_cast<size_t>(block)];
-          int64_t checks = 0;
-          int64_t scanned = 0;
+    out.matches = RunBlocks<Match>(
+        static_cast<int64_t>(units.size()), /*grain=*/1, &out.stats,
+        [&](BlockTally<Match>& tally, int64_t unit_lo, int64_t unit_hi) {
           std::vector<int32_t> active;
           std::vector<double> scratch;
           for (int64_t u = unit_lo; u < unit_hi; ++u) {
@@ -1199,7 +1255,7 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
             active.clear();
             AppendAdmitted(shard, query.pattern, unit.lo, unit.lo, screen_hi,
                            &active);
-            scanned += static_cast<int64_t>(active.size());
+            tally.stats.filter_scanned += static_cast<int64_t>(active.size());
             ColumnLowerBoundScan(
                 codes, luts, unit.lo, screen_hi,
                 [abandon_sq](std::vector<int32_t>*, const double*) {
@@ -1216,25 +1272,16 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
               const int64_t id = shard.global_id(unit.lo + offset);
               const double distance = checker.Distance(id, query.epsilon);
               if (distance <= query.epsilon) {
-                local.push_back(
+                tally.rows.push_back(
                     Match{id, relation.record(id).name, distance});
               }
             }
-            checks += unit_checks;
-            per_shard.Add(block, unit.shard, unit_checks);
+            tally.stats.exact_checks += unit_checks;
+            tally.CountShard(unit.shard, unit_checks, unit_checks);
           }
-          block_checks[static_cast<size_t>(block)] = checks;
-          block_scanned[static_cast<size_t>(block)] = scanned;
         });
     out.stats.used_filter = true;
-    for (size_t block = 0; block < max_blocks; ++block) {
-      out.stats.exact_checks += block_checks[block];
-      out.stats.candidates += block_checks[block];
-      out.stats.filter_scanned += block_scanned[block];
-      out.matches.insert(out.matches.end(), block_matches[block].begin(),
-                         block_matches[block].end());
-    }
-    per_shard.Fold(/*checks=*/true, &out.stats);
+    out.stats.candidates = out.stats.exact_checks;
     filter_span.Rows(out.stats.filter_scanned,
                      out.stats.filter_scanned - out.stats.candidates,
                      static_cast<int64_t>(out.matches.size()));
@@ -1244,7 +1291,7 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
     const double threshold = abandon ? query.epsilon : kInf;
     // Sharded blocked scan: the unit list enumerates contiguous local-row
     // ranges shard by shard, and the fan-out parallelizes over units --
-    // across shards and within them -- with per-block buffers merged in
+    // across shards and within them -- with per-block tallies folded in
     // block order, so results stay deterministic for any thread count and
     // shard count. Columnar early-abandoning scans first screen against
     // the shard's packed prefix column (32 sequential bytes per record)
@@ -1262,20 +1309,11 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
       q3 = query_ri[3];
       mult_ri_ptr = checker.mult_ri();
     }
-    ThreadPool& pool = ThreadPool::Global();
     const std::vector<ScanUnit> units = MakeScanUnits(data, RecordGrain(n));
-    const size_t max_blocks = static_cast<size_t>(pool.max_blocks());
-    std::vector<std::vector<Match>> block_matches(max_blocks);
-    std::vector<int64_t> block_checks(max_blocks, 0);
     obs::ScopedSpan scan_span(trace, "scan", trace_parent);
-    BlockShardCounts per_shard(want_shard_stats, max_blocks,
-                               data.num_shards());
-    pool.ParallelFor(
-        0, static_cast<int64_t>(units.size()), /*min_grain=*/1,
-        [&](int64_t block, int64_t unit_lo, int64_t unit_hi) {
-          std::vector<Match>& local =
-              block_matches[static_cast<size_t>(block)];
-          int64_t checks = 0;
+    out.matches = RunBlocks<Match>(
+        static_cast<int64_t>(units.size()), /*grain=*/1, &out.stats,
+        [&](BlockTally<Match>& tally, int64_t unit_lo, int64_t unit_hi) {
           for (int64_t u = unit_lo; u < unit_hi; ++u) {
             if (ShouldStop(exec)) {
               break;
@@ -1283,7 +1321,7 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
             const ScanUnit& unit = units[static_cast<size_t>(u)];
             const RelationShard& shard = data.shard(unit.shard);
             const FeatureStore& store = shard.store();
-            const int64_t unit_checks_before = checks;
+            int64_t checks = 0;
             for (int64_t i = unit.lo; i < unit.hi; ++i) {
               if (!shard.alive(i) ||
                   !StatsAdmit(store.mean(i), store.std_dev(i),
@@ -1305,20 +1343,14 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
               const int64_t id = shard.global_id(i);
               const double distance = checker.Distance(id, threshold);
               if (distance <= query.epsilon) {
-                local.push_back(
+                tally.rows.push_back(
                     Match{id, relation.record(id).name, distance});
               }
             }
-            per_shard.Add(block, unit.shard, checks - unit_checks_before);
+            tally.stats.exact_checks += checks;
+            tally.CountShard(unit.shard, checks, checks);
           }
-          block_checks[static_cast<size_t>(block)] = checks;
         });
-    for (size_t block = 0; block < max_blocks; ++block) {
-      out.stats.exact_checks += block_checks[block];
-      out.matches.insert(out.matches.end(), block_matches[block].begin(),
-                         block_matches[block].end());
-    }
-    per_shard.Fold(/*checks=*/true, &out.stats);
     scan_span.Rows(out.stats.exact_checks, 0,
                    static_cast<int64_t>(out.matches.size()));
   }
@@ -1351,14 +1383,17 @@ Result<QueryResult> Database::ExecuteNearest(const Relation& relation,
   obs::Trace* const trace = QueryTrace(query);
   const int trace_parent = trace != nullptr ? trace->engine_parent() : 0;
   const int n = relation.series_length();
-  const bool want_shard_stats = probe.want_shard_stats;
+  const size_t k = static_cast<size_t>(query.k);
+  // (distance, id) entries for the one k-best merge below: the index
+  // path's k best over every shard, or the scan blocks' k best, joined.
+  std::vector<Entry> entries;
   if (probe.strategy == ExecutionStrategy::kIndex) {
     const NnLowerBound bound(probe.query_coeffs, config_);
     const std::vector<DimAffine>* affines_ptr = probe.affines_or_null();
     const auto exact = [&](int64_t id) {
       if (!data.alive(id) ||
           !StatsAdmit(data.mean(id), data.std_dev(id), query.pattern)) {
-        return kInf;  // excluded entries sort to the end and are dropped
+        return kInf;  // excluded: never offered to the k best
       }
       ++out.stats.exact_checks;
       return checker.Distance(id, kInf);
@@ -1367,22 +1402,14 @@ Result<QueryResult> Database::ExecuteNearest(const Relation& relation,
     // sequentially, and every shard after the first receives the merged
     // k-th distance so far as its pruning bound (answer-preserving: ties
     // at the bound are drained; see index/knn_best_first.h and DESIGN.md
-    // "Sharded execution" for the argument). After each shard the merged
-    // list is re-sorted by (distance, id) and cut to k -- any record a
-    // cut drops is beaten by k results under the final tie-break order
-    // and can never re-enter.
-    std::vector<std::pair<int64_t, double>> merged;
-    int64_t node_accesses = 0;
-    const int num_shards = data.num_shards();
+    // "Sharded execution" for the argument). Each shard's results and
+    // delta rows go through KeepBest -- any record it drops is beaten by
+    // k results under the final tie-break order and can never re-enter.
+    double kth = kInf;
     const std::vector<PackedSnapshotCache::View> views =
         ResolveSnapshots(data, &out.stats.degraded);
-    for (int s = 0; s < num_shards; ++s) {
+    for (int s = 0; s < data.num_shards(); ++s) {
       SIMQ_RETURN_IF_ERROR(CheckExecution(query.exec));
-      double prune_bound = kInf;
-      if (cross_shard_knn_pruning_ &&
-          static_cast<int>(merged.size()) >= query.k) {
-        prune_bound = merged[static_cast<size_t>(query.k - 1)].second;
-      }
       const double span_start = trace != nullptr ? trace->NowMs() : 0.0;
       const int64_t checks_before = out.stats.exact_checks;
       const PackedSnapshotCache::View& view = views[static_cast<size_t>(s)];
@@ -1390,22 +1417,25 @@ Result<QueryResult> Database::ExecuteNearest(const Relation& relation,
       if (view.tree != nullptr) {
         int64_t visited = 0;
         const auto shard_results = view.tree->NearestNeighbors(
-            bound, affines_ptr, query.k, exact, prune_bound, &visited);
-        node_accesses += visited;
+            bound, affines_ptr, query.k, exact,
+            cross_shard_knn_pruning_ ? kth : kInf, &visited);
+        out.stats.node_accesses += visited;
         shard_returned = static_cast<int64_t>(shard_results.size());
-        merged.insert(merged.end(), shard_results.begin(),
-                      shard_results.end());
+        for (const auto& [id, distance] : shard_results) {
+          if (distance != kInf) {
+            kth = KeepBest(k, Entry(distance, id), &entries);
+          }
+        }
       }
       // Delta scan: rows past the snapshot's coverage (appended after its
       // compile, or every row when the compile failed) are invisible to
-      // the tree -- exact-check each and let the canonical (distance, id)
-      // re-sort + cut below rank them.
+      // the tree -- exact-check each and offer it to the k best.
       const RelationShard& shard = data.shard(s);
       for (int64_t r = view.covered; r < shard.size(); ++r) {
         const int64_t id = shard.global_id(r);
         const double distance = exact(id);
         if (distance != kInf) {
-          merged.emplace_back(id, distance);
+          kth = KeepBest(k, Entry(distance, id), &entries);
         }
       }
       if (trace != nullptr) {
@@ -1416,40 +1446,22 @@ Result<QueryResult> Database::ExecuteNearest(const Relation& relation,
         trace->SetRows(span, out.stats.exact_checks - checks_before, 0,
                        shard_returned);
       }
-      if (want_shard_stats) {
+      if (!out.stats.shard_stats.empty()) {
         ExecutionStats::ShardStats& ss =
             out.stats.shard_stats[static_cast<size_t>(s)];
         ss.candidates = shard_returned;
         ss.exact_checks = out.stats.exact_checks - checks_before;
       }
-      std::sort(merged.begin(), merged.end(),
-                [](const std::pair<int64_t, double>& a,
-                   const std::pair<int64_t, double>& b) {
-                  if (a.second != b.second) {
-                    return a.second < b.second;
-                  }
-                  return a.first < b.first;
-                });
-      if (static_cast<int>(merged.size()) > query.k) {
-        merged.resize(static_cast<size_t>(query.k));
-      }
     }
     out.stats.used_index = true;
-    out.stats.node_accesses = node_accesses;
-    for (const auto& [id, distance] : merged) {
-      if (distance == kInf) {
-        continue;
-      }
-      out.matches.push_back(Match{id, relation.record(id).name, distance});
-    }
   } else if (probe.filter.has_value()) {
     // The range path's filter-and-refine scan at a radius that shrinks
     // (DESIGN.md "Quantized filter"). Each block keeps its own k best
-    // (distance, id) entries; its radius is the k-th best distance so
-    // far, made safe with the largest shard slack (a block can span
-    // shards), and +infinity until it holds k entries. It carries from
-    // one unit of the block to the next. Per unit: the codes' delta rows
-    // are exact-checked first; the column scan compacts against the
+    // (distance, id) entries through KeepBest; its radius is the k-th best
+    // distance so far, made safe with the largest shard slack (a block can
+    // span shards), and +infinity until it holds k entries. It carries
+    // from one unit of the block to the next. Per unit: the codes' delta
+    // rows are exact-checked first; the column scan compacts against the
     // radius after every group of dimensions, and in the block's first
     // unit it also exact-checks, after groups 1, 2, 4, 8, ..., the k
     // unchecked rows with the smallest partial bounds within the radius
@@ -1462,44 +1474,20 @@ Result<QueryResult> Database::ExecuteNearest(const Relation& relation,
     // keeps the k smallest (distance, id) entries -- so the answer, ties
     // included, is bit-identical.
     const ShardFilterState& filter = *probe.filter;
-    const size_t k = static_cast<size_t>(query.k);
-    using Entry = std::pair<double, int64_t>;  // (distance, id)
-    ThreadPool& pool = ThreadPool::Global();
     const std::vector<ScanUnit> units = MakeScanUnits(data, RecordGrain(n));
-    const size_t max_blocks = static_cast<size_t>(pool.max_blocks());
-    std::vector<std::vector<Entry>> block_best(max_blocks);
-    std::vector<int64_t> block_checks(max_blocks, 0);
-    std::vector<int64_t> block_scanned(max_blocks, 0);
     obs::ScopedSpan filter_span(trace, "filter+refine", trace_parent);
-    BlockShardCounts per_shard(want_shard_stats, max_blocks,
-                               data.num_shards());
-    pool.ParallelFor(
-        0, static_cast<int64_t>(units.size()), /*min_grain=*/1,
-        [&](int64_t block, int64_t unit_lo, int64_t unit_hi) {
-          // Sorted by (distance, id); never longer than k.
-          std::vector<Entry>& best = block_best[static_cast<size_t>(block)];
-          best.reserve(std::min(k, static_cast<size_t>(relation.size())));
+    entries = RunBlocks<Entry>(
+        static_cast<int64_t>(units.size()), /*grain=*/1, &out.stats,
+        [&](BlockTally<Entry>& tally, int64_t unit_lo, int64_t unit_hi) {
           double radius_sq = kInf;
-          int64_t checks = 0;
-          int64_t scanned = 0;
           std::vector<int32_t> active;
           std::vector<double> scratch;
           std::vector<int32_t> seed;
           const auto refine = [&](int64_t id) {
-            ++checks;
-            const Entry entry(checker.Distance(id, kInf), id);
-            if (best.size() >= k) {
-              if (!(entry < best.back())) {
-                return;
-              }
-              best.pop_back();
-            }
-            best.insert(std::upper_bound(best.begin(), best.end(), entry),
-                        entry);
-            if (best.size() >= k) {
-              const double kth = best.back().first;
-              radius_sq = SafeThreshold(kth * kth, filter.max_slack);
-            }
+            ++tally.stats.exact_checks;
+            const double kth = KeepBest(
+                k, Entry(checker.Distance(id, kInf), id), &tally.rows);
+            radius_sq = SafeThreshold(kth * kth, filter.max_slack);
           };
           for (int64_t u = unit_lo; u < unit_hi; ++u) {
             if (ShouldStop(exec)) {
@@ -1509,7 +1497,7 @@ Result<QueryResult> Database::ExecuteNearest(const Relation& relation,
             const RelationShard& shard = data.shard(unit.shard);
             const QuantizedCodes& codes =
                 *filter.codes[static_cast<size_t>(unit.shard)];
-            const int64_t checks_before = checks;
+            const int64_t checks_before = tally.stats.exact_checks;
             const int64_t screen_hi = std::min(unit.hi, codes.size());
             const auto refine_offset = [&](int32_t offset) {
               refine(shard.global_id(unit.lo + offset));
@@ -1523,7 +1511,7 @@ Result<QueryResult> Database::ExecuteNearest(const Relation& relation,
             active.clear();
             AppendAdmitted(shard, query.pattern, unit.lo, unit.lo, screen_hi,
                            &active);
-            scanned += static_cast<int64_t>(active.size());
+            tally.stats.filter_scanned += static_cast<int64_t>(active.size());
             // Exact-checks the k rows with the smallest partial bounds
             // within the radius, and drops them from the scan.
             const auto reseed = [&](std::vector<int32_t>* rows,
@@ -1569,47 +1557,25 @@ Result<QueryResult> Database::ExecuteNearest(const Relation& relation,
               }
               refine_offset(r);
             }
-            per_shard.Add(block, unit.shard, checks - checks_before);
+            const int64_t checks = tally.stats.exact_checks - checks_before;
+            tally.CountShard(unit.shard, checks, checks);
           }
-          block_checks[static_cast<size_t>(block)] = checks;
-          block_scanned[static_cast<size_t>(block)] = scanned;
         });
-    std::vector<Entry> merged;
-    for (size_t block = 0; block < max_blocks; ++block) {
-      out.stats.exact_checks += block_checks[block];
-      out.stats.filter_scanned += block_scanned[block];
-      merged.insert(merged.end(), block_best[block].begin(),
-                    block_best[block].end());
-    }
-    std::sort(merged.begin(), merged.end());
-    merged.resize(std::min(k, merged.size()));
-    for (const auto& [distance, id] : merged) {
-      out.matches.push_back(Match{id, relation.record(id).name, distance});
-    }
     out.stats.used_filter = true;
     out.stats.candidates = out.stats.exact_checks;
-    per_shard.Fold(/*checks=*/true, &out.stats);
     filter_span.Rows(out.stats.filter_scanned,
                      out.stats.filter_scanned - out.stats.candidates,
-                     static_cast<int64_t>(out.matches.size()));
+                     std::min<int64_t>(query.k,
+                                       static_cast<int64_t>(entries.size())));
   } else {
-    const int64_t count = relation.size();
-    // Batched scan: all exact distances are needed (no abandoning), so the
-    // global distance column is filled in parallel -- across shards and
-    // within them, via the shard-local unit list -- and ranked afterwards
-    // in global id order, exactly like the unsharded engine.
-    std::vector<double> distances(static_cast<size_t>(count), -1.0);
-    ThreadPool& pool = ThreadPool::Global();
+    // Exact scan: every admitted row's distance is needed (no abandoning),
+    // over the shard-local unit list, across shards and within them; each
+    // block keeps its k best through KeepBest.
     const std::vector<ScanUnit> units = MakeScanUnits(data, RecordGrain(n));
-    const size_t max_blocks = static_cast<size_t>(pool.max_blocks());
-    std::vector<int64_t> block_checks(max_blocks, 0);
     obs::ScopedSpan scan_span(trace, "scan", trace_parent);
-    BlockShardCounts per_shard(want_shard_stats, max_blocks,
-                               data.num_shards());
-    pool.ParallelFor(
-        0, static_cast<int64_t>(units.size()), /*min_grain=*/1,
-        [&](int64_t block, int64_t unit_lo, int64_t unit_hi) {
-          int64_t checks = 0;
+    entries = RunBlocks<Entry>(
+        static_cast<int64_t>(units.size()), /*grain=*/1, &out.stats,
+        [&](BlockTally<Entry>& tally, int64_t unit_lo, int64_t unit_hi) {
           for (int64_t u = unit_lo; u < unit_hi; ++u) {
             if (ShouldStop(exec)) {
               break;
@@ -1617,46 +1583,29 @@ Result<QueryResult> Database::ExecuteNearest(const Relation& relation,
             const ScanUnit& unit = units[static_cast<size_t>(u)];
             const RelationShard& shard = data.shard(unit.shard);
             const FeatureStore& store = shard.store();
-            const int64_t unit_checks_before = checks;
+            int64_t checks = 0;
             for (int64_t i = unit.lo; i < unit.hi; ++i) {
               if (!shard.alive(i) ||
                   !StatsAdmit(store.mean(i), store.std_dev(i),
                               query.pattern)) {
-                continue;  // sentinel -1 marks excluded records
+                continue;
               }
               ++checks;
               const int64_t id = shard.global_id(i);
-              distances[static_cast<size_t>(id)] = checker.Distance(id, kInf);
+              KeepBest(k, Entry(checker.Distance(id, kInf), id), &tally.rows);
             }
-            per_shard.Add(block, unit.shard, checks - unit_checks_before);
+            tally.stats.exact_checks += checks;
+            tally.CountShard(unit.shard, checks, checks);
           }
-          block_checks[static_cast<size_t>(block)] = checks;
         });
-    for (size_t block = 0; block < max_blocks; ++block) {
-      out.stats.exact_checks += block_checks[block];
-    }
-    per_shard.Fold(/*checks=*/true, &out.stats);
     scan_span.Rows(out.stats.exact_checks, 0, std::min<int64_t>(
         static_cast<int64_t>(query.k), out.stats.exact_checks));
-    std::vector<Match> all;
-    all.reserve(static_cast<size_t>(count));
-    for (int64_t i = 0; i < count; ++i) {
-      if (distances[static_cast<size_t>(i)] >= 0.0) {
-        all.push_back(Match{i, relation.record(i).name,
-                            distances[static_cast<size_t>(i)]});
-      }
-    }
-    SortMatches(&all);
-    if (static_cast<int>(all.size()) > query.k) {
-      all.resize(static_cast<size_t>(query.k));
-    }
-    out.matches = std::move(all);
   }
   // Discard any partial answer a stopped worker left behind.
   SIMQ_RETURN_IF_ERROR(CheckExecution(query.exec));
   {
     obs::ScopedSpan merge(trace, "merge", trace_parent);
-    SortMatches(&out.matches);
+    out.matches = MergeBest(relation, k, entries);
     merge.Rows(0, 0, static_cast<int64_t>(out.matches.size()));
   }
   return out;
@@ -1731,7 +1680,7 @@ Result<QueryResult> Database::SelfJoin(
       // subtract-square kernel -- the per-pair multiplier application of
       // the row-at-a-time implementation was the dominant cost of
       // early-abandoned pairs. Parallelized over outer-row blocks;
-      // per-block pair buffers merged in block order keep the output
+      // per-block tallies folded in block order keep the output
       // deterministic.
       const std::vector<const double*> base_rows =
           GatherSpectrumRows(relation->sharded());
@@ -1771,24 +1720,12 @@ Result<QueryResult> Database::SelfJoin(
               std::max(max_energy, codes->quantizer().max_row_energy());
         }
       }
-      // Both join loops below run over outer-row blocks with per-block
-      // pair buffers and counters, gathered in block order. Each outer row
-      // costs up to count * n work: one row of outer loop is already a
-      // coarse unit for any nontrivial relation.
-      const size_t max_blocks = static_cast<size_t>(pool.max_blocks());
-      std::vector<std::vector<PairMatch>> block_pairs(max_blocks);
-      std::vector<int64_t> block_checks(max_blocks, 0);
-      std::vector<int64_t> block_scanned(max_blocks, 0);
+      // Both join loops below run over outer-row blocks, each into its own
+      // tally, folded in block order. Each outer row costs up to count * n
+      // work: one row of outer loop is already a coarse unit for any
+      // nontrivial relation.
       const int64_t grain =
           std::max<int64_t>(1, RecordGrain(n) / std::max<int64_t>(1, count));
-      const auto gather = [&] {
-        for (size_t block = 0; block < max_blocks; ++block) {
-          out.stats.exact_checks += block_checks[block];
-          out.stats.filter_scanned += block_scanned[block];
-          out.pairs.insert(out.pairs.end(), block_pairs[block].begin(),
-                           block_pairs[block].end());
-        }
-      };
       if (join_filter) {
         const ShardedRelation& data = relation->sharded();
         const int num_shards = data.num_shards();
@@ -1797,12 +1734,9 @@ Result<QueryResult> Database::SelfJoin(
             SafeThreshold(eps_sq, 1e-9 * 2.0 * max_energy);
         const int cells = shard_codes[0]->cells();
         const int ranks = std::min(16, 2 * n);
-        pool.ParallelFor(
-            0, count, grain, [&](int64_t block, int64_t lo, int64_t hi) {
-              std::vector<PairMatch>& local =
-                  block_pairs[static_cast<size_t>(block)];
-              int64_t checks = 0;
-              int64_t scanned = 0;
+        out.pairs = RunBlocks<PairMatch>(
+            count, grain, &out.stats,
+            [&](BlockTally<PairMatch>& tally, int64_t lo, int64_t hi) {
               std::vector<double> lut(static_cast<size_t>(ranks) * cells);
               std::vector<int32_t> active;
               std::vector<double> scratch;
@@ -1836,7 +1770,8 @@ Result<QueryResult> Database::SelfJoin(
                         active.push_back(static_cast<int32_t>(r));
                       }
                     }
-                    scanned += static_cast<int64_t>(active.size());
+                    tally.stats.filter_scanned +=
+                        static_cast<int64_t>(active.size());
                     PairScreenScan(codes, lut.data(),
                                    codes.scan_order().data(), ranks,
                                    abandon_sq, 0, screen_hi, &active,
@@ -1853,20 +1788,18 @@ Result<QueryResult> Database::SelfJoin(
                   }
                 }
                 std::sort(survivors.begin(), survivors.end());
-                checks += static_cast<int64_t>(survivors.size());
+                tally.stats.exact_checks +=
+                    static_cast<int64_t>(survivors.size());
                 for (const int64_t j : survivors) {
                   const double dist_sq = RowDistanceSq(
                       a, base_rows[static_cast<size_t>(j)], n, eps_sq);
                   if (dist_sq <= eps_sq) {
-                    local.push_back(PairMatch{i, j, std::sqrt(dist_sq)});
+                    tally.rows.push_back(PairMatch{i, j, std::sqrt(dist_sq)});
                   }
                 }
               }
-              block_checks[static_cast<size_t>(block)] = checks;
-              block_scanned[static_cast<size_t>(block)] = scanned;
             });
         out.stats.used_filter = true;
-        gather();
         out.stats.candidates = out.stats.exact_checks;
         SIMQ_RETURN_IF_ERROR(CheckExecution(exec));
         return out;
@@ -1938,10 +1871,9 @@ Result<QueryResult> Database::SelfJoin(
           p[3] = row[3];
         }
       }
-      pool.ParallelFor(
-          0, count, grain, [&](int64_t block, int64_t lo, int64_t hi) {
-            std::vector<PairMatch>& local =
-                block_pairs[static_cast<size_t>(block)];
+      out.pairs = RunBlocks<PairMatch>(
+          count, grain, &out.stats,
+          [&](BlockTally<PairMatch>& tally, int64_t lo, int64_t hi) {
             int64_t checks = 0;
             for (int64_t i = lo; i < hi; ++i) {
               if (ShouldStop(ctx)) {
@@ -1968,13 +1900,12 @@ Result<QueryResult> Database::SelfJoin(
                     RowDistanceSq(a, right_row(j), n, limit_sq);
                 // Squared-domain compare: sqrt only for accepted pairs.
                 if (dist_sq <= eps_sq) {
-                  local.push_back(PairMatch{i, j, std::sqrt(dist_sq)});
+                  tally.rows.push_back(PairMatch{i, j, std::sqrt(dist_sq)});
                 }
               }
             }
-            block_checks[static_cast<size_t>(block)] = checks;
+            tally.stats.exact_checks += checks;
           });
-      gather();
     } else {
       // Non-spectral rule(s): transform every series once per side, then
       // compare in the time domain.
@@ -2060,7 +1991,7 @@ Result<QueryResult> Database::SelfJoin(
   // Index nested loop over the shard grid: every probe record is paired
   // with every shard's tree (probe side x shard trees), parallelized over
   // probe blocks -- the packed trees are immutable, so concurrent
-  // searches are safe, and per-block pair buffers merged in block order
+  // searches are safe, and per-block tallies folded in block order
   // keep the output deterministic. ResolveSnapshots compiles every
   // shard's tree before the fan-out, so workers never contend on a
   // compile lock. For each probe, candidates arrive shard by shard; the
@@ -2083,28 +2014,19 @@ Result<QueryResult> Database::SelfJoin(
   }
   const double eps_sq = epsilon * epsilon;
   out.stats.used_index = true;
-  ThreadPool& pool = ThreadPool::Global();
-  const size_t max_blocks = static_cast<size_t>(pool.max_blocks());
-  std::vector<std::vector<PairMatch>> block_pairs(max_blocks);
-  std::vector<int64_t> block_checks(max_blocks, 0);
-  std::vector<int64_t> block_candidates(max_blocks, 0);
-  std::vector<int64_t> block_nodes(max_blocks, 0);
   const std::vector<PackedSnapshotCache::View> views =
       ResolveSnapshots(data, &out.stats.degraded);
-  pool.ParallelFor(
-      0, count, /*min_grain=*/16, [&](int64_t block, int64_t lo, int64_t hi) {
-        std::vector<PairMatch>& local = block_pairs[static_cast<size_t>(block)];
+  out.pairs = RunBlocks<PairMatch>(
+      count, /*grain=*/16, &out.stats,
+      [&](BlockTally<PairMatch>& tally, int64_t lo, int64_t hi) {
         std::vector<int64_t> candidates;
-        int64_t checks = 0;
-        int64_t candidate_count = 0;
-        int64_t nodes = 0;
         const auto check = [&](int64_t i, const double* a, int64_t j) {
-          ++checks;
+          ++tally.stats.exact_checks;
           const double dist_sq =
               RowDistanceSqTwoSided(a, base_rows[static_cast<size_t>(j)],
                                     post_left_ptr, post_right_ptr, n, eps_sq);
           if (dist_sq <= eps_sq) {
-            local.push_back(PairMatch{i, j, std::sqrt(dist_sq)});
+            tally.rows.push_back(PairMatch{i, j, std::sqrt(dist_sq)});
           }
         };
         for (int64_t i = lo; i < hi; ++i) {
@@ -2132,8 +2054,9 @@ Result<QueryResult> Database::SelfJoin(
               continue;
             }
             candidates.clear();
-            nodes += view.tree->Search(region, affines_ptr, &candidates);
-            candidate_count += static_cast<int64_t>(candidates.size());
+            tally.stats.node_accesses +=
+                view.tree->Search(region, affines_ptr, &candidates);
+            tally.stats.candidates += static_cast<int64_t>(candidates.size());
             for (const int64_t j : candidates) {
               if (j != i && alive[static_cast<size_t>(j)] != 0) {
                 check(i, a, j);
@@ -2155,17 +2078,7 @@ Result<QueryResult> Database::SelfJoin(
             }
           }
         }
-        block_checks[static_cast<size_t>(block)] = checks;
-        block_candidates[static_cast<size_t>(block)] = candidate_count;
-        block_nodes[static_cast<size_t>(block)] = nodes;
       });
-  for (size_t block = 0; block < max_blocks; ++block) {
-    out.stats.exact_checks += block_checks[block];
-    out.stats.candidates += block_candidates[block];
-    out.stats.node_accesses += block_nodes[block];
-    out.pairs.insert(out.pairs.end(), block_pairs[block].begin(),
-                     block_pairs[block].end());
-  }
   SIMQ_RETURN_IF_ERROR(CheckExecution(exec));
   return out;
 }

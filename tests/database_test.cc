@@ -225,6 +225,68 @@ TEST(DatabaseTest, NonFiniteValuesAreRejectedAtInsertAndBulkLoad) {
   EXPECT_EQ(empty.GetRelation("r")->size(), 6);
 }
 
+TEST(DatabaseTest, OverflowingMeanOrSpreadIsRejectedAtInsertLoadAndQuery) {
+  // Every value is finite, but the mean overflows (1.7e308 - i * 1e300
+  // over 16 values) or the spread does (+-1.7e308 alternating); the normal
+  // form and the index point of such a row hold inf/NaN.
+  std::vector<double> high_mean;
+  std::vector<double> wide;
+  for (int i = 0; i < 16; ++i) {
+    high_mean.push_back(1.7e308 - i * 1e300);
+    wide.push_back(i % 2 == 0 ? 1.7e308 : -1.7e308);
+  }
+  Database db = MakeLoadedDatabase(TestSeries(20, 16, 7));
+  for (const std::vector<double>& values : {high_mean, wide}) {
+    TimeSeries series;
+    series.id = "over";
+    series.values = values;
+    const Result<int64_t> inserted = db.Insert("r", series);
+    ASSERT_FALSE(inserted.ok());
+    EXPECT_EQ(inserted.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(inserted.status().message(),
+              "series 'over' has a non-finite mean or standard deviation");
+
+    // The same values as a query series, the form a prepared statement's
+    // bound series takes.
+    Query query;
+    query.kind = QueryKind::kNearest;
+    query.relation = "r";
+    query.k = 3;
+    query.query_series.literal = values;
+    for (const ExecutionStrategy strategy :
+         {ExecutionStrategy::kIndex, ExecutionStrategy::kScan}) {
+      query.strategy = strategy;
+      const Result<QueryResult> result = db.Execute(query);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(result.status().message(),
+                "query series has a non-finite mean or standard deviation");
+    }
+    query.query_prenormalized = true;
+    const Result<QueryResult> prenormalized = db.Execute(query);
+    ASSERT_FALSE(prenormalized.ok());
+    EXPECT_EQ(prenormalized.status().message(),
+              "PRENORMALIZED query series has a non-finite spectrum");
+  }
+  EXPECT_EQ(db.GetRelation("r")->size(), 20);
+  for (const char* text :
+       {"NEAREST 10 r TO #walk0 VIA INDEX", "PAIRS r WITHIN 1"}) {
+    EXPECT_TRUE(db.ExecuteText(text).ok()) << text;
+  }
+
+  // All-or-nothing: one such series anywhere in the batch loads nothing.
+  Database empty;
+  ASSERT_TRUE(empty.CreateRelation("r").ok());
+  std::vector<TimeSeries> batch = TestSeries(6, 16, 63);
+  batch[3].values = wide;
+  const Status loaded = empty.BulkLoad("r", batch);
+  EXPECT_EQ(loaded.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(loaded.message(),
+            "series '" + batch[3].id +
+                "' has a non-finite mean or standard deviation");
+  EXPECT_EQ(empty.GetRelation("r")->size(), 0);
+}
+
 class RangeQueryEquivalenceTest
     : public ::testing::TestWithParam<const char*> {};
 

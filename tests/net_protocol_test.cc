@@ -451,6 +451,14 @@ TEST(NetProtocolTest, NonFiniteQueryNumbersAreTypedErrorsNotCrashes) {
   ASSERT_FALSE(bound_rejected.ok());
   EXPECT_EQ(bound_rejected.status().code(), StatusCode::kInvalidArgument)
       << bound_rejected.status().ToString();
+  // Finite values whose mean overflows are rejected the same way.
+  for (size_t i = 0; i < bound.series.size(); ++i) {
+    bound.series[i] = 1.7e308 - static_cast<double>(i) * 1e300;
+  }
+  const Result<QueryResult> overflow_rejected = client.ExecAll(bound);
+  ASSERT_FALSE(overflow_rejected.ok());
+  EXPECT_EQ(overflow_rejected.status().code(), StatusCode::kInvalidArgument)
+      << overflow_rejected.status().ToString();
 
   const std::string text = "NEAREST 10 r TO #walk0";
   request.text = text;

@@ -388,6 +388,57 @@ TEST(ExecutorBoundsTest, NonFiniteQueryNumbersAreInvalidArguments) {
   }
 }
 
+// Finite values near DBL_MAX whose mean or spread overflows leave inf/NaN
+// in the normal form, the spectrum and the index point. Stored, such a
+// series aborted the next index kNN or join in the circular-interval
+// geometry; as a query, it aborted an index range query, and a kNN
+// answered with NaN distances. A PRENORMALIZED query is not normalized,
+// so its spectrum is what must be finite.
+TEST(ExecutorBoundsTest, OverflowingSeriesAreInvalidArguments) {
+  Database db;
+  ASSERT_TRUE(db.CreateRelation("r").ok());
+  ASSERT_TRUE(db.BulkLoad("r", workload::RandomWalkSeries(20, 16, 7)).ok());
+  TimeSeries huge;
+  huge.id = "huge";
+  std::string huge_text = "[";
+  std::string alternating = "[";
+  for (int i = 0; i < 16; ++i) {
+    huge.values.push_back(1.7e308 - i * 1e300);
+    char value[32];
+    std::snprintf(value, sizeof(value), "%.17g", huge.values.back());
+    huge_text += (i > 0 ? ", " : "") + std::string(value);
+    alternating += (i > 0 ? ", " : "") +
+                   std::string(i % 2 == 0 ? "1.7e308" : "-1.7e308");
+  }
+  huge_text += "]";
+  alternating += "]";
+
+  const Result<int64_t> inserted = db.Insert("r", huge);
+  ASSERT_FALSE(inserted.ok());
+  EXPECT_EQ(inserted.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(inserted.status().message(),
+            "series 'huge' has a non-finite mean or standard deviation");
+  for (const char* text :
+       {"NEAREST 10 r TO #walk0 VIA INDEX", "PAIRS r WITHIN 1"}) {
+    EXPECT_TRUE(db.ExecuteText(text).ok()) << text;
+  }
+
+  for (const std::string& text : std::vector<std::string>{
+           "RANGE r WITHIN 1 OF " + huge_text + " VIA INDEX",
+           "RANGE r WITHIN 1 OF " + huge_text + " VIA SCAN",
+           "NEAREST 3 r TO " + huge_text + " VIA INDEX",
+           "NEAREST 3 r TO " + huge_text + " VIA SCAN MODE FILTERED",
+           "RANGE r WITHIN 1 OF " + alternating + " PRENORMALIZED VIA INDEX",
+           "RANGE r WITHIN 1 OF " + huge_text + " PRENORMALIZED VIA INDEX",
+           "NEAREST 3 r TO " + alternating + " PRENORMALIZED VIA SCAN",
+       }) {
+    const Result<QueryResult> result = db.ExecuteText(text);
+    ASSERT_FALSE(result.ok()) << text;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << text << ": " << result.status().ToString();
+  }
+}
+
 TEST(ExecutorBoundsTest, WarpChainsPastIntMaxAreRejected) {
   const auto expect_rejected = [](const Database& db,
                                   const std::string& rule) {

@@ -3,7 +3,8 @@
 // same names, same IEEE-754 distance bits, same tie-breaking -- for every
 // shard count, partition policy, and strategy, on randomized workloads. Also asserts the accounting contracts: node
 // accesses are monotone under cross-shard kNN pruning (pruned <=
-// unpruned), and relation epochs roll up one bump per shard mutation.
+// unpruned), relation epochs roll up one bump per shard mutation, and
+// every work count is the same for one pool block or many.
 //
 // The comparison discipline mirrors the engine's determinism contracts:
 // range/kNN answers are canonically ordered by (distance, id) by the
@@ -14,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -22,10 +24,19 @@
 #include "core/database.h"
 #include "core/sharded_relation.h"
 #include "core/transformation.h"
+#include "util/thread_pool.h"
 #include "workload/generators.h"
 
 namespace simq {
 namespace {
+
+// Four pool threads unless the caller chose a width, pinned before
+// anything instantiates the pool, so the full pool splits every fan-out
+// into several blocks even on a one-CPU machine.
+const bool kPoolWidthPinned = [] {
+  ::setenv("SIMQ_THREADS", "4", /*overwrite=*/0);
+  return true;
+}();
 
 Database BuildDatabase(const std::vector<TimeSeries>& series,
                        const ShardingOptions& sharding,
@@ -268,6 +279,154 @@ TEST(ShardEquivalence, CrossShardPruningIsMonotoneAndAnswerPreserving) {
                 slow.value().stats.node_accesses)
           << context;
       EXPECT_GE(fast.value().stats.node_accesses, shards) << context;
+    }
+  }
+}
+
+// Per-shard exact checks add up to the total (range and nearest queries,
+// which report per-shard actuals under EXPLAIN).
+void ExpectShardChecksSum(const ExecutionStats& stats,
+                          const std::string& context) {
+  if (stats.shard_stats.empty()) {
+    return;
+  }
+  int64_t sum = 0;
+  for (const ExecutionStats::ShardStats& ss : stats.shard_stats) {
+    sum += ss.exact_checks;
+  }
+  EXPECT_EQ(sum, stats.exact_checks) << context;
+}
+
+// Pairs in emission order: blocks join in block order, so the order is
+// the same for any partition of the outer rows.
+void ExpectSamePairOrder(const QueryResult& expected,
+                         const QueryResult& actual,
+                         const std::string& context) {
+  ASSERT_EQ(expected.pairs.size(), actual.pairs.size()) << context;
+  for (size_t i = 0; i < expected.pairs.size(); ++i) {
+    EXPECT_EQ(expected.pairs[i].first, actual.pairs[i].first) << context;
+    EXPECT_EQ(expected.pairs[i].second, actual.pairs[i].second) << context;
+    EXPECT_EQ(expected.pairs[i].distance, actual.pairs[i].distance)
+        << context;  // bit-exact: distances are never -0.0 or NaN
+  }
+}
+
+void ExpectSameStats(const ExecutionStats& a, const ExecutionStats& b,
+                     const std::string& context) {
+  EXPECT_EQ(a.used_index, b.used_index) << context;
+  EXPECT_EQ(a.used_filter, b.used_filter) << context;
+  EXPECT_EQ(a.node_accesses, b.node_accesses) << context;
+  EXPECT_EQ(a.candidates, b.candidates) << context;
+  EXPECT_EQ(a.exact_checks, b.exact_checks) << context;
+  EXPECT_EQ(a.filter_scanned, b.filter_scanned) << context;
+  EXPECT_EQ(a.degraded, b.degraded) << context;
+  ASSERT_EQ(a.shard_stats.size(), b.shard_stats.size()) << context;
+  for (size_t s = 0; s < a.shard_stats.size(); ++s) {
+    const ExecutionStats::ShardStats& x = a.shard_stats[s];
+    const ExecutionStats::ShardStats& y = b.shard_stats[s];
+    EXPECT_EQ(x.shard, y.shard) << context;
+    EXPECT_EQ(x.rows, y.rows) << context;
+    EXPECT_EQ(x.estimated_candidates, y.estimated_candidates) << context;
+    EXPECT_EQ(x.candidates, y.candidates) << context;
+    EXPECT_EQ(x.exact_checks, y.exact_checks) << context;
+  }
+}
+
+// Every executor loop folds per-block tallies, so the answer and every
+// work count must be the same whether a query runs as one block (a
+// parallelism budget of 1) or as the full pool's blocks: index, scan,
+// no-abandon scan and filtered range and nearest queries, and join
+// methods a-d plus the filtered join, at 1 and 3 shards, freshly loaded
+// and again with delta rows and tombstones. Each query runs under
+// EXPLAIN, so per-shard estimates and actuals are compared too. The
+// filtered kNN is the exception: each block seeds its own radius, so its
+// work counts depend on the partition and only its answer is compared.
+TEST(ShardEquivalence, WorkCountsDoNotDependOnTheBlockPartition) {
+  // 512-value series make 512-row scan units, so one shard holds three
+  // units and three shards one each: the full pool splits both into
+  // blocks that a budget of 1 runs as one.
+  // The joins split outer rows, so a small relation has many blocks. The
+  // middle of each workload is held back and inserted as delta rows.
+  std::vector<TimeSeries> scan_rows = TieWorkload(1300, 512, 71);
+  std::vector<TimeSeries> join_rows = TieWorkload(240, 32, 73);
+  const std::vector<TimeSeries> scan_delta(scan_rows.begin() + 600,
+                                           scan_rows.begin() + 640);
+  const std::vector<TimeSeries> join_delta(join_rows.begin() + 100,
+                                           join_rows.begin() + 120);
+  scan_rows.erase(scan_rows.begin() + 600, scan_rows.begin() + 640);
+  join_rows.erase(join_rows.begin() + 100, join_rows.begin() + 120);
+  const std::vector<std::string> scan_queries = {
+      "RANGE r WITHIN 22 OF #walk5 VIA INDEX",
+      "RANGE r WITHIN 22 OF #walk5 VIA SCAN",
+      "RANGE r WITHIN 22 OF #walk5 VIA FULLSCAN",
+      "RANGE r WITHIN 22 OF #walk5 VIA SCAN MODE FILTERED",
+      "RANGE r WITHIN 14 OF #walk9 USING mavg(8) VIA INDEX",
+      "RANGE r WITHIN 14 OF #walk9 USING mavg(8) VIA SCAN MODE FILTERED",
+      "RANGE r WITHIN 26 OF #walk3 MEAN 0 60 VIA SCAN",
+      "NEAREST 7 r TO #clone1 VIA INDEX",
+      "NEAREST 7 r TO #clone1 VIA SCAN",
+      "NEAREST 7 r TO #clone1 VIA FULLSCAN",
+      "NEAREST 7 r TO #clone1 VIA SCAN MODE FILTERED",
+      "NEAREST 12 r TO #walk4 USING mavg(8) VIA INDEX",
+      "NEAREST 12 r TO #walk4 USING mavg(8) VIA SCAN MODE FILTERED",
+  };
+  const std::vector<std::string> join_queries = {
+      "PAIRS r WITHIN 2 USING mavg(6) VIA FULLSCAN",       // a
+      "PAIRS r WITHIN 2 USING mavg(6) VIA SCAN",           // b
+      "PAIRS r WITHIN 1.5 VIA INDEX",                      // c
+      "PAIRS r WITHIN 2 USING mavg(6) VIA INDEX",          // d
+      "PAIRS r WITHIN 1.5 VIA SCAN MODE FILTERED",         // filtered join
+  };
+  for (const int shards : {1, 3}) {
+    Database scan_db = BuildDatabase(scan_rows, Sharded(shards));
+    Database join_db = BuildDatabase(join_rows, Sharded(shards));
+    for (const bool delta : {false, true}) {
+      if (delta) {
+        // The fresh pass compiled every tree and code set; these rows are
+        // their delta, and the tombstones hide compiled rows.
+        for (const TimeSeries& ts : scan_delta) {
+          ASSERT_TRUE(scan_db.Insert("r", ts).ok());
+        }
+        for (const TimeSeries& ts : join_delta) {
+          ASSERT_TRUE(join_db.Insert("r", ts).ok());
+        }
+        for (const int64_t id : {2, 17, 600, 1100, 1290}) {
+          ASSERT_TRUE(scan_db.Delete("r", id).ok());
+        }
+        for (const int64_t id : {1, 50, 150, 225}) {
+          ASSERT_TRUE(join_db.Delete("r", id).ok());
+        }
+      }
+      for (const bool join : {false, true}) {
+        const Database& db = join ? join_db : scan_db;
+        for (const std::string& text : join ? join_queries : scan_queries) {
+          const std::string context =
+              text + " @ shards=" + std::to_string(shards) +
+              (delta ? " with delta" : " fresh");
+          Result<QueryResult> one_block = Status::Internal("not run");
+          {
+            ThreadPool::ScopedParallelismBudget budget(1);
+            one_block = db.ExecuteText("EXPLAIN " + text);
+          }
+          const Result<QueryResult> pool = db.ExecuteText("EXPLAIN " + text);
+          ASSERT_TRUE(one_block.ok())
+              << context << ": " << one_block.status().ToString();
+          ASSERT_TRUE(pool.ok()) << context << ": " << pool.status().ToString();
+          const QueryResult& a = one_block.value();
+          const QueryResult& b = pool.value();
+          EXPECT_FALSE(a.matches.empty() && a.pairs.empty()) << context;
+          ExpectSameMatches(a, b, context);
+          ExpectSamePairOrder(a, b, context);
+          ExpectShardChecksSum(a.stats, context);
+          ExpectShardChecksSum(b.stats, context);
+          const bool filtered_knn =
+              text.rfind("NEAREST", 0) == 0 &&
+              text.find("MODE FILTERED") != std::string::npos;
+          if (!filtered_knn) {
+            ExpectSameStats(a.stats, b.stats, context);
+          }
+        }
+      }
     }
   }
 }

@@ -217,6 +217,32 @@ TEST_F(WalTest, LoggedNonFiniteInsertStopsReplayAsCorruption) {
       << replayed.message();
 }
 
+TEST_F(WalTest, LoggedOverflowingInsertStopsReplayAsCorruption) {
+  // Every value is finite but the mean overflows, which Insert rejects
+  // too: replay stops with Corruption naming the fault.
+  const std::string path = TempPath("overflow_insert.wal");
+  std::remove(path.c_str());
+  std::vector<TimeSeries> series = workload::RandomWalkSeries(3, 16, 9);
+  for (int i = 0; i < 16; ++i) {
+    series[2].values[static_cast<size_t>(i)] = 1.7e308 - i * 1e300;
+  }
+  {
+    Result<WalWriter> writer = WalWriter::Open(path);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    WalWriter wal = std::move(writer).value();
+    ASSERT_TRUE(wal.AppendCreateRelation("r").ok());
+    ASSERT_TRUE(wal.AppendBulkLoad("r", {series[0], series[1]}).ok());
+    ASSERT_TRUE(wal.AppendInsert("r", series[2]).ok());
+  }
+  Database db;
+  WalReplayStats stats;
+  const Status replayed = ReplayWal(path, &db, &stats);
+  EXPECT_EQ(replayed.code(), StatusCode::kCorruption) << replayed.ToString();
+  EXPECT_NE(replayed.message().find("non-finite mean or standard deviation"),
+            std::string::npos)
+      << replayed.message();
+}
+
 TEST_F(WalTest, RejectsForeignFile) {
   const std::string path = TempPath("foreign.wal");
   WriteAllBytes(path, "this is not a WAL, much longer than the magic");
