@@ -1,6 +1,7 @@
 #include "core/database.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <iterator>
 #include <limits>
@@ -115,6 +116,24 @@ std::optional<Spectrum> MaterializeMultiplier(const TransformationRule* rule,
   return multiplier;
 }
 
+// InvalidArgument when a spectral rule's materialized multiplier holds a
+// NaN or an infinity: scale(1e200)|scale(1e200)|diff overflows to inf,
+// and inf * 0 is NaN, so no distance through it is a number. Every entry
+// path checks it right after materializing the multiplier.
+Status CheckFiniteMultiplier(const TransformationRule* rule,
+                             const std::optional<Spectrum>& multiplier) {
+  if (multiplier.has_value() &&
+      std::any_of(multiplier->begin(), multiplier->end(),
+                  [](const Complex& m) {
+                    return !std::isfinite(m.real()) ||
+                           !std::isfinite(m.imag());
+                  })) {
+    return Status::InvalidArgument("transformation " + rule->name() +
+                                   " has a non-finite spectral multiplier");
+  }
+  return Status::Ok();
+}
+
 // InvalidArgument when `rule` stretches length-n series past INT_MAX
 // values (a warp chain): no series that long can exist. Runs before
 // anything reads the rule's length or multiplier as an int.
@@ -205,8 +224,32 @@ class ExactChecker {
   }
 
   // Early-abandoning exact distance to record `id`; `threshold` bounds the
-  // distance of interest (kInf disables abandoning).
+  // distance of interest (kInf disables abandoning). A NaN distance (a
+  // rule overflowed: inf - inf, or inf * 0) is returned as +infinity, so
+  // no NaN reaches KeepBest or SortMatches, and fails the query: the
+  // driver returns status() once its fan-out is done.
   double Distance(int64_t id, double threshold) const {
+    const double distance = UncheckedDistance(id, threshold);
+    if (std::isnan(distance)) {
+      nan_distance_.store(true);
+      return kInf;
+    }
+    return distance;
+  }
+
+  // InvalidArgument once any Distance call met a NaN distance.
+  Status status() const {
+    if (nan_distance_.load()) {
+      return Status::InvalidArgument(
+          rule_ != nullptr
+              ? "transformation " + rule_->name() + " gives a NaN distance"
+              : "a distance is NaN");
+    }
+    return Status::Ok();
+  }
+
+ private:
+  double UncheckedDistance(int64_t id, double threshold) const {
     if (columnar_) {
       const double limit_sq =
           threshold == kInf ? kInf : threshold * threshold;
@@ -232,6 +275,12 @@ class ExactChecker {
     }
     if (rule_ != nullptr) {
       values = rule_->Apply(values);
+      // A NaN in the transformed row fails the query whether or not the
+      // abandoning kernel would reach it; an infinity orders (+inf).
+      if (std::any_of(values.begin(), values.end(),
+                      [](double v) { return std::isnan(v); })) {
+        return std::numeric_limits<double>::quiet_NaN();
+      }
     }
     return threshold == kInf
                ? EuclideanDistance(values, query_values_)
@@ -239,7 +288,6 @@ class ExactChecker {
                                                threshold);
   }
 
- private:
   const Relation& relation_;
   const ShardedRelation& data_;
   const Query& query_;
@@ -252,6 +300,7 @@ class ExactChecker {
   const bool columnar_;
   std::vector<double> query_ri_;
   std::vector<double> mult_ri_;
+  mutable std::atomic<bool> nan_distance_{false};
 };
 
 // One contiguous local-row range of one shard: the work unit of the
@@ -350,14 +399,31 @@ struct BlockTally {
   }
 };
 
+// Adds `tally`'s work counts, and per-shard actuals where `stats` keeps
+// them, into `stats`, and moves its rows onto the end of `rows`.
+template <typename Row>
+void FoldTally(BlockTally<Row>* tally, ExecutionStats* stats,
+               std::vector<Row>* rows) {
+  const ExecutionStats& t = tally->stats;
+  stats->node_accesses += t.node_accesses;
+  stats->candidates += t.candidates;
+  stats->exact_checks += t.exact_checks;
+  stats->filter_scanned += t.filter_scanned;
+  for (size_t s = 0; s < t.shard_stats.size(); ++s) {
+    stats->shard_stats[s].candidates += t.shard_stats[s].candidates;
+    stats->shard_stats[s].exact_checks += t.shard_stats[s].exact_checks;
+  }
+  rows->insert(rows->end(), std::make_move_iterator(tally->rows.begin()),
+               std::make_move_iterator(tally->rows.end()));
+}
+
 // The skeleton of every executor loop: runs body(tally, lo, hi) over the
 // blocks of [0, count) on the pool, each block into its own tally
 // (ThreadPool::max_blocks() of them), then folds the tallies into
-// `stats` -- work counts, and per-shard actuals where `stats` keeps them
-// -- and returns their rows joined in block order. Blocks partition the
-// range in order, so rows join in range order and a count summed over the
-// range is the same for any partition (not the filtered kNN's checks:
-// each of its blocks seeds its own radius).
+// `stats` and returns their rows joined in block order. Blocks partition
+// the range in order, so rows join in range order and a count summed over
+// the range is the same for any partition (not the filtered kNN's checks:
+// each of its blocks shrinks its own radius).
 template <typename Row, typename Body>
 std::vector<Row> RunBlocks(int64_t count, int64_t grain, ExecutionStats* stats,
                            const Body& body) {
@@ -372,17 +438,7 @@ std::vector<Row> RunBlocks(int64_t count, int64_t grain, ExecutionStats* stats,
                    });
   std::vector<Row> rows;
   for (BlockTally<Row>& tally : tallies) {
-    const ExecutionStats& t = tally.stats;
-    stats->node_accesses += t.node_accesses;
-    stats->candidates += t.candidates;
-    stats->exact_checks += t.exact_checks;
-    stats->filter_scanned += t.filter_scanned;
-    for (size_t s = 0; s < t.shard_stats.size(); ++s) {
-      stats->shard_stats[s].candidates += t.shard_stats[s].candidates;
-      stats->shard_stats[s].exact_checks += t.shard_stats[s].exact_checks;
-    }
-    rows.insert(rows.end(), std::make_move_iterator(tally.rows.begin()),
-                std::make_move_iterator(tally.rows.end()));
+    FoldTally(&tally, stats, &rows);
   }
   return rows;
 }
@@ -396,7 +452,8 @@ using Entry = std::pair<double, int64_t>;  // (distance, id)
 // pruning bound. The scans' blocks keep their k best with it, and the
 // merge of blocks and of index shards runs every entry through it again.
 // Like std::sort, it needs a strict weak order: no distance is NaN, since
-// stored and query series are checked finite.
+// stored and query series and multipliers are checked finite and
+// ExactChecker turns a NaN distance into +infinity and an error.
 double KeepBest(size_t k, const Entry& entry, std::vector<Entry>* best) {
   if (best->size() < k) {
     best->push_back(entry);
@@ -1023,6 +1080,7 @@ Status Database::PrepareProbe(const Relation& relation, const Query& query,
   }
   if (spectral) {
     probe->multiplier = MaterializeMultiplier(rule, n);
+    SIMQ_RETURN_IF_ERROR(CheckFiniteMultiplier(rule, probe->multiplier));
   }
   const bool can_use_index =
       query.mode == DistanceMode::kNormalForm &&
@@ -1119,6 +1177,7 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
         StatsAdmit(data.mean(id), data.std_dev(id), query.pattern)) {
       ++out.stats.exact_checks;
       const double distance = checker.Distance(id, query.epsilon);
+      SIMQ_RETURN_IF_ERROR(checker.status());
       if (distance <= query.epsilon) {
         out.matches.push_back(Match{id, relation.record(id).name, distance});
       }
@@ -1357,6 +1416,7 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
   // Workers that observed a stop left partial buffers behind; the typed
   // error below discards them so callers never see a partial answer.
   SIMQ_RETURN_IF_ERROR(CheckExecution(query.exec));
+  SIMQ_RETURN_IF_ERROR(checker.status());
   {
     obs::ScopedSpan merge(trace, "merge", trace_parent);
     SortMatches(&out.matches);
@@ -1456,111 +1516,134 @@ Result<QueryResult> Database::ExecuteNearest(const Relation& relation,
     out.stats.used_index = true;
   } else if (probe.filter.has_value()) {
     // The range path's filter-and-refine scan at a radius that shrinks
-    // (DESIGN.md "Quantized filter"). Each block keeps its own k best
-    // (distance, id) entries through KeepBest; its radius is the k-th best
-    // distance so far, made safe with the largest shard slack (a block can
-    // span shards), and +infinity until it holds k entries. It carries
-    // from one unit of the block to the next. Per unit: the codes' delta
-    // rows are exact-checked first; the column scan compacts against the
-    // radius after every group of dimensions, and in the block's first
+    // (DESIGN.md "Quantized filter"). The first scan unit runs alone on
+    // the caller and seeds: it keeps its k best (distance, id) entries
+    // through KeepBest, and its radius is the k-th best distance so far,
+    // made safe with the largest shard slack (a block can span shards),
+    // +infinity until it holds k entries. The remaining units run in
+    // blocks, each starting from a copy of the seed's k best and radius
+    // and shrinking its own radius from unit to unit. Per unit: the codes'
+    // delta rows are exact-checked first; the column scan compacts
+    // against the radius after every group of dimensions, and in the seed
     // unit it also exact-checks, after groups 1, 2, 4, 8, ..., the k
-    // unchecked rows with the smallest partial bounds within the radius
-    // -- cheap exact distances that make the radius tight early, so later
-    // units run as plain range scans. Survivors refine in ascending
+    // unchecked rows with the smallest partial bounds within the radius --
+    // cheap exact distances that make the radius tight early, so every
+    // later unit runs as a plain range scan. Survivors refine in ascending
     // (bound, row) order until a bound passes the radius. A pruned row's
     // distance provably exceeds its block's k-th; every distance comes
     // from the no-abandon kernel the unfiltered kNN scan runs (the
-    // abandoning kernel's association differs by ulps); and the merge
-    // keeps the k smallest (distance, id) entries -- so the answer, ties
-    // included, is bit-identical.
+    // abandoning kernel's association differs by ulps); the copies of the
+    // seed's entries are dropped, and the merge keeps the k smallest
+    // (distance, id) entries -- so the answer, ties included, is
+    // bit-identical.
     const ShardFilterState& filter = *probe.filter;
     const std::vector<ScanUnit> units = MakeScanUnits(data, RecordGrain(n));
     obs::ScopedSpan filter_span(trace, "filter+refine", trace_parent);
-    entries = RunBlocks<Entry>(
-        static_cast<int64_t>(units.size()), /*grain=*/1, &out.stats,
-        [&](BlockTally<Entry>& tally, int64_t unit_lo, int64_t unit_hi) {
-          double radius_sq = kInf;
-          std::vector<int32_t> active;
-          std::vector<double> scratch;
-          std::vector<int32_t> seed;
-          const auto refine = [&](int64_t id) {
-            ++tally.stats.exact_checks;
-            const double kth = KeepBest(
-                k, Entry(checker.Distance(id, kInf), id), &tally.rows);
-            radius_sq = SafeThreshold(kth * kth, filter.max_slack);
-          };
-          for (int64_t u = unit_lo; u < unit_hi; ++u) {
-            if (ShouldStop(exec)) {
-              break;
+    // Scans units [unit_lo, unit_hi) into `tally` from `radius_sq`, and
+    // returns the radius it shrank to; with `reseed_early` (the seed unit)
+    // it also exact-checks early rows.
+    const auto scan_units = [&](BlockTally<Entry>& tally, double radius_sq,
+                                int64_t unit_lo, int64_t unit_hi,
+                                bool reseed_early) {
+      std::vector<int32_t> active;
+      std::vector<double> scratch;
+      std::vector<int32_t> seed;
+      const auto refine = [&](int64_t id) {
+        ++tally.stats.exact_checks;
+        const double kth = KeepBest(
+            k, Entry(checker.Distance(id, kInf), id), &tally.rows);
+        radius_sq = SafeThreshold(kth * kth, filter.max_slack);
+      };
+      for (int64_t u = unit_lo; u < unit_hi; ++u) {
+        if (ShouldStop(exec)) {
+          break;
+        }
+        const ScanUnit& unit = units[static_cast<size_t>(u)];
+        const RelationShard& shard = data.shard(unit.shard);
+        const QuantizedCodes& codes =
+            *filter.codes[static_cast<size_t>(unit.shard)];
+        const int64_t checks_before = tally.stats.exact_checks;
+        const int64_t screen_hi = std::min(unit.hi, codes.size());
+        const auto refine_offset = [&](int32_t offset) {
+          refine(shard.global_id(unit.lo + offset));
+        };
+        active.clear();
+        AppendAdmitted(shard, query.pattern, unit.lo,
+                       std::max(unit.lo, screen_hi), unit.hi, &active);
+        for (const int32_t r : active) {
+          refine_offset(r);
+        }
+        active.clear();
+        AppendAdmitted(shard, query.pattern, unit.lo, unit.lo, screen_hi,
+                       &active);
+        tally.stats.filter_scanned += static_cast<int64_t>(active.size());
+        // Exact-checks the k rows with the smallest partial bounds
+        // within the radius, and drops them from the scan.
+        const auto reseed = [&](std::vector<int32_t>* rows,
+                                const double* partial) {
+          seed.clear();
+          for (const int32_t r : *rows) {
+            if (partial[r] <= radius_sq) {
+              seed.push_back(r);
             }
-            const ScanUnit& unit = units[static_cast<size_t>(u)];
-            const RelationShard& shard = data.shard(unit.shard);
-            const QuantizedCodes& codes =
-                *filter.codes[static_cast<size_t>(unit.shard)];
-            const int64_t checks_before = tally.stats.exact_checks;
-            const int64_t screen_hi = std::min(unit.hi, codes.size());
-            const auto refine_offset = [&](int32_t offset) {
-              refine(shard.global_id(unit.lo + offset));
-            };
-            active.clear();
-            AppendAdmitted(shard, query.pattern, unit.lo,
-                           std::max(unit.lo, screen_hi), unit.hi, &active);
-            for (const int32_t r : active) {
-              refine_offset(r);
-            }
-            active.clear();
-            AppendAdmitted(shard, query.pattern, unit.lo, unit.lo, screen_hi,
-                           &active);
-            tally.stats.filter_scanned += static_cast<int64_t>(active.size());
-            // Exact-checks the k rows with the smallest partial bounds
-            // within the radius, and drops them from the scan.
-            const auto reseed = [&](std::vector<int32_t>* rows,
-                                    const double* partial) {
-              seed.clear();
-              for (const int32_t r : *rows) {
-                if (partial[r] <= radius_sq) {
-                  seed.push_back(r);
-                }
-              }
-              if (seed.size() > k) {
-                std::nth_element(seed.begin(), seed.begin() + (k - 1),
-                                 seed.end(), ByBound(partial));
-                seed.resize(k);
-              }
-              std::sort(seed.begin(), seed.end());
-              for (const int32_t r : seed) {
-                refine_offset(r);
-              }
-              rows->erase(std::remove_if(rows->begin(), rows->end(),
-                                         [&](int32_t r) {
-                                           return std::binary_search(
-                                               seed.begin(), seed.end(), r);
-                                         }),
-                          rows->end());
-            };
-            int groups = 0;
-            ColumnLowerBoundScan(
-                codes, filter.luts[static_cast<size_t>(unit.shard)], unit.lo,
-                screen_hi,
-                [&](std::vector<int32_t>* rows, const double* partial) {
-                  ++groups;
-                  if (u == unit_lo && (groups & (groups - 1)) == 0) {
-                    reseed(rows, partial);
-                  }
-                  return radius_sq;
-                },
-                &active, &scratch);
-            std::sort(active.begin(), active.end(), ByBound(scratch.data()));
-            for (const int32_t r : active) {
-              if (scratch[static_cast<size_t>(r)] > radius_sq) {
-                break;  // bounds ascend and the radius only shrinks
-              }
-              refine_offset(r);
-            }
-            const int64_t checks = tally.stats.exact_checks - checks_before;
-            tally.CountShard(unit.shard, checks, checks);
           }
+          if (seed.size() > k) {
+            std::nth_element(seed.begin(), seed.begin() + (k - 1),
+                             seed.end(), ByBound(partial));
+            seed.resize(k);
+          }
+          std::sort(seed.begin(), seed.end());
+          for (const int32_t r : seed) {
+            refine_offset(r);
+          }
+          rows->erase(std::remove_if(rows->begin(), rows->end(),
+                                     [&](int32_t r) {
+                                       return std::binary_search(
+                                           seed.begin(), seed.end(), r);
+                                     }),
+                      rows->end());
+        };
+        int groups = 0;
+        ColumnLowerBoundScan(
+            codes, filter.luts[static_cast<size_t>(unit.shard)], unit.lo,
+            screen_hi,
+            [&](std::vector<int32_t>* rows, const double* partial) {
+              ++groups;
+              if (reseed_early && (groups & (groups - 1)) == 0) {
+                reseed(rows, partial);
+              }
+              return radius_sq;
+            },
+            &active, &scratch);
+        std::sort(active.begin(), active.end(), ByBound(scratch.data()));
+        for (const int32_t r : active) {
+          if (scratch[static_cast<size_t>(r)] > radius_sq) {
+            break;  // bounds ascend and the radius only shrinks
+          }
+          refine_offset(r);
+        }
+        const int64_t checks = tally.stats.exact_checks - checks_before;
+        tally.CountShard(unit.shard, checks, checks);
+      }
+      return radius_sq;
+    };
+    BlockTally<Entry> first;
+    first.stats.shard_stats.resize(out.stats.shard_stats.size());
+    const int64_t rest = static_cast<int64_t>(units.size()) - 1;
+    const double seed_radius_sq =
+        rest >= 0 ? scan_units(first, kInf, 0, 1, /*reseed_early=*/true)
+                  : kInf;
+    entries = RunBlocks<Entry>(
+        rest, /*grain=*/1, &out.stats,
+        [&](BlockTally<Entry>& tally, int64_t lo, int64_t hi) {
+          tally.rows = first.rows;
+          scan_units(tally, seed_radius_sq, lo + 1, hi + 1,
+                     /*reseed_early=*/false);
         });
+    FoldTally(&first, &out.stats, &entries);
+    // Every block started from the seed's entries: keep one of each.
+    std::sort(entries.begin(), entries.end());
+    entries.erase(std::unique(entries.begin(), entries.end()), entries.end());
     out.stats.used_filter = true;
     out.stats.candidates = out.stats.exact_checks;
     filter_span.Rows(out.stats.filter_scanned,
@@ -1603,6 +1686,7 @@ Result<QueryResult> Database::ExecuteNearest(const Relation& relation,
   }
   // Discard any partial answer a stopped worker left behind.
   SIMQ_RETURN_IF_ERROR(CheckExecution(query.exec));
+  SIMQ_RETURN_IF_ERROR(checker.status());
   {
     obs::ScopedSpan merge(trace, "merge", trace_parent);
     out.matches = MergeBest(relation, k, entries);
@@ -1663,6 +1747,8 @@ Result<QueryResult> Database::SelfJoin(
       left_spectral ? MaterializeMultiplier(left_rule, n) : std::nullopt;
   const std::optional<Spectrum> right_multiplier =
       right_spectral ? MaterializeMultiplier(right_rule, n) : std::nullopt;
+  SIMQ_RETURN_IF_ERROR(CheckFiniteMultiplier(left_rule, left_multiplier));
+  SIMQ_RETURN_IF_ERROR(CheckFiniteMultiplier(right_rule, right_multiplier));
   const Spectrum* left_mult =
       left_multiplier.has_value() ? &*left_multiplier : nullptr;
   const Spectrum* right_mult =
@@ -1733,7 +1819,7 @@ Result<QueryResult> Database::SelfJoin(
         const double abandon_sq =
             SafeThreshold(eps_sq, 1e-9 * 2.0 * max_energy);
         const int cells = shard_codes[0]->cells();
-        const int ranks = std::min(16, 2 * n);
+        const int ranks = std::min(16, shard_codes[0]->dims());
         out.pairs = RunBlocks<PairMatch>(
             count, grain, &out.stats,
             [&](BlockTally<PairMatch>& tally, int64_t lo, int64_t hi) {

@@ -1,5 +1,5 @@
 /// Lower-bound distance scans over column-major quantized codes, plus the
-/// per-query LUT builder that feeds them (the refine half's gatekeeper;
+/// per-query bound terms that feed them (the refine half's gatekeeper;
 /// see DESIGN.md "Quantized filter").
 ///
 /// Correctness contract. For a query q and a record x encoded as codes
@@ -9,35 +9,46 @@
 ///   LB(q, codes(x)) <= |x - q|^2                        (real arithmetic)
 ///
 /// per dimension: the squared distance from q_d to the nearest edge of
-/// the cell, zero when q_d lies inside. A sum over any subset of the
-/// dimensions is a lower bound too, which is what lets a scan drop a row
-/// as soon as its partial sum passes the threshold. Spectral multiplier
-/// rules m fold in exactly: per coefficient f,
-/// |x_f*m_f - q_f|^2 == |m_f|^2 * |x_f - q_f/m_f|^2, so the LUT stores
-/// bounds against the transformed query q/m scaled by the weight |m|^2
-/// (coefficients with m_f == 0 contribute the constant |q_f|^2, kept in
-/// `base`).
+/// the cell, zero when q_d lies inside. The codes hold only the half
+/// spectrum (coefficients 0 .. n/2). A stored spectrum row is the DFT of a
+/// real series, so coefficient n - f is conj(x_f): its real part lies in
+/// dimension 2f's cell and its imaginary part in the negated cell of
+/// dimension 2f + 1. Each stored dimension therefore adds two terms
+/// against its one cell -- coefficient f's, and its twin's with the twin
+/// query part (the imaginary one negated) -- and the sum covers all n
+/// coefficients. A sum over any subset of the dimensions is a lower bound
+/// too, which is what lets a scan drop a row as soon as its partial sum
+/// passes the threshold. Spectral multiplier rules m fold in exactly: per
+/// coefficient f, |x_f*m_f - q_f|^2 == |m_f|^2 * |x_f - q_f/m_f|^2, so a
+/// term bounds against the transformed query q/m scaled by the weight
+/// |m|^2 (coefficients with m_f == 0 contribute the constant |q_f|^2,
+/// kept in `base`; one whose weight or q/m overflows adds no term).
+/// Neither the query spectrum nor the multiplier needs any symmetry.
 ///
-/// Floating point. The bound holds in real arithmetic; the LUT sums and
+/// Floating point. The bound holds in real arithmetic; the bound sums and
 /// the exact columnar kernels round differently (different association,
-/// the multiplier identity above, possible FMA contraction), so a
-/// computed LB may exceed the computed exact distance by a few ulps. All
-/// pruning therefore compares against SafeThreshold(thr_sq): thr_sq
+/// the multiplier identity above, possible FMA contraction), and the FFT
+/// leaves a stored twin a few ulps off conj(x_f), so a computed LB may
+/// exceed the computed exact distance by a few ulps of the row's energy.
+/// All pruning therefore compares against SafeThreshold(thr_sq): thr_sq
 /// inflated by a relative guard plus an absolute slack proportional to
-/// the query/data energies (~1e-9 relative, five orders of magnitude
-/// above the worst accumulated rounding error of a 2n-term double sum,
-/// and equally far below any pruning power that matters). Survivors are
-/// refined through the unmodified exact kernels, so answers remain
-/// bit-identical to the unfiltered engines by construction: pruning can
-/// only ever be too weak, never wrong.
+/// the query/data energies (~1e-9 relative, about six orders of magnitude
+/// above those rounding and twin errors, and equally far below any
+/// pruning power that matters). Survivors are refined through the
+/// unmodified exact kernels, so answers remain bit-identical to the
+/// unfiltered engines by construction: pruning can only ever be too weak,
+/// never wrong.
 ///
 /// One scan core serves the range scan, the kNN scan and the join screen:
 /// it adds one dimension at a time across a run of rows (the dimension's
-/// code column and LUT row stay cache-hot for the whole pass) and
-/// compacts the survivor list after every group of dimensions against a
-/// threshold it asks the caller for each time. A range query answers with
-/// its fixed epsilon; the kNN driver answers with a radius that shrinks
-/// as it exact-checks rows (core/database.cc).
+/// code column stays cache-hot for the whole pass) and compacts the
+/// survivor list after every group of dimensions against a threshold it
+/// asks the caller for each time. A range query answers with its fixed
+/// epsilon; the kNN driver answers with a radius that shrinks as it
+/// exact-checks rows (core/database.cc). A query builds no dims x cells
+/// table: it orders the dimensions by a closed-form key, fills per-cell
+/// rows for the first group only, and adds every later dimension's terms
+/// straight from its cell edges, with the same expression as the rows.
 ///
 /// Everything here is stateless or immutable after construction; safe
 /// for any number of concurrent query threads.
@@ -53,8 +64,18 @@
 
 namespace simq {
 
-/// Per-query, per-(dimension, cell) bound tables against one shard's
-/// quantizer grid.
+/// One stored dimension's two bound terms for a query: weight * gap(q)^2
+/// for its coefficient and twin_weight * gap(twin_q)^2 for the twin,
+/// where gap is the distance from the target to the row's cell. A zero
+/// weight adds nothing (and its target is 0).
+struct DimTerms {
+  double q = 0.0;
+  double weight = 0.0;
+  double twin_q = 0.0;
+  double twin_weight = 0.0;
+};
+
+/// Per-query bound terms against one shard's quantizer grid.
 struct QueryLuts {
   int dims = 0;
   int cells = 0;
@@ -62,19 +83,24 @@ struct QueryLuts {
   double base = 0.0;
   /// Absolute floating-point safety slack (see SafeThreshold).
   double slack = 0.0;
-  std::vector<double> lb;  // dims * cells, dimension-major
-  /// Dimensions sorted by descending mean lower-bound contribution
-  /// (quantile cells are equi-populated, so the unweighted row mean IS
-  /// the expected per-record contribution). The column scan consumes
-  /// dimensions in this order, so the most discriminating ones run
-  /// first and the survivor list collapses after one compaction; the
+  std::vector<DimTerms> terms;  // per stored dimension
+  /// Dimensions sorted by descending sum of their terms over every cell
+  /// (quantile cells are equi-populated, so that sum over cells is the
+  /// expected per-record contribution times `cells`). The column scan
+  /// consumes dimensions in this order, so the most discriminating ones
+  /// run first and the survivor list collapses after one compaction; the
   /// full-sum bound is order-independent, so correctness is untouched.
   std::vector<int32_t> order;
+  /// Per-cell bounds of the first scan group, order[0 .. lut_rows):
+  /// lut[r * cells + c] is dimension order[r]'s terms in cell c.
+  int lut_rows = 0;
+  std::vector<double> lut;
 };
 
-/// Builds the LUTs for `query_ri` (2n interleaved (re, im) doubles, the
-/// exact query the columnar kernels consume) against `quantizer`'s grid.
-/// `mult_ri` is the interleaved spectral multiplier (nullptr = identity).
+/// Builds the bound terms for `query_ri` (2n interleaved (re, im)
+/// doubles, the exact query the columnar kernels consume) against
+/// `quantizer`'s grid. `mult_ri` is the interleaved spectral multiplier
+/// (nullptr = identity).
 QueryLuts BuildQueryLuts(const ScalarQuantizer& quantizer,
                          const double* query_ri, const double* mult_ri,
                          int n);
@@ -88,13 +114,14 @@ inline double SafeThreshold(double thr_sq, double slack) {
 
 class QuantizedCodes;
 
-/// Per-outer-row screen LUT of the filtered self-join: lower bounds of
-/// (row[d] - x)^2 for x in each cell of dimension d, for the `ranks`
-/// dimensions listed in `dims` (the codes' static scan_order prefix).
-/// `lut` must hold ranks * cells() doubles, rank-major. A partial-sum
-/// bound over a dimension subset is itself a valid lower bound of the
-/// full distance, so screening on these rows alone never drops a true
-/// pair.
+/// Per-outer-row screen LUT of the filtered self-join: for the `ranks`
+/// dimensions listed in `dims` (the codes' static scan_order prefix), the
+/// lower bounds of dimension d's two terms against each of its cells --
+/// (row[d] - x)^2 and, where d has a twin, the twin's part of `row` (a
+/// full 2n-double spectrum row) against the same cell. `lut` must hold
+/// ranks * cells() doubles, rank-major. A partial-sum bound over a
+/// dimension subset is itself a valid lower bound of the full distance,
+/// so screening on these rows alone never drops a true pair.
 void FillPairScreenLut(const ScalarQuantizer& quantizer, const double* row,
                        const int32_t* dims, int ranks, double* lut);
 
@@ -120,8 +147,9 @@ using ScanThreshold =
 /// Column-major lower-bound scan over rows [lo, hi) of `codes`. `active`
 /// holds the unit-relative offsets of the rows in play (the caller has
 /// already applied tombstones and pattern predicates); the scan adds one
-/// dimension at a time, in the LUT's discrimination order, across all
-/// active rows, and after every few dimensions drops the rows whose
+/// dimension at a time, in `luts.order`, across all active rows -- the
+/// first group from `luts.lut`, later ones from the cell edges -- and
+/// after every few dimensions drops the rows whose
 /// running bound exceeds `threshold`'s answer. On return `active` holds
 /// the offsets whose full lower bound passed every compaction, ascending,
 /// and `(*scratch)[r]` holds row r's full lower bound for each of them.
@@ -134,8 +162,9 @@ void ColumnLowerBoundScan(const QuantizedCodes& codes, const QueryLuts& luts,
 
 /// Planner-side selectivity estimate of a range query against one
 /// shard's quantizer grid: the estimated fraction of rows within
-/// `epsilon` of the query, as the product over dimensions of each
-/// dimension's surviving-cell fraction. Quantile cells are
+/// `epsilon` of the query, as the product over the bound terms (a stored
+/// dimension's and its twin's, each at its own weight) of each term's
+/// surviving-cell fraction. Quantile cells are
 /// equi-populated, so the fraction of cells whose interval intersects
 /// [q_d - eps_d, q_d + eps_d] is (to one cell of resolution) the
 /// fraction of rows surviving that dimension alone; the product assumes

@@ -6,7 +6,9 @@ namespace simq {
 
 QuantizedCodes::QuantizedCodes(const FeatureStore& store, int bits)
     : count_(store.size()) {
-  const int dims = 2 * store.spectrum_length();  // 0 for an empty store
+  const int dims =
+      count_ > 0 ? ScalarQuantizer::HalfSpectrumDims(store.spectrum_length())
+                 : 0;
   columns_.resize(static_cast<size_t>(dims) * count_);
   // Column variances for the discrimination order. The sums run in row
   // order, so the order does not depend on how the store is gathered.

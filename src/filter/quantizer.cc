@@ -99,10 +99,14 @@ ScalarQuantizer ScalarQuantizer::Train(const FeatureStore& store, int bits,
   if (count == 0) {
     return q;
   }
-  q.dims_ = 2 * store.spectrum_length();
+  q.n_ = store.spectrum_length();
+  q.dims_ = HalfSpectrumDims(q.n_);
+  const size_t stride = 2 * (static_cast<size_t>(q.cells_) + 2);
   q.bounds_.resize(static_cast<size_t>(q.dims_) * (q.cells_ + 1));
-  // The block's columns (the trailing ones of the last block are row
-  // padding and never visited), and the select's bucket-ordered copy.
+  q.edge_sums_.resize(static_cast<size_t>(q.dims_) * stride);
+  // The block's columns (the trailing ones of the last block are twin
+  // dimensions or row padding and never visited), and the select's
+  // bucket-ordered copy.
   std::vector<double> block(static_cast<size_t>(kBlockDims) * count);
   std::vector<double> ordered(static_cast<size_t>(count));
   for (int d0 = 0; d0 < q.dims_; d0 += kBlockDims) {
@@ -119,15 +123,55 @@ ScalarQuantizer ScalarQuantizer::Train(const FeatureStore& store, int bits,
       double* edges =
           q.bounds_.data() + static_cast<size_t>(d) * (q.cells_ + 1);
       SelectRankEdges(column, count, q.cells_, edges, ordered.data());
+      double* sums = q.edge_sums_.data() + static_cast<size_t>(d) * stride;
+      for (int c = 0; c <= q.cells_; ++c) {
+        sums[2 * c + 2] = sums[2 * c] + edges[c];
+        sums[2 * c + 3] = sums[2 * c + 1] + edges[c] * edges[c];
+      }
       const double widest =
           std::max(std::abs(edges[0]), std::abs(edges[q.cells_]));
-      q.max_row_energy_ += widest * widest;
+      q.max_row_energy_ += (q.HasTwin(d) ? 2.0 : 1.0) * (widest * widest);
       if (visit) {
         visit(q, d, column);
       }
     }
   }
   return q;
+}
+
+double ScalarQuantizer::GapSqSum(int d, double q) const {
+  const double* edges = bounds(d);
+  const size_t stride = 2 * (static_cast<size_t>(cells_) + 2);
+  const double* sums = edge_sums_.data() + static_cast<size_t>(d) * stride;
+  // Cell c lies below q when its high edge c + 1 is < q, and above q when
+  // its low edge c is > q. The edges < q are [0, below) and the edges > q
+  // are [above, cells]; sum (q - e)^2 over high edges in [1, below) and
+  // (e - q)^2 over low edges in [above, cells). `below` is a branch-free
+  // lower bound (the search is unpredictable, and a query asks for it
+  // twice per dimension); the edges equal to q are usually none.
+  const double* first = edges;
+  for (int len = cells_ + 1; len > 1;) {
+    const int half = len / 2;
+    first = first[half] < q ? first + half : first;
+    len -= half;
+  }
+  const int below = static_cast<int>(first - edges) + (*first < q ? 1 : 0);
+  int above = below;
+  while (above <= cells_ && !(q < edges[above])) {
+    ++above;
+  }
+  double total = 0.0;
+  const auto add = [&](int from, int to) {  // edges [from, to)
+    if (from < to) {
+      total += (to - from) * (q * q) -
+               2.0 * q * (sums[2 * to] - sums[2 * from]) +
+               (sums[2 * to + 1] - sums[2 * from + 1]);
+    }
+  };
+  add(1, below);
+  add(above, cells_);
+  // max(0, NaN) is 0: cancellation can only misorder dimensions.
+  return std::max(0.0, total);
 }
 
 uint32_t ScalarQuantizer::Encode(int d, double value) const {

@@ -28,6 +28,7 @@
 #include "filter/quantized_codes.h"
 #include "filter/quantizer.h"
 #include "ts/transforms.h"
+#include "util/random.h"
 #include "workload/generators.h"
 
 namespace simq {
@@ -137,7 +138,7 @@ TEST(Quantizer, CellsBracketEveryEncodedValue) {
   }
   for (const int bits : {4, 5, 6, 7, 8}) {
     const ScalarQuantizer q = ScalarQuantizer::Train(store, bits);
-    ASSERT_EQ(q.dims(), 2 * store.spectrum_length());
+    ASSERT_EQ(q.dims(), 2 * (store.spectrum_length() / 2 + 1));
     ASSERT_EQ(q.cells(), 1 << bits);
     for (int64_t i = 0; i < store.size(); ++i) {
       const double* row = store.SpectrumRow(i);
@@ -173,49 +174,73 @@ TEST(QuantizedCodes, ColumnsRoundTripEveryWidth) {
   }
 }
 
+// The codes keep coefficients 0 .. n/2 and bound every other one through
+// its conjugate twin, so the bound must hold at every length parity (n = 1
+// and 2 have no twins, odd n has no Nyquist coefficient), for any query
+// spectrum (the perturbed queries are not conjugate-symmetric) and any
+// multiplier (random complex ones, and an all-zero one whose bound is the
+// constant base).
 TEST(BoundKernels, LowerBoundBelowBruteForceDistances) {
-  const int length = 40;
-  const std::vector<TimeSeries> series =
-      workload::RandomWalkSeries(80, length, 19);
-  FeatureStore store;
-  for (const TimeSeries& ts : series) {
-    const auto normal = ToNormalForm(ts.values);
-    store.Append(ComputeFeatures(ts.values), normal.values);
-  }
-  const int n = store.spectrum_length();
-  for (const int bits : {4, 8}) {
-    const QuantizedCodes codes(store, bits);
-    // Queries: stored rows (exact cell hits) and perturbed ones.
-    for (int qi = 0; qi < 8; ++qi) {
-      std::vector<double> query(static_cast<size_t>(2 * n));
-      const double* src = store.SpectrumRow(qi * 7 % store.size());
-      for (int d = 0; d < 2 * n; ++d) {
-        query[static_cast<size_t>(d)] = src[d] + (qi % 3 - 1) * 0.01 * d;
-      }
-      const QueryLuts luts =
-          BuildQueryLuts(codes.quantizer(), query.data(), nullptr, n);
-      // An infinite threshold keeps every row, so the scan leaves each
-      // row's full lower bound in `bounds`.
-      std::vector<int32_t> active;
-      for (int64_t i = 0; i < codes.size(); ++i) {
-        active.push_back(static_cast<int32_t>(i));
-      }
-      std::vector<double> bounds;
-      ColumnLowerBoundScan(
-          codes, luts, 0, codes.size(),
-          [](std::vector<int32_t>*, const double*) {
-            return std::numeric_limits<double>::infinity();
-          },
-          &active, &bounds);
-      ASSERT_EQ(active.size(), static_cast<size_t>(codes.size()));
-      for (int64_t i = 0; i < codes.size(); ++i) {
-        const double exact_sq = RowDistanceSq(
-            store.SpectrumRow(i), query.data(), n,
-            std::numeric_limits<double>::infinity());
-        // The bound must hold up to the documented FP slack.
-        EXPECT_LE(bounds[static_cast<size_t>(i)],
-                  SafeThreshold(exact_sq, luts.slack))
-            << "bits " << bits << " row " << i;
+  for (const int length : {1, 2, 3, 4, 5, 7, 8, 16, 33, 128}) {
+    const std::vector<TimeSeries> series =
+        workload::RandomWalkSeries(80, length, 19);
+    FeatureStore store;
+    for (const TimeSeries& ts : series) {
+      const auto normal = ToNormalForm(ts.values);
+      store.Append(ComputeFeatures(ts.values), normal.values);
+    }
+    const int n = store.spectrum_length();
+    Random rng(static_cast<uint64_t>(length));
+    std::vector<double> random_mult(static_cast<size_t>(2 * n));
+    for (double& m : random_mult) {
+      m = rng.UniformDouble(-2.0, 2.0);
+    }
+    const std::vector<double> zero_mult(static_cast<size_t>(2 * n), 0.0);
+    for (const int bits : {4, 8}) {
+      const QuantizedCodes codes(store, bits);
+      ASSERT_EQ(codes.dims(), 2 * (n / 2 + 1)) << "length " << length;
+      for (const double* mult : std::vector<const double*>{
+               nullptr, random_mult.data(), zero_mult.data()}) {
+        // Queries: stored rows (exact cell hits) and perturbed ones.
+        for (int qi = 0; qi < 8; ++qi) {
+          std::vector<double> query(static_cast<size_t>(2 * n));
+          const double* src = store.SpectrumRow(qi * 7 % store.size());
+          for (int d = 0; d < 2 * n; ++d) {
+            query[static_cast<size_t>(d)] = src[d] + (qi % 3 - 1) * 0.01 * d;
+          }
+          const QueryLuts luts =
+              BuildQueryLuts(codes.quantizer(), query.data(), mult, n);
+          // An infinite threshold keeps every row, so the scan leaves each
+          // row's full lower bound in `bounds`.
+          std::vector<int32_t> active;
+          for (int64_t i = 0; i < codes.size(); ++i) {
+            active.push_back(static_cast<int32_t>(i));
+          }
+          std::vector<double> bounds;
+          ColumnLowerBoundScan(
+              codes, luts, 0, codes.size(),
+              [](std::vector<int32_t>*, const double*) {
+                return std::numeric_limits<double>::infinity();
+              },
+              &active, &bounds);
+          ASSERT_EQ(active.size(), static_cast<size_t>(codes.size()));
+          for (int64_t i = 0; i < codes.size(); ++i) {
+            const double exact_sq =
+                mult == nullptr
+                    ? RowDistanceSq(store.SpectrumRow(i), query.data(), n,
+                                    std::numeric_limits<double>::infinity())
+                    : RowDistanceSqMult(
+                          store.SpectrumRow(i), mult, query.data(), n,
+                          std::numeric_limits<double>::infinity());
+            // The bound must hold up to the documented FP slack.
+            EXPECT_LE(bounds[static_cast<size_t>(i)],
+                      SafeThreshold(exact_sq, luts.slack))
+                << "length " << length << " bits " << bits << " multiplier "
+                << (mult == nullptr ? "identity"
+                    : mult == zero_mult.data() ? "zero" : "random")
+                << " query " << qi << " row " << i;
+          }
+        }
       }
     }
   }

@@ -5,9 +5,10 @@
 // path's radius really carries from one unit of a block to the next.
 //
 // Each query runs under two block partitions: the default one (the pool
-// is pinned to 4 threads, so the relation splits into one-unit blocks,
-// each seeding its own radius) and a parallelism budget of 1 (one block
-// over every unit, seeding only in the first). The relation goes through
+// is pinned to 4 threads, so the first unit seeds alone and the rest split
+// into one-unit blocks, each starting from a copy of the seed's k best and
+// radius) and a parallelism budget of 1 (the seed unit, then one block
+// over every other unit). The relation goes through
 // three states: freshly loaded; with delta rows and tombstones; and with
 // every row of each shard's first unit deleted. The queries cover k = 1,
 // 10 and more than a unit's rows, exact-duplicate ties at the k-th

@@ -329,8 +329,9 @@ TEST(ExecutorBoundsTest, LargestNearestCountReturnsEveryRowOnEveryStrategy) {
     g_watch_allocations = false;
     ASSERT_TRUE(result.ok()) << text << ": " << result.status().ToString();
     EXPECT_EQ(result.value().matches.size(), 20u) << text;
-    // The largest legitimate blocks are the filter's 256 x 256 grid and
-    // LUT (about 512 KiB each); a k-sized reservation is 32 GiB or more.
+    // The largest legitimate blocks are the filter's 130 x 257 grid and
+    // its edge prefix sums (about 270 KiB each); a k-sized reservation is
+    // 32 GiB or more.
     EXPECT_LT(g_largest_allocation, size_t{1} << 20) << text;
     answers.push_back(result.value());
   }
@@ -436,6 +437,79 @@ TEST(ExecutorBoundsTest, OverflowingSeriesAreInvalidArguments) {
     ASSERT_FALSE(result.ok()) << text;
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
         << text << ": " << result.status().ToString();
+  }
+}
+
+// Rule chains that overflow. A spectral chain's multiplier can overflow:
+// scale(1e200)|scale(1e200)|diff is infinite at every frequency but 0,
+// where inf * 0 is NaN. The chain answered with NaN distances, on each
+// strategy different rows (VIA SCAN walk0..walk4, VIA INDEX walk1, walk3,
+// walk4, walk7 and walk12) or, filtered, with none. A MODE RAW chain whose
+// transformed rows overflow to inf - inf answered at NaN too. All are
+// InvalidArgument on every strategy now; +inf distances still order, so
+// they stay answers.
+TEST(ExecutorBoundsTest, OverflowingRuleChainsAreInvalidArguments) {
+  Database db;
+  ASSERT_TRUE(db.CreateRelation("r").ok());
+  ASSERT_TRUE(db.BulkLoad("r", workload::RandomWalkSeries(20, 16, 7)).ok());
+  const auto expect_invalid = [&](const std::string& text) {
+    const Result<QueryResult> result = db.ExecuteText(text);
+    ASSERT_FALSE(result.ok()) << text;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << text << ": " << result.status().ToString();
+  };
+  const std::vector<std::string> strategies = {
+      "VIA SCAN", "VIA FULLSCAN", "VIA INDEX", "VIA SCAN MODE FILTERED", ""};
+  for (const std::string& via : strategies) {
+    // A non-finite multiplier, raw or normal form, as each query kind.
+    expect_invalid(
+        "NEAREST 5 r TO #walk0 USING scale(1e308)|diff MODE RAW " + via);
+    expect_invalid(
+        "NEAREST 5 r TO #walk0 USING scale(1e200)|scale(1e200)|diff " + via);
+    expect_invalid(
+        "RANGE r WITHIN 5 OF #walk0 USING scale(1e200)|scale(1e200)|diff " +
+        via);
+    expect_invalid("PAIRS r WITHIN 1 USING scale(1e200)|scale(1e200)|diff " +
+                   via);
+    expect_invalid("PAIRS r WITHIN 1 USING scale(1e308)|diff " + via);
+    expect_invalid(
+        "PAIRS r WITHIN 1 USING identity VS scale(1e200)|scale(1e200)|diff " +
+        via);
+  }
+  // A finite multiplier (at most 1.6e308) whose raw rows still overflow:
+  // the walks' values times 8e307 are all +inf, and diff makes inf - inf.
+  // MODE RAW never uses the index, so the index strategy is left out.
+  for (const std::string& via :
+       {"VIA SCAN", "VIA FULLSCAN", "VIA SCAN MODE FILTERED", ""}) {
+    expect_invalid("NEAREST 5 r TO #walk0 USING scale(8e307)|diff MODE RAW " +
+                   via);
+    expect_invalid(
+        "RANGE r WITHIN 5 OF #walk0 USING scale(8e307)|diff MODE RAW " + via);
+  }
+  // +inf distances order, so they stay legal: every row is at +inf and the
+  // k best are the k smallest ids.
+  const Result<QueryResult> infinite = db.ExecuteText(
+      "NEAREST 5 r TO #walk0 USING scale(1e308) MODE RAW VIA SCAN");
+  ASSERT_TRUE(infinite.ok()) << infinite.status().ToString();
+  ASSERT_EQ(infinite.value().matches.size(), 5u);
+  for (size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(infinite.value().matches[i].id, static_cast<int64_t>(i));
+    EXPECT_EQ(infinite.value().matches[i].distance,
+              std::numeric_limits<double>::infinity());
+  }
+  // A finite multiplier whose weight |m|^2 overflows: every distance is
+  // +inf, and the filtered scan must rank them like the exact one.
+  const Result<QueryResult> exact = db.ExecuteText(
+      "NEAREST 5 r TO #walk0 USING scale(1e160)|diff VIA SCAN MODE EXACT");
+  const Result<QueryResult> filtered = db.ExecuteText(
+      "NEAREST 5 r TO #walk0 USING scale(1e160)|diff VIA SCAN MODE FILTERED");
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  ASSERT_TRUE(filtered.ok()) << filtered.status().ToString();
+  ASSERT_EQ(filtered.value().matches.size(), exact.value().matches.size());
+  for (size_t i = 0; i < exact.value().matches.size(); ++i) {
+    EXPECT_EQ(filtered.value().matches[i].id, exact.value().matches[i].id);
+    EXPECT_EQ(Bits(filtered.value().matches[i].distance),
+              Bits(exact.value().matches[i].distance));
   }
 }
 

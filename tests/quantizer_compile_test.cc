@@ -1,11 +1,13 @@
 // Pins the quantized codes' compile (filter/quantizer.cc: row-block
 // gather, bucketed quantile select, bucketed encode) to the definition it
-// computes faster: a strided gather of each column, std::sort, the edge at
-// rank c*(n-1)/cells, a per-value upper_bound over all the edges, and the
-// column variances summed in row order. Edges must compare ==, codes must
-// match byte for byte, and scan_order and max_row_energy must be
-// identical -- then every LUT, bound, survivor and answer built on them is
-// unchanged too.
+// computes faster: a strided gather of each column of the half spectrum
+// (coefficients 0 .. n/2, dimensions 0 .. 2 * (n/2 + 1) - 1), std::sort,
+// the edge at rank c*(n-1)/cells, a per-value upper_bound over all the
+// edges, and the column variances summed in row order. Edges must compare
+// ==, codes must match byte for byte, and scan_order and max_row_energy
+// (each coefficient's widest edge squared, twice where the coefficient
+// has a conjugate twin) must be identical -- then every LUT, bound,
+// survivor and answer built on them is unchanged too.
 //
 // Inputs: adversarial stores (1 to 1000 rows, tiny spectra, duplicates,
 // constant columns, 1e12 outliers, magnitudes from 2^-30 to 2^30, signed
@@ -50,7 +52,8 @@ struct SortCompile {
 SortCompile CompileBySorting(const FeatureStore& store, int bits) {
   SortCompile ref;
   ref.cells = 1 << bits;
-  ref.dims = 2 * store.spectrum_length();
+  const int n = store.spectrum_length();
+  ref.dims = 2 * (n / 2 + 1);
   const int64_t count = store.size();
   ref.edges.resize(static_cast<size_t>(ref.dims) * (ref.cells + 1));
   std::vector<double> column(static_cast<size_t>(count));
@@ -68,7 +71,9 @@ SortCompile CompileBySorting(const FeatureStore& store, int bits) {
     }
     const double widest =
         std::max(std::abs(edges[0]), std::abs(edges[ref.cells]));
-    ref.max_row_energy += widest * widest;
+    const int f = d / 2;
+    const bool twin = f > 0 && 2 * f < n;
+    ref.max_row_energy += (twin ? 2.0 : 1.0) * (widest * widest);
   }
   ref.codes.resize(static_cast<size_t>(ref.dims) * count);
   std::vector<double> sum(static_cast<size_t>(ref.dims), 0.0);
@@ -279,6 +284,52 @@ TEST(QuantizerCompile, EncodeColumnIsEncodeOutsideTheTrainingRange) {
       for (size_t i = 0; i < probes.size(); ++i) {
         EXPECT_EQ(codes[i], q.Encode(d, probes[i]))
             << "bits " << bits << " dim " << d << " value " << probes[i];
+      }
+    }
+  }
+}
+
+// GapSqSum, the query scan's dimension-order key, is the sum of the
+// squared cell gaps over every cell, from the edge prefix sums: it must
+// agree with the cell-by-cell sum up to rounding, for targets below,
+// above, on and between the edges.
+TEST(QuantizerCompile, GapSqSumIsTheCellByCellSum) {
+  Random rng(23);
+  std::vector<std::vector<double>> rows;
+  for (int i = 0; i < 200; ++i) {
+    std::vector<double> row(14);
+    for (double& v : row) {
+      v = rng.NextGaussian() * (i % 9 == 0 ? 20.0 : 1.0);
+    }
+    rows.push_back(row);
+  }
+  const FeatureStore store = StoreOfSpectra(rows);
+  for (int bits = ScalarQuantizer::kMinBits;
+       bits <= ScalarQuantizer::kMaxBits; ++bits) {
+    const ScalarQuantizer q = ScalarQuantizer::Train(store, bits);
+    ASSERT_EQ(q.dims(), 8);  // n = 7: coefficients 0 .. 3
+    for (int d = 0; d < q.dims(); ++d) {
+      const double* edges = q.bounds(d);
+      std::vector<double> targets = {edges[0] - 3.0, edges[q.cells()] + 3.0,
+                                     0.0};
+      for (int c = 0; c <= q.cells(); c += 5) {
+        targets.push_back(edges[c]);
+        if (c < q.cells()) {
+          targets.push_back(0.5 * (edges[c] + edges[c + 1]));
+        }
+      }
+      for (const double t : targets) {
+        double direct = 0.0;
+        double scale = 0.0;
+        for (int c = 0; c < q.cells(); ++c) {
+          const double gap = t < edges[c]       ? edges[c] - t
+                             : t > edges[c + 1] ? t - edges[c + 1]
+                                                : 0.0;
+          direct += gap * gap;
+          scale += t * t + edges[c] * edges[c];
+        }
+        EXPECT_NEAR(q.GapSqSum(d, t), direct, 1e-12 * scale)
+            << "bits " << bits << " dim " << d << " target " << t;
       }
     }
   }
