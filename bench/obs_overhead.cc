@@ -318,7 +318,6 @@ void Run(int rounds, const std::string& out_path) {
   // Workload 2: filtered kNN over 12000 x 128 walks.
   {
     auto db = bench::BuildDatabase(workload::RandomWalkSeries(12000, 128, 5));
-    db->set_filter_engine(FilterEngine::kQuantized);
     std::vector<Query> queries;
     constexpr int kProbes = 8;
     for (int p = 0; p < kProbes; ++p) {

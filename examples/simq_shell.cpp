@@ -60,8 +60,6 @@ void PrintHelp() {
       " as JSONL\n"
       "  .trace on|off|N                          trace every query /"
       " none / 1-in-N\n"
-      "  .filter on|off [bits]                    quantized filter engine"
-      " toggle\n"
       "  .help | .quit\n"
       "anything else is parsed as a query; prefix with EXPLAIN to see the"
       " plan, or\n"
@@ -300,8 +298,6 @@ class Shell {
       CmdFlight();
     } else if (head == ".trace") {
       CmdTrace(in);
-    } else if (head == ".filter") {
-      CmdFilter(in);
     } else if (!head.empty() && head[0] == '.') {
       std::printf("unknown command '%s' (try .help)\n", head.c_str());
     } else {
@@ -332,44 +328,6 @@ class Shell {
     }
     std::printf("loaded %d random walks of length %d into '%s'\n", count,
                 length, relation.c_str());
-  }
-
-  // Engine-wide filter toggle (Database::set_filter_engine): `.filter on
-  // [bits]` routes every eligible scan through the quantized
-  // filter-and-refine path; per-query MODE FILTERED / MODE EXACT still
-  // override it. Safe here because the shell is single-threaded.
-  void CmdFilter(std::istringstream& in) {
-    std::string mode;
-    if (!(in >> mode) || (mode != "on" && mode != "off")) {
-      std::printf("usage: .filter on|off [bits_per_dim 4..8]\n");
-      return;
-    }
-    Database& db = service_->mutable_database_unlocked();
-    std::string bits_arg;
-    if (in >> bits_arg) {
-      int bits = 0;
-      size_t consumed = 0;
-      try {
-        bits = std::stoi(bits_arg, &consumed);
-      } catch (...) {
-      }
-      if (consumed != bits_arg.size() || bits < ScalarQuantizer::kMinBits ||
-          bits > ScalarQuantizer::kMaxBits) {
-        std::printf("bits_per_dim '%s' is invalid: expected an integer in "
-                    "[%d, %d]\n",
-                    bits_arg.c_str(), ScalarQuantizer::kMinBits,
-                    ScalarQuantizer::kMaxBits);
-        return;
-      }
-      FilterOptions options;
-      options.bits_per_dim = bits;
-      db.set_filter_options(options);
-    }
-    db.set_filter_engine(mode == "on" ? FilterEngine::kQuantized
-                                      : FilterEngine::kExact);
-    std::printf("filter engine: %s (bits_per_dim=%d)\n",
-                mode == "on" ? "quantized" : "exact",
-                db.filter_options().bits_per_dim);
   }
 
   // Full registry scrape, in the same text exposition the HTTP endpoint

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <iterator>
 #include <limits>
+#include <optional>
 
 #include "core/parser.h"
 #include "filter/bound_kernels.h"
@@ -359,14 +360,14 @@ struct ShardFilterState {
 // failpoint): the caller counts the degradation and runs the exact scan
 // instead -- same answers, no acceleration.
 std::optional<ShardFilterState> MakeShardFilterState(
-    const ShardedRelation& data, int bits, const double* query_ri,
+    const ShardedRelation& data, const double* query_ri,
     const double* mult_ri, int n) {
   ShardFilterState state;
   const int num_shards = data.num_shards();
   state.codes.reserve(static_cast<size_t>(num_shards));
   state.luts.reserve(static_cast<size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
-    const QuantizedCodes* codes = data.shard(s).quantized_codes_or_null(bits);
+    const QuantizedCodes* codes = data.shard(s).codes_view().artifact;
     if (codes == nullptr) {
       return std::nullopt;
     }
@@ -525,13 +526,13 @@ inline obs::Trace* QueryTrace(const Query& query) {
 // Pre-execution per-shard cardinality estimates for EXPLAIN / EXPLAIN
 // ANALYZE -- computed only for explained or traced queries, never on the
 // hot path. Range estimates (`k` == 0) read the shard quantizer's cell
-// occupancy when codes are already compiled (the if_fresh peek: a plan
-// estimate must not trigger -- or fail -- a code build) and fall back to
+// occupancy when codes are already compiled (the peek: a plan estimate
+// must not trigger -- or fail -- a code build) and fall back to
 // the shard row count; nearest estimates are min(rows, k), since each
 // shard contributes at most k candidates to the merge and there is no
 // radius to estimate against. Estimates feed the reported plan only; no
 // pruning decision reads them.
-void FillShardEstimates(const ShardedRelation& data, int bits,
+void FillShardEstimates(const ShardedRelation& data,
                         const ExactChecker& checker, int n, double epsilon,
                         int k, ExecutionStats* stats) {
   const int num_shards = data.num_shards();
@@ -550,8 +551,7 @@ void FillShardEstimates(const ShardedRelation& data, int bits,
     if (!checker.columnar()) {
       continue;
     }
-    const QuantizedCodes* codes =
-        data.shard(s).quantized_codes_if_fresh(bits);
+    const QuantizedCodes* codes = data.shard(s).codes_peek().artifact;
     if (codes != nullptr && codes->dims() > 0) {
       const double fraction = EstimateRangeSurvivorFraction(
           codes->quantizer(), checker.query_ri().data(), checker.mult_ri(),
@@ -597,8 +597,10 @@ const FeatureStore& Relation::store() const {
 const PackedRTree& Relation::packed_index() const {
   SIMQ_CHECK_EQ(data_.num_shards(), 1)
       << "Relation::packed_index() is only defined for unsharded "
-         "relations; use sharded().shard(s).packed_index()";
-  return data_.shard(0).packed_index();
+         "relations; use sharded().shard(s).packed_view()";
+  const PackedRTree* tree = data_.shard(0).packed_view().artifact;
+  SIMQ_CHECK(tree != nullptr) << "the packed compile failed";
+  return *tree;
 }
 
 Result<int64_t> Relation::FindByName(const std::string& series_name) const {
@@ -633,22 +635,10 @@ void Database::CountFilterDegradation(ExecutionStats* stats) const {
   stats->degraded = true;
 }
 
-bool Database::UseQuantizedFilter(FilterMode filter) const {
-  switch (filter) {
-    case FilterMode::kFiltered:
-      return true;
-    case FilterMode::kExact:
-      return false;
-    case FilterMode::kDefault:
-      break;
-  }
-  return filter_engine_ == FilterEngine::kQuantized;
-}
-
-std::vector<PackedSnapshotCache::View> Database::ResolveSnapshots(
+std::vector<RelationShard::PackedView> Database::ResolveSnapshots(
     const ShardedRelation& data, bool* degraded) const {
   const int num_shards = data.num_shards();
-  std::vector<PackedSnapshotCache::View> views(
+  std::vector<RelationShard::PackedView> views(
       static_cast<size_t>(num_shards));
   const auto resolve = [&](int64_t /*block*/, int64_t lo, int64_t hi) {
     for (int64_t s = lo; s < hi; ++s) {
@@ -661,7 +651,7 @@ std::vector<PackedSnapshotCache::View> Database::ResolveSnapshots(
   // fresh the views are read inline, one lock each.
   bool any_stale = false;
   for (int s = 0; s < num_shards && !any_stale; ++s) {
-    any_stale = !data.shard(s).packed_fresh();
+    any_stale = data.shard(s).packed_peek().artifact == nullptr;
   }
   if (any_stale) {
     ThreadPool::Global().ParallelFor(0, num_shards, /*min_grain=*/1, resolve);
@@ -669,8 +659,8 @@ std::vector<PackedSnapshotCache::View> Database::ResolveSnapshots(
     resolve(0, 0, num_shards);
   }
   bool failed = false;
-  for (const PackedSnapshotCache::View& view : views) {
-    if (view.tree == nullptr) {
+  for (const RelationShard::PackedView& view : views) {
+    if (view.artifact == nullptr) {
       degradation_->packed_compile_failures.fetch_add(
           1, std::memory_order_relaxed);
       failed = true;
@@ -715,7 +705,7 @@ Status Database::BuildRecompaction(
   if (rel == nullptr) {
     return Status::NotFound("no relation named '" + relation + "'");
   }
-  return rel->data_.BuildRecompaction(filter_options_.bits_per_dim, out);
+  return rel->data_.BuildRecompaction(out);
 }
 
 Status Database::PublishRecompaction(
@@ -1133,10 +1123,9 @@ Status Database::PrepareProbe(const Relation& relation, const Query& query,
   // failpoint) falls through to the exact scan with the degradation
   // counted -- same answers, no acceleration, never an abort.
   if (strategy == ExecutionStrategy::kScan && checker.columnar() && n >= 1 &&
-      UseQuantizedFilter(query.filter)) {
-    probe->filter = MakeShardFilterState(
-        data, filter_options_.bits_per_dim, checker.query_ri().data(),
-        checker.mult_ri(), n);
+      query.filter == FilterMode::kFiltered) {
+    probe->filter = MakeShardFilterState(data, checker.query_ri().data(),
+                                         checker.mult_ri(), n);
     if (!probe->filter.has_value()) {
       CountFilterDegradation(stats);
     }
@@ -1146,9 +1135,8 @@ Status Database::PrepareProbe(const Relation& relation, const Query& query,
   // grid is visible to the estimator on the filtered path) and actuals
   // are produced only for explained or traced queries.
   if (query.explain || QueryTrace(query) != nullptr) {
-    FillShardEstimates(data, filter_options_.bits_per_dim, checker, n,
-                       nearest ? 0.0 : query.epsilon, nearest ? query.k : 0,
-                       stats);
+    FillShardEstimates(data, checker, n, nearest ? 0.0 : query.epsilon,
+                       nearest ? query.k : 0, stats);
   }
   return Status::Ok();
 }
@@ -1208,7 +1196,7 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
     // fan-out like any other ParallelFor). Gather: the blocks' matches are
     // joined in shard order and canonically sorted below, so the answer is
     // independent of shard count and scheduling.
-    const std::vector<PackedSnapshotCache::View> views =
+    const std::vector<RelationShard::PackedView> views =
         ResolveSnapshots(data, &out.stats.degraded);
     out.matches = RunBlocks<Match>(
         data.num_shards(), /*grain=*/1, &out.stats,
@@ -1218,12 +1206,12 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
               break;
             }
             const double span_start = trace != nullptr ? trace->NowMs() : 0.0;
-            const PackedSnapshotCache::View& view =
+            const RelationShard::PackedView& view =
                 views[static_cast<size_t>(s)];
             std::vector<int64_t> candidates;
-            if (view.tree != nullptr) {
+            if (view.artifact != nullptr) {
               tally.stats.node_accesses +=
-                  view.tree->Search(region, affines_ptr, &candidates);
+                  view.artifact->Search(region, affines_ptr, &candidates);
             }
             const int64_t tree_candidates =
                 static_cast<int64_t>(candidates.size());
@@ -1450,10 +1438,13 @@ Result<QueryResult> Database::ExecuteNearest(const Relation& relation,
   if (probe.strategy == ExecutionStrategy::kIndex) {
     const NnLowerBound bound(probe.query_coeffs, config_);
     const std::vector<DimAffine>* affines_ptr = probe.affines_or_null();
-    const auto exact = [&](int64_t id) {
+    // A deleted row, or one the pattern excludes, has no distance (and is
+    // never offered to the k best); +infinity is a distance like any
+    // other.
+    const auto exact = [&](int64_t id) -> std::optional<double> {
       if (!data.alive(id) ||
           !StatsAdmit(data.mean(id), data.std_dev(id), query.pattern)) {
-        return kInf;  // excluded: never offered to the k best
+        return std::nullopt;
       }
       ++out.stats.exact_checks;
       return checker.Distance(id, kInf);
@@ -1466,25 +1457,23 @@ Result<QueryResult> Database::ExecuteNearest(const Relation& relation,
     // delta rows go through KeepBest -- any record it drops is beaten by
     // k results under the final tie-break order and can never re-enter.
     double kth = kInf;
-    const std::vector<PackedSnapshotCache::View> views =
+    const std::vector<RelationShard::PackedView> views =
         ResolveSnapshots(data, &out.stats.degraded);
     for (int s = 0; s < data.num_shards(); ++s) {
       SIMQ_RETURN_IF_ERROR(CheckExecution(query.exec));
       const double span_start = trace != nullptr ? trace->NowMs() : 0.0;
       const int64_t checks_before = out.stats.exact_checks;
-      const PackedSnapshotCache::View& view = views[static_cast<size_t>(s)];
+      const RelationShard::PackedView& view = views[static_cast<size_t>(s)];
       int64_t shard_returned = 0;
-      if (view.tree != nullptr) {
+      if (view.artifact != nullptr) {
         int64_t visited = 0;
-        const auto shard_results = view.tree->NearestNeighbors(
+        const auto shard_results = view.artifact->NearestNeighbors(
             bound, affines_ptr, query.k, exact,
             cross_shard_knn_pruning_ ? kth : kInf, &visited);
         out.stats.node_accesses += visited;
         shard_returned = static_cast<int64_t>(shard_results.size());
         for (const auto& [id, distance] : shard_results) {
-          if (distance != kInf) {
-            kth = KeepBest(k, Entry(distance, id), &entries);
-          }
+          kth = KeepBest(k, Entry(distance, id), &entries);
         }
       }
       // Delta scan: rows past the snapshot's coverage (appended after its
@@ -1493,9 +1482,8 @@ Result<QueryResult> Database::ExecuteNearest(const Relation& relation,
       const RelationShard& shard = data.shard(s);
       for (int64_t r = view.covered; r < shard.size(); ++r) {
         const int64_t id = shard.global_id(r);
-        const double distance = exact(id);
-        if (distance != kInf) {
-          kth = KeepBest(k, Entry(distance, id), &entries);
+        if (const std::optional<double> distance = exact(id)) {
+          kth = KeepBest(k, Entry(*distance, id), &entries);
         }
       }
       if (trace != nullptr) {
@@ -1783,16 +1771,14 @@ Result<QueryResult> Database::SelfJoin(
       // the unfiltered join bit-for-bit.
       bool join_filter = method == JoinMethod::kScanEarlyAbandon && n >= 1 &&
                          left_mult == nullptr && right_mult == nullptr &&
-                         UseQuantizedFilter(filter);
+                         filter == FilterMode::kFiltered;
       std::vector<const QuantizedCodes*> shard_codes;
       double max_energy = 0.0;
       if (join_filter) {
         const ShardedRelation& data = relation->sharded();
-        const int bits = filter_options_.bits_per_dim;
         shard_codes.reserve(static_cast<size_t>(data.num_shards()));
         for (int s = 0; s < data.num_shards(); ++s) {
-          const QuantizedCodes* codes =
-              data.shard(s).quantized_codes_or_null(bits);
+          const QuantizedCodes* codes = data.shard(s).codes_view().artifact;
           if (codes == nullptr) {
             // Compile failed ("filter.compile"): degrade to the unfiltered
             // early-abandoning scan below -- identical pairs, no screen.
@@ -1818,12 +1804,12 @@ Result<QueryResult> Database::SelfJoin(
         const double eps_sq = epsilon * epsilon;
         const double abandon_sq =
             SafeThreshold(eps_sq, 1e-9 * 2.0 * max_energy);
-        const int cells = shard_codes[0]->cells();
         const int ranks = std::min(16, shard_codes[0]->dims());
         out.pairs = RunBlocks<PairMatch>(
             count, grain, &out.stats,
             [&](BlockTally<PairMatch>& tally, int64_t lo, int64_t hi) {
-              std::vector<double> lut(static_cast<size_t>(ranks) * cells);
+              std::vector<double> lut(static_cast<size_t>(ranks) *
+                                      ScalarQuantizer::kCells);
               std::vector<int32_t> active;
               std::vector<double> scratch;
               std::vector<int64_t> survivors;
@@ -2100,7 +2086,7 @@ Result<QueryResult> Database::SelfJoin(
   }
   const double eps_sq = epsilon * epsilon;
   out.stats.used_index = true;
-  const std::vector<PackedSnapshotCache::View> views =
+  const std::vector<RelationShard::PackedView> views =
       ResolveSnapshots(data, &out.stats.degraded);
   out.pairs = RunBlocks<PairMatch>(
       count, /*grain=*/16, &out.stats,
@@ -2135,13 +2121,13 @@ Result<QueryResult> Database::SelfJoin(
           }
           const SearchRegion region =
               SearchRegion::MakeRange(query_coeffs, epsilon, config_);
-          for (const PackedSnapshotCache::View& view : views) {
-            if (view.tree == nullptr) {
+          for (const RelationShard::PackedView& view : views) {
+            if (view.artifact == nullptr) {
               continue;
             }
             candidates.clear();
             tally.stats.node_accesses +=
-                view.tree->Search(region, affines_ptr, &candidates);
+                view.artifact->Search(region, affines_ptr, &candidates);
             tally.stats.candidates += static_cast<int64_t>(candidates.size());
             for (const int64_t j : candidates) {
               if (j != i && alive[static_cast<size_t>(j)] != 0) {

@@ -42,7 +42,6 @@
 #include "core/query.h"
 #include "core/sharded_relation.h"
 #include "core/transformation.h"
-#include "filter/quantizer.h"
 #include "index/packed_rtree.h"
 #include "index/rtree.h"
 #include "ts/feature.h"
@@ -117,14 +116,6 @@ class Relation {
   ShardedRelation data_;
 };
 
-// Which scan-side filter the execution engine runs. kQuantized routes
-// eligible scans (normal-form spectral distances) through the two-phase
-// quantized filter-and-refine path: bound-scan the quantized codes
-// (filter/), refine only survivors through the exact columnar kernels.
-// Answers are bit-identical to kExact by construction; the per-query
-// MODE FILTERED / MODE EXACT clauses override this engine-wide default.
-enum class FilterEngine { kExact, kQuantized };
-
 // Self-join algorithms (Table 1 of [RM97]).
 enum class JoinMethod {
   kFullScan,           // (a) nested scan, complete distance computation
@@ -178,19 +169,6 @@ class Database {
     cross_shard_knn_pruning_ = enabled;
   }
 
-  // Scan-side filter engine (default kExact, the historical behavior).
-  // kQuantized turns every eligible scan into the filter-and-refine path;
-  // per-query MODE FILTERED / MODE EXACT override it either way.
-  FilterEngine filter_engine() const { return filter_engine_; }
-  void set_filter_engine(FilterEngine engine) { filter_engine_ = engine; }
-
-  // Quantized-code layout (bits per dimension, 4..8). Changing it simply
-  // makes the per-shard code caches recompile on next use.
-  const FilterOptions& filter_options() const { return filter_options_; }
-  void set_filter_options(FilterOptions options) {
-    filter_options_ = options;
-  }
-
   // Delta-layer configuration (the service's recompaction trigger). Set
   // under exclusive access.
   const DeltaOptions& delta_options() const { return delta_options_; }
@@ -225,8 +203,7 @@ class Database {
 
   // The two recompaction phases, split so the service can run the build
   // under its shared lock (readers keep executing) and only the brief
-  // publish under the exclusive lock. Code width comes from
-  // filter_options(). NotFound for an unknown relation.
+  // publish under the exclusive lock. NotFound for an unknown relation.
   Status BuildRecompaction(
       const std::string& relation,
       std::vector<RelationShard::Recompaction>* out) const;
@@ -253,9 +230,9 @@ class Database {
   // qualifying ordered pair; symmetric scan methods report each unordered
   // pair once -- matching the answer-set accounting of Table 1.
   // kIndexNoTransform ignores the rules (method c is defined that way).
-  // `filter` resolves against filter_engine() exactly like a query's MODE
-  // clause; the quantized filter applies to the early-abandoning scan
-  // method with untransformed spectral sides (other methods ignore it).
+  // `filter` is a query's MODE clause: kFiltered runs the quantized filter
+  // for the early-abandoning scan method with untransformed spectral sides
+  // (other methods, and the other modes, run the exact kernels).
   // `exec` carries the deadline/cancellation handle (null = unbounded),
   // polled between outer rows / node pairs like the other drivers.
   Result<QueryResult> SelfJoin(
@@ -304,9 +281,6 @@ class Database {
   Status PrepareProbe(const Relation& relation, const Query& query,
                       Probe* probe, ExecutionStats* stats) const;
 
-  // True when `filter` (resolved against the engine default) selects the
-  // quantized filter path.
-  bool UseQuantizedFilter(FilterMode filter) const;
   // Counts one failed quantized-code compile that sent a query to the
   // exact kernels, and marks `stats` degraded.
   void CountFilterDegradation(ExecutionStats* stats) const;
@@ -316,7 +290,7 @@ class Database {
   // A failed compile leaves that shard's view empty (its rows all go
   // through the delta scan) and sets *degraded (counted in
   // degradation_stats).
-  std::vector<PackedSnapshotCache::View> ResolveSnapshots(
+  std::vector<RelationShard::PackedView> ResolveSnapshots(
       const ShardedRelation& data, bool* degraded) const;
 
   // Atomic counters behind a pointer so Database stays movable (the query
@@ -330,8 +304,6 @@ class Database {
   FeatureConfig config_;
   int max_entries_;
   ShardingOptions sharding_;
-  FilterEngine filter_engine_ = FilterEngine::kExact;
-  FilterOptions filter_options_;
   DeltaOptions delta_options_;
   bool cross_shard_knn_pruning_ = true;
   std::map<std::string, std::unique_ptr<Relation>> relations_;

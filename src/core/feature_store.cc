@@ -1,5 +1,7 @@
 #include "core/feature_store.h"
 
+#include <algorithm>
+
 #include "util/logging.h"
 
 namespace simq {
@@ -19,6 +21,7 @@ void FeatureStore::Append(const SeriesFeatures& features,
     series_length_ = static_cast<int>(normal_values.size());
     spectrum_stride_ = PadStride(2 * static_cast<int64_t>(n));
     normal_stride_ = PadStride(static_cast<int64_t>(series_length_));
+    ReserveColumns();
   } else {
     SIMQ_CHECK_EQ(n, spectrum_length_);
     SIMQ_CHECK_EQ(static_cast<int>(normal_values.size()), series_length_);
@@ -45,6 +48,22 @@ void FeatureStore::Append(const SeriesFeatures& features,
   means_.push_back(features.mean);
   stds_.push_back(features.std_dev);
   ++count_;
+}
+
+void FeatureStore::Reserve(int64_t rows) {
+  reserved_rows_ = std::max(reserved_rows_, rows);
+  if (count_ > 0) {
+    ReserveColumns();
+  }
+}
+
+void FeatureStore::ReserveColumns() {
+  const size_t rows = static_cast<size_t>(reserved_rows_);
+  spectra_.reserve(rows * static_cast<size_t>(spectrum_stride_));
+  normals_.reserve(rows * static_cast<size_t>(normal_stride_));
+  prefixes_.reserve(4 * rows);
+  means_.reserve(rows);
+  stds_.reserve(rows);
 }
 
 std::vector<double> InterleaveSpectrum(const Spectrum& spectrum) {

@@ -55,6 +55,12 @@ class FeatureStore {
   void Append(const SeriesFeatures& features,
               const std::vector<double>& normal_values);
 
+  // Makes room for `rows` records in every column, so a bulk load
+  // allocates each column once instead of doubling it row by row. The row
+  // widths are fixed by the first Append: a reservation made before it
+  // takes effect there.
+  void Reserve(int64_t rows);
+
   int64_t size() const { return count_; }
   // Number of complex coefficients per spectrum row (the series length n).
   int spectrum_length() const { return spectrum_length_; }
@@ -86,7 +92,11 @@ class FeatureStore {
   }
 
  private:
+  // Reserves reserved_rows_ rows in every column; needs the row widths.
+  void ReserveColumns();
+
   int64_t count_ = 0;
+  int64_t reserved_rows_ = 0;  // the largest Reserve so far
   int spectrum_length_ = 0;
   int series_length_ = 0;
   int64_t spectrum_stride_ = 0;  // doubles per spectrum row (padded)

@@ -42,13 +42,13 @@ enum class DistanceMode { kNormalForm, kRaw };
 // Execution strategy; kAuto lets the planner pick index vs. scan.
 enum class ExecutionStrategy { kAuto, kIndex, kScan, kScanNoEarlyAbandon };
 
-// Per-query quantized-filter toggle (the MODE FILTERED / MODE EXACT
-// clauses). kDefault defers to the engine-wide setting
-// (Database::set_filter_engine); kFiltered requests the two-phase
-// quantized filter-and-refine path (and biases kAuto planning toward the
-// filtered scan); kExact forces the unfiltered kernels. Answers are
-// bit-identical either way -- the filter only prunes exact-distance
-// evaluations that provably cannot match.
+// Per-query quantized-filter switch (the MODE FILTERED / MODE EXACT
+// clauses), the only one: kFiltered requests the two-phase quantized
+// filter-and-refine path (and biases kAuto planning toward the filtered
+// scan); kDefault (no MODE) and kExact run the unfiltered kernels. The
+// two stay distinct because the canonical key names any MODE given.
+// Answers are bit-identical either way -- the filter only prunes
+// exact-distance evaluations that provably cannot match.
 enum class FilterMode { kDefault, kFiltered, kExact };
 
 // The pattern language P: which data objects the query ranges over.

@@ -10,6 +10,19 @@
 #include "util/thread_pool.h"
 
 namespace simq {
+namespace {
+
+// The capacity a column reaches when it grows by doubling from one row:
+// the smallest power of two at least `rows`.
+int64_t DoublingCapacity(int64_t rows) {
+  int64_t capacity = 1;
+  while (capacity < rows) {
+    capacity *= 2;
+  }
+  return capacity;
+}
+
+}  // namespace
 
 ShardingOptions ShardingOptions::FromEnv() {
   ShardingOptions options;
@@ -48,17 +61,11 @@ std::unique_ptr<PackedRTree> RelationShard::CompileSnapshot(
   return std::make_unique<PackedRTree>(tree);
 }
 
-const QuantizedCodes* RelationShard::quantized_codes_if_fresh(
-    int bits) const {
-  return quantized_.Peek(bits);
-}
-
 ShardedRelation::ShardedRelation(int dims, int max_entries,
-                                 const ShardingOptions& options)
-    : options_(options) {
-  options_.num_shards = std::max(1, options_.num_shards);
-  shards_.reserve(static_cast<size_t>(options_.num_shards));
-  for (int s = 0; s < options_.num_shards; ++s) {
+                                 const ShardingOptions& options) {
+  const int num_shards = std::max(1, options.num_shards);
+  shards_.reserve(static_cast<size_t>(num_shards));
+  for (int s = 0; s < num_shards; ++s) {
     shards_.push_back(std::make_unique<RelationShard>(dims, max_entries));
   }
 }
@@ -82,7 +89,7 @@ uint64_t ShardedRelation::generation() const {
 int64_t ShardedRelation::delta_rows() const {
   int64_t sum = 0;
   for (const auto& shard : shards_) {
-    sum += shard->size() - shard->packed_.covered();
+    sum += shard->size() - shard->packed_peek().covered;
   }
   return sum;
 }
@@ -103,29 +110,9 @@ int64_t ShardedRelation::delta_pressure() const {
   return max;
 }
 
-int ShardedRelation::RouteNext() const {
-  const int num = num_shards();
-  if (num == 1) {
-    return 0;
-  }
-  if (options_.partition == ShardingOptions::Partition::kHash) {
-    return static_cast<int>(size() % num);
-  }
-  // kRange: fill the smallest shard; ties resolve to the lowest index, so
-  // the routing is deterministic in the insertion sequence.
-  int target = 0;
-  for (int s = 1; s < num; ++s) {
-    if (shards_[static_cast<size_t>(s)]->size() <
-        shards_[static_cast<size_t>(target)]->size()) {
-      target = s;
-    }
-  }
-  return target;
-}
-
 void ShardedRelation::Append(const RowData& row) {
   const int64_t global = size();
-  const int target = RouteNext();
+  const int target = static_cast<int>(global % num_shards());
   RelationShard& shard = *shards_[static_cast<size_t>(target)];
   shard_of_.push_back(target);
   local_of_.push_back(shard.size());
@@ -159,22 +146,11 @@ void ShardedRelation::BulkLoad(int64_t count, const LoadFn& load_row) {
   const int64_t base = size();
   const int num = num_shards();
 
-  // Partition the batch: per-shard global-id lists, each ascending.
+  // Partition the batch by hash: per-shard global-id lists, each
+  // ascending.
   std::vector<std::vector<int64_t>> shard_ids(static_cast<size_t>(num));
-  if (options_.partition == ShardingOptions::Partition::kHash) {
-    for (int64_t i = 0; i < count; ++i) {
-      const int64_t g = base + i;
-      shard_ids[static_cast<size_t>(g % num)].push_back(g);
-    }
-  } else {
-    // kRange: contiguous id blocks, proportionally split.
-    for (int s = 0; s < num; ++s) {
-      const int64_t lo = base + count * s / num;
-      const int64_t hi = base + count * (s + 1) / num;
-      for (int64_t g = lo; g < hi; ++g) {
-        shard_ids[static_cast<size_t>(s)].push_back(g);
-      }
-    }
+  for (int64_t g = base; g < base + count; ++g) {
+    shard_ids[static_cast<size_t>(g % num)].push_back(g);
   }
 
   // Locator entries are written up front (they depend only on the
@@ -205,7 +181,18 @@ void ShardedRelation::BulkLoad(int64_t count, const LoadFn& load_row) {
           if (ids.empty()) {
             continue;
           }
-          shard.global_ids_.reserve(shard.global_ids_.size() + ids.size());
+          // Every column is allocated once, at the capacity that growing
+          // row by row would end at, so later inserts keep the same
+          // headroom. Doubling a dozen columns in turn would leave their
+          // discarded copies as holes in the heap, and how later
+          // allocations fill them moves the peak resident size from one
+          // run to the next.
+          const int64_t rows =
+              DoublingCapacity(shard.size() + static_cast<int64_t>(ids.size()));
+          shard.global_ids_.reserve(static_cast<size_t>(rows));
+          shard.alive_.reserve(static_cast<size_t>(rows));
+          shard.points_.reserve(static_cast<size_t>(rows * shard.dims_));
+          shard.store_.Reserve(rows);
           for (const int64_t g : ids) {
             const RowData row = load_row(g);
             shard.global_ids_.push_back(g);
@@ -218,7 +205,7 @@ void ShardedRelation::BulkLoad(int64_t count, const LoadFn& load_row) {
           // artifacts; the next compile covers every row, so no delta
           // pressure accrues.
           shard.packed_.Invalidate();
-          shard.quantized_.Invalidate();
+          shard.codes_.Invalidate();
           shard.mutations_since_publish_ = 0;
           ++shard.epoch_;
         }
@@ -226,7 +213,7 @@ void ShardedRelation::BulkLoad(int64_t count, const LoadFn& load_row) {
 }
 
 Status ShardedRelation::BuildRecompaction(
-    int bits, std::vector<RelationShard::Recompaction>* out) const {
+    std::vector<RelationShard::Recompaction>* out) const {
   SIMQ_RETURN_IF_FAILPOINT("recompact.build");
   out->clear();
   out->reserve(shards_.size());
@@ -234,14 +221,13 @@ Status ShardedRelation::BuildRecompaction(
     const RelationShard& shard = *shard_ptr;
     RelationShard::Recompaction built;
     built.build_rows = shard.size();
-    built.bits = bits;
     built.packed = shard.CompileSnapshot(built.build_rows);
     built.shed = built.build_rows - built.packed->size();
     // Codes only where a filtered query compiled them: elsewhere the
-    // publish installs none, the cache stays empty but fresh, and the
-    // next filtered query compiles them lazily.
-    if (shard.quantized_.Peek(bits) != nullptr && built.build_rows > 0) {
-      built.codes = std::make_unique<QuantizedCodes>(shard.store_, bits);
+    // publish installs none, the cache stays empty, and the next filtered
+    // query compiles them lazily.
+    if (shard.codes_peek().artifact != nullptr && built.build_rows > 0) {
+      built.codes = std::make_unique<QuantizedCodes>(shard.store_);
     }
     out->push_back(std::move(built));
   }
@@ -264,7 +250,7 @@ Status ShardedRelation::PublishRecompaction(
     // Rows appended since the build are past the new coverage: they stay
     // the snapshot's delta, and tombstones keep filtering at read time.
     shard.packed_.Install(std::move(plan.packed), plan.build_rows);
-    shard.quantized_.Install(plan.bits, std::move(plan.codes));
+    shard.codes_.Install(std::move(plan.codes), plan.build_rows);
     // `shed` counts every dead row of the build, including those the
     // previous generation already omitted.
     shard.pending_tombstones_ -= plan.shed - shard.shed_;

@@ -15,12 +15,9 @@
 /// bit-identical to the unsharded engine (see DESIGN.md "Sharded
 /// execution").
 ///
-/// Partitioning policies (ShardingOptions::Partition):
-///   * kHash:  shard = global id mod N. Balanced for the dense id
-///             sequence; inserts keep rotating across shards.
-///   * kRange: bulk loads split the batch into N contiguous id ranges;
-///             incremental inserts route to the currently smallest shard
-///             (ties to the lowest shard index). Deterministic.
+/// Partitioning: shard = global id mod N, for bulk loads and inserts
+/// alike. Balanced for the dense id sequence; inserts keep rotating
+/// across shards.
 ///
 /// Mutations follow the unsharded contract: callers must hold exclusive
 /// access (the query service's writer lock). A mutation bumps only the
@@ -52,9 +49,10 @@
 /// counts published snapshot generations.
 ///
 /// Thread-safety: all const accessors are safe under concurrent readers
-/// (the packed snapshot cache takes its own mutex). `Append`/`BulkLoad`/
-/// `Delete`/`PublishRecompaction` require exclusive access;
-/// `BuildRecompaction` requires shared access (no concurrent mutation).
+/// (each artifact cache takes its own mutex; util/artifact_cache.h).
+/// `Append`/`BulkLoad`/`Delete`/`PublishRecompaction` require exclusive
+/// access; `BuildRecompaction` requires shared access (no concurrent
+/// mutation).
 
 #ifndef SIMQ_CORE_SHARDED_RELATION_H_
 #define SIMQ_CORE_SHARDED_RELATION_H_
@@ -68,6 +66,7 @@
 #include "filter/quantized_codes.h"
 #include "index/packed_rtree.h"
 #include "ts/feature.h"
+#include "util/artifact_cache.h"
 #include "util/logging.h"
 #include "util/status.h"
 
@@ -79,12 +78,6 @@ struct ShardingOptions {
   /// (a single shard owning everything). Values below 1 clamp to 1.
   int num_shards = 1;
 
-  enum class Partition {
-    kHash,   ///< shard = global id mod num_shards
-    kRange,  ///< contiguous id ranges per bulk load; inserts fill smallest
-  };
-  Partition partition = Partition::kHash;
-
   /// Options with num_shards taken from the SIMQ_SHARDS environment
   /// variable when it is set to a positive integer (benches and the shell
   /// use this; library callers pass options explicitly).
@@ -92,9 +85,9 @@ struct ShardingOptions {
 };
 
 /// One horizontal shard: a FeatureStore slice, that slice's feature
-/// points, and a lazily compiled packed R-tree over them (storing global
-/// record ids). Rows are indexed by *local* position; `global_id(local)`
-/// maps back to the record id.
+/// points, and two lazily compiled artifacts over them: a packed R-tree
+/// (storing global record ids) and quantized codes. Rows are indexed by
+/// *local* position; `global_id(local)` maps back to the record id.
 class RelationShard {
  public:
   /// `max_entries` is the node fanout of the shard's packed trees
@@ -109,50 +102,46 @@ class RelationShard {
     std::unique_ptr<QuantizedCodes> codes;  // all rows of [0, build_rows)
     int64_t build_rows = 0;   // shard size frozen at build time
     int64_t shed = 0;         // dead rows omitted from `packed`
-    int bits = 0;             // code width `codes` was built at
   };
+
+  /// A compiled artifact and the shard rows it covers.
+  using PackedView = ArtifactCache<PackedRTree>::View;
+  using CodesView = ArtifactCache<QuantizedCodes>::View;
 
   RelationShard(const RelationShard&) = delete;
   RelationShard& operator=(const RelationShard&) = delete;
 
   /// Columnar derived data of this shard's records, local row order.
   const FeatureStore& store() const { return store_; }
-  /// The shard's packed R-tree (entry ids are global); compiled over the
-  /// live rows on first use after a bulk load. Appends and deletes leave
-  /// it in place and grow its delta instead (see packed_view()). Safe
-  /// against concurrent queries.
-  const PackedRTree& packed_index() const {
+  /// The shard's packed R-tree (entry ids are global) and the rows it
+  /// covers, compiled over every live row if a bulk load staled it.
+  /// Appends and deletes leave it in place and grow its delta (the rows
+  /// past the coverage). A failed compile (the "packed.compile"
+  /// failpoint, standing in for any future real failure) gives an empty
+  /// view: no tree, nothing covered, so the query's delta scan
+  /// exact-checks the whole shard. Read once per query, so the query sees
+  /// one consistent (tree, coverage) pair.
+  PackedView packed_view() const {
     return packed_.Get([this] { return CompileSnapshot(size()); }, size());
   }
-  /// Bit-packed scalar-quantized codes of this shard's spectrum rows at
-  /// `bits` bits per dimension (filter/quantized_codes.h), compiled on
-  /// first use and covering a frozen row prefix like the packed snapshot.
-  /// Safe against concurrent queries.
-  const QuantizedCodes& quantized_codes(int bits) const {
-    return quantized_.Get(store_, bits);
+  /// The packed view without compiling: empty unless the tree is built.
+  PackedView packed_peek() const {
+    return packed_.Peek();
   }
-
-  /// Degradation-aware variants, for the query drivers: they fail when the
-  /// (re)compile fails -- the "packed.compile" / "filter.compile"
-  /// failpoints, standing in for any future real compile failure. A
-  /// failed packed view has no tree and covers no rows, so the drivers'
-  /// delta scan exact-checks the whole shard; a null code set sends the
-  /// query to the exact scan. Callers count the degradation instead of
-  /// aborting. The view's tree and coverage are read together, so a
-  /// driver that resolves it once per query sees one consistent pair.
-  PackedSnapshotCache::View packed_view() const {
-    return packed_.TryGet([this] { return CompileSnapshot(size()); },
-                          /*can_fail=*/true, size());
+  /// The shard's quantized codes (filter/quantized_codes.h), which cover
+  /// their own size() rows, compiled over every row if none are built. A
+  /// failed compile (the "filter.compile" failpoint) gives an empty view,
+  /// and the query runs the exact kernels instead.
+  CodesView codes_view() const {
+    return codes_.Get(
+        [this] { return std::make_unique<QuantizedCodes>(store_); }, size());
   }
-  /// True when packed_view() will not compile.
-  bool packed_fresh() const { return packed_.fresh(); }
-  const QuantizedCodes* quantized_codes_or_null(int bits) const {
-    return quantized_.TryGet(store_, bits);
+  /// The codes without compiling: empty unless they are built. The
+  /// EXPLAIN estimator and the fold look through it, so neither does (or
+  /// fails) a code build.
+  CodesView codes_peek() const {
+    return codes_.Peek();
   }
-  /// Already-compiled fresh codes at `bits`, or null -- never compiles.
-  /// The EXPLAIN cardinality estimator reads the quantizer grid through
-  /// this so estimating never does (or fails) a code build.
-  const QuantizedCodes* quantized_codes_if_fresh(int bits) const;
 
   int64_t size() const { return static_cast<int64_t>(global_ids_.size()); }
   int64_t global_id(int64_t local) const {
@@ -190,8 +179,8 @@ class RelationShard {
   std::vector<int64_t> global_ids_;  // local row -> global record id
   std::vector<uint8_t> alive_;       // local row -> 0 once deleted
   std::vector<double> points_;       // local row-major feature points
-  PackedSnapshotCache packed_;
-  QuantizedCodesCache quantized_;
+  ArtifactCache<PackedRTree> packed_{"packed.compile"};
+  ArtifactCache<QuantizedCodes> codes_{"filter.compile"};
   uint64_t epoch_ = 0;
   uint64_t generation_ = 0;
   int64_t pending_tombstones_ = 0;
@@ -222,7 +211,6 @@ class ShardedRelation {
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
   const RelationShard& shard(int s) const { return *shards_[static_cast<size_t>(s)]; }
-  const ShardingOptions& options() const { return options_; }
 
   /// Total records across shards (== the relation's record count).
   int64_t size() const { return static_cast<int64_t>(shard_of_.size()); }
@@ -271,17 +259,17 @@ class ShardedRelation {
     return s.store().std_dev(local_of(g));
   }
 
-  /// Routes one new record (global id == size()) to its shard: appends to
-  /// the shard store and feature points and bumps that shard's epoch. The
-  /// shard's compiled artifacts stay valid (the new row is their delta).
-  /// Caller holds exclusive access.
+  /// Routes one new record (global id == size()) to its shard (global id
+  /// mod num_shards()): appends to the shard store and feature points
+  /// and bumps that shard's epoch. The shard's compiled artifacts stay
+  /// valid (the new row is their delta). Caller holds exclusive access.
   void Append(const RowData& row);
 
   /// Parallel per-shard bulk load of `count` records with global ids
-  /// [size(), size() + count). Partitions the ids per the configured
-  /// policy, then fills every shard concurrently (ThreadPool::Global()):
-  /// each shard task computes its records' derived data via `load_row`
-  /// and fills the shard store and points in ascending global-id order.
+  /// [size(), size() + count). Partitions the ids by hash, then fills
+  /// every shard concurrently (ThreadPool::Global()): each shard task
+  /// computes its records' derived data via `load_row` and fills the
+  /// shard store and points in ascending global-id order.
   /// Each loaded shard's compiled artifacts are invalidated -- its first
   /// index query compiles the packed tree over every row -- and its epoch
   /// is bumped once. Caller holds exclusive access.
@@ -295,12 +283,10 @@ class ShardedRelation {
 
   /// Compiles fresh recompaction artifacts for every shard: a packed
   /// snapshot of the live rows (RelationShard's one compile helper) and,
-  /// only where the shard's codes at `bits` bits per dimension are
-  /// compiled and fresh, new codes at that width. Requires shared access
-  /// -- concurrent readers are fine, the store must not grow underneath.
-  /// Fails only at the "recompact.build" failpoint.
-  Status BuildRecompaction(int bits,
-                           std::vector<RelationShard::Recompaction>* out) const;
+  /// only where the shard's codes are built, new codes. Requires shared
+  /// access -- concurrent readers are fine, the store must not grow
+  /// underneath. Fails only at the "recompact.build" failpoint.
+  Status BuildRecompaction(std::vector<RelationShard::Recompaction>* out) const;
 
   /// Publishes `built` artifacts: per shard, installs the snapshot and
   /// codes at their build coverage (rows appended since the build stay
@@ -311,10 +297,6 @@ class ShardedRelation {
   Status PublishRecompaction(std::vector<RelationShard::Recompaction> built);
 
  private:
-  /// Shard that receives the next incremental append.
-  int RouteNext() const;
-
-  ShardingOptions options_;
   std::vector<std::unique_ptr<RelationShard>> shards_;
   std::vector<int32_t> shard_of_;  // global id -> shard
   std::vector<int64_t> local_of_;  // global id -> local row within shard

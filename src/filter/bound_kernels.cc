@@ -11,6 +11,8 @@ namespace simq {
 
 namespace {
 
+constexpr int kCells = ScalarQuantizer::kCells;
+
 // Dimensions per compaction group of the scan core: the width trades
 // compaction overhead against wasted accumulation on rows a compaction
 // would already have dropped. The query scan fills per-cell rows for its
@@ -31,8 +33,8 @@ inline double CellTerms(const DimTerms& t, double lo, double hi) {
 }
 
 // out[c] = the terms of `t` in cell c of `edges`, for every cell.
-void FillRow(const DimTerms& t, const double* edges, int cells, double* out) {
-  for (int c = 0; c < cells; ++c) {
+void FillRow(const DimTerms& t, const double* edges, double* out) {
+  for (int c = 0; c < kCells; ++c) {
     out[c] = CellTerms(t, edges[c], edges[c + 1]);
   }
 }
@@ -162,7 +164,7 @@ QueryTerms MakeQueryTerms(const ScalarQuantizer& quantizer,
     const DimTerms& t = out.terms[static_cast<size_t>(d)];
     const double* edges = quantizer.bounds(d);
     const double widest =
-        std::max(std::abs(edges[0]), std::abs(edges[quantizer.cells()]));
+        std::max(std::abs(edges[0]), std::abs(edges[kCells]));
     out.data_energy += (t.weight + t.twin_weight) * (widest * widest);
     out.query_energy +=
         t.weight * (t.q * t.q) + t.twin_weight * (t.twin_q * t.twin_q);
@@ -174,7 +176,6 @@ QueryTerms MakeQueryTerms(const ScalarQuantizer& quantizer,
 
 void FillPairScreenLut(const ScalarQuantizer& quantizer, const double* row,
                        const int32_t* dims, int ranks, double* lut) {
-  const int cells = quantizer.cells();
   const int n = quantizer.spectrum_length();
   for (int r = 0; r < ranks; ++r) {
     const int d = dims[r];
@@ -188,8 +189,7 @@ void FillPairScreenLut(const ScalarQuantizer& quantizer, const double* row,
       t.twin_q = d % 2 == 0 ? twin : -twin;
       t.twin_weight = 1.0;
     }
-    FillRow(t, quantizer.bounds(d), cells,
-            lut + static_cast<int64_t>(r) * cells);
+    FillRow(t, quantizer.bounds(d), lut + static_cast<int64_t>(r) * kCells);
   }
 }
 
@@ -197,14 +197,13 @@ void PairScreenScan(const QuantizedCodes& codes, const double* lut,
                     const int32_t* dims, int ranks, double abandon_sq,
                     int64_t lo, int64_t hi, std::vector<int32_t>* active,
                     std::vector<double>* scratch) {
-  const int cells = codes.cells();
   ScreenColumns(
       ranks, /*base=*/0.0, lo, hi,
       [abandon_sq](std::vector<int32_t>*, const double*) { return abandon_sq; },
       active, scratch,
       [&](int rank, const std::vector<int32_t>& rows, double* acc) {
         AddColumn(rows, codes.Column(dims[rank]) + lo,
-                  lut + static_cast<int64_t>(rank) * cells, acc);
+                  lut + static_cast<int64_t>(rank) * kCells, acc);
       });
 }
 
@@ -224,7 +223,7 @@ void ColumnLowerBoundScan(const QuantizedCodes& codes, const QueryLuts& luts,
         const uint8_t* column = codes.Column(d) + lo;
         if (rank < luts.lut_rows) {
           AddColumn(rows, column,
-                    luts.lut.data() + static_cast<int64_t>(rank) * luts.cells,
+                    luts.lut.data() + static_cast<int64_t>(rank) * kCells,
                     acc);
         } else {
           AddColumnTerms(rows, column, quantizer.bounds(d),
@@ -238,7 +237,6 @@ QueryLuts BuildQueryLuts(const ScalarQuantizer& quantizer,
                          int n) {
   QueryLuts luts;
   luts.dims = quantizer.dims();
-  luts.cells = quantizer.cells();
   if (luts.dims == 0) {
     return luts;
   }
@@ -274,11 +272,11 @@ QueryLuts BuildQueryLuts(const ScalarQuantizer& quantizer,
               return a < b;
             });
   luts.lut_rows = std::min(kGroup, luts.dims);
-  luts.lut.resize(static_cast<size_t>(luts.lut_rows) * luts.cells);
+  luts.lut.resize(static_cast<size_t>(luts.lut_rows) * kCells);
   for (int r = 0; r < luts.lut_rows; ++r) {
     const int d = luts.order[static_cast<size_t>(r)];
     FillRow(luts.terms[static_cast<size_t>(d)], quantizer.bounds(d),
-            luts.cells, luts.lut.data() + static_cast<int64_t>(r) * luts.cells);
+            luts.lut.data() + static_cast<int64_t>(r) * kCells);
   }
   return luts;
 }
@@ -288,8 +286,7 @@ double EstimateRangeSurvivorFraction(const ScalarQuantizer& quantizer,
                                      const double* mult_ri, int n,
                                      double epsilon) {
   const int dims = quantizer.dims();
-  const int cells = quantizer.cells();
-  if (dims <= 0 || cells <= 0 || n <= 0) {
+  if (dims <= 0 || n <= 0) {
     return 1.0;
   }
   const QueryTerms terms = MakeQueryTerms(quantizer, query_ri, mult_ri, n);
@@ -315,12 +312,12 @@ double EstimateRangeSurvivorFraction(const ScalarQuantizer& quantizer,
       const double hi = target + radius;
       // Cells whose interval [b[c], b[c+1]] intersects [lo, hi].
       const int c_lo = static_cast<int>(
-          std::lower_bound(b + 1, b + 1 + cells, lo) - (b + 1));
+          std::lower_bound(b + 1, b + 1 + kCells, lo) - (b + 1));
       const int c_hi =
-          static_cast<int>(std::upper_bound(b, b + cells, hi) - b) - 1;
-      const int count =
-          std::max(0, std::min(cells - 1, c_hi) - std::min(cells, c_lo) + 1);
-      fraction *= static_cast<double>(count) / static_cast<double>(cells);
+          static_cast<int>(std::upper_bound(b, b + kCells, hi) - b) - 1;
+      const int count = std::max(
+          0, std::min(kCells - 1, c_hi) - std::min(kCells, c_lo) + 1);
+      fraction *= static_cast<double>(count) / kCells;
     }
   }
   return std::min(1.0, std::max(0.0, fraction));

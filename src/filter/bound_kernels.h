@@ -78,7 +78,6 @@ struct DimTerms {
 /// Per-query bound terms against one shard's quantizer grid.
 struct QueryLuts {
   int dims = 0;
-  int cells = 0;
   /// Constant distance contribution of zero-multiplier coefficients.
   double base = 0.0;
   /// Absolute floating-point safety slack (see SafeThreshold).
@@ -86,13 +85,13 @@ struct QueryLuts {
   std::vector<DimTerms> terms;  // per stored dimension
   /// Dimensions sorted by descending sum of their terms over every cell
   /// (quantile cells are equi-populated, so that sum over cells is the
-  /// expected per-record contribution times `cells`). The column scan
+  /// expected per-record contribution times kCells). The column scan
   /// consumes dimensions in this order, so the most discriminating ones
   /// run first and the survivor list collapses after one compaction; the
   /// full-sum bound is order-independent, so correctness is untouched.
   std::vector<int32_t> order;
   /// Per-cell bounds of the first scan group, order[0 .. lut_rows):
-  /// lut[r * cells + c] is dimension order[r]'s terms in cell c.
+  /// lut[r * kCells + c] is dimension order[r]'s terms in cell c.
   int lut_rows = 0;
   std::vector<double> lut;
 };
@@ -119,9 +118,10 @@ class QuantizedCodes;
 /// lower bounds of dimension d's two terms against each of its cells --
 /// (row[d] - x)^2 and, where d has a twin, the twin's part of `row` (a
 /// full 2n-double spectrum row) against the same cell. `lut` must hold
-/// ranks * cells() doubles, rank-major. A partial-sum bound over a
-/// dimension subset is itself a valid lower bound of the full distance,
-/// so screening on these rows alone never drops a true pair.
+/// ranks * ScalarQuantizer::kCells doubles, rank-major. A partial-sum
+/// bound over a dimension subset is itself a valid lower bound of the
+/// full distance, so screening on these rows alone never drops a true
+/// pair.
 void FillPairScreenLut(const ScalarQuantizer& quantizer, const double* row,
                        const int32_t* dims, int ranks, double* lut);
 

@@ -1,10 +1,11 @@
 #include "filter/quantized_codes.h"
 
+#include <algorithm>
 #include <numeric>
 
 namespace simq {
 
-QuantizedCodes::QuantizedCodes(const FeatureStore& store, int bits)
+QuantizedCodes::QuantizedCodes(const FeatureStore& store)
     : count_(store.size()) {
   const int dims =
       count_ > 0 ? ScalarQuantizer::HalfSpectrumDims(store.spectrum_length())
@@ -14,7 +15,7 @@ QuantizedCodes::QuantizedCodes(const FeatureStore& store, int bits)
   // order, so the order does not depend on how the store is gathered.
   std::vector<double> variance(static_cast<size_t>(dims), 0.0);
   quantizer_ = ScalarQuantizer::Train(
-      store, bits,
+      store,
       [&](const ScalarQuantizer& trained, int d, const double* column) {
         trained.EncodeColumn(d, column, count_,
                              columns_.data() + static_cast<size_t>(d) * count_);

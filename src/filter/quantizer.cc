@@ -90,19 +90,17 @@ void SelectRankEdges(const double* column, int64_t n, int cells,
 
 }  // namespace
 
-ScalarQuantizer ScalarQuantizer::Train(const FeatureStore& store, int bits,
+ScalarQuantizer ScalarQuantizer::Train(const FeatureStore& store,
                                        const ColumnVisitor& visit) {
   ScalarQuantizer q;
-  q.bits_ = std::clamp(bits, kMinBits, kMaxBits);
-  q.cells_ = 1 << q.bits_;
   const int64_t count = store.size();
   if (count == 0) {
     return q;
   }
   q.n_ = store.spectrum_length();
   q.dims_ = HalfSpectrumDims(q.n_);
-  const size_t stride = 2 * (static_cast<size_t>(q.cells_) + 2);
-  q.bounds_.resize(static_cast<size_t>(q.dims_) * (q.cells_ + 1));
+  const size_t stride = 2 * (static_cast<size_t>(kCells) + 2);
+  q.bounds_.resize(static_cast<size_t>(q.dims_) * (kCells + 1));
   q.edge_sums_.resize(static_cast<size_t>(q.dims_) * stride);
   // The block's columns (the trailing ones of the last block are twin
   // dimensions or row padding and never visited), and the select's
@@ -121,15 +119,15 @@ ScalarQuantizer ScalarQuantizer::Train(const FeatureStore& store, int bits,
       const int d = d0 + j;
       const double* column = block.data() + static_cast<size_t>(j) * count;
       double* edges =
-          q.bounds_.data() + static_cast<size_t>(d) * (q.cells_ + 1);
-      SelectRankEdges(column, count, q.cells_, edges, ordered.data());
+          q.bounds_.data() + static_cast<size_t>(d) * (kCells + 1);
+      SelectRankEdges(column, count, kCells, edges, ordered.data());
       double* sums = q.edge_sums_.data() + static_cast<size_t>(d) * stride;
-      for (int c = 0; c <= q.cells_; ++c) {
+      for (int c = 0; c <= kCells; ++c) {
         sums[2 * c + 2] = sums[2 * c] + edges[c];
         sums[2 * c + 3] = sums[2 * c + 1] + edges[c] * edges[c];
       }
       const double widest =
-          std::max(std::abs(edges[0]), std::abs(edges[q.cells_]));
+          std::max(std::abs(edges[0]), std::abs(edges[kCells]));
       q.max_row_energy_ += (q.HasTwin(d) ? 2.0 : 1.0) * (widest * widest);
       if (visit) {
         visit(q, d, column);
@@ -141,23 +139,23 @@ ScalarQuantizer ScalarQuantizer::Train(const FeatureStore& store, int bits,
 
 double ScalarQuantizer::GapSqSum(int d, double q) const {
   const double* edges = bounds(d);
-  const size_t stride = 2 * (static_cast<size_t>(cells_) + 2);
+  const size_t stride = 2 * (static_cast<size_t>(kCells) + 2);
   const double* sums = edge_sums_.data() + static_cast<size_t>(d) * stride;
   // Cell c lies below q when its high edge c + 1 is < q, and above q when
   // its low edge c is > q. The edges < q are [0, below) and the edges > q
-  // are [above, cells]; sum (q - e)^2 over high edges in [1, below) and
+  // are [above, kCells]; sum (q - e)^2 over high edges in [1, below) and
   // (e - q)^2 over low edges in [above, cells). `below` is a branch-free
   // lower bound (the search is unpredictable, and a query asks for it
   // twice per dimension); the edges equal to q are usually none.
   const double* first = edges;
-  for (int len = cells_ + 1; len > 1;) {
+  for (int len = kCells + 1; len > 1;) {
     const int half = len / 2;
     first = first[half] < q ? first + half : first;
     len -= half;
   }
   const int below = static_cast<int>(first - edges) + (*first < q ? 1 : 0);
   int above = below;
-  while (above <= cells_ && !(q < edges[above])) {
+  while (above <= kCells && !(q < edges[above])) {
     ++above;
   }
   double total = 0.0;
@@ -169,7 +167,7 @@ double ScalarQuantizer::GapSqSum(int d, double q) const {
     }
   };
   add(1, below);
-  add(above, cells_);
+  add(above, kCells);
   // max(0, NaN) is 0: cancellation can only misorder dimensions.
   return std::max(0.0, total);
 }
@@ -177,12 +175,12 @@ double ScalarQuantizer::GapSqSum(int d, double q) const {
 uint32_t ScalarQuantizer::Encode(int d, double value) const {
   const double* edges = bounds(d);
   // Last edge with edges[c] <= value, i.e. upper_bound minus one.
-  const double* it = std::upper_bound(edges, edges + cells_ + 1, value);
+  const double* it = std::upper_bound(edges, edges + kCells + 1, value);
   int64_t c = (it - edges) - 1;
   if (c < 0) {
     c = 0;
-  } else if (c >= cells_) {
-    c = cells_ - 1;
+  } else if (c >= kCells) {
+    c = kCells - 1;
   }
   return static_cast<uint32_t>(c);
 }
@@ -190,19 +188,19 @@ uint32_t ScalarQuantizer::Encode(int d, double value) const {
 void ScalarQuantizer::EncodeColumn(int d, const double* column, int64_t n,
                                    uint8_t* codes) const {
   const double* edges = bounds(d);
-  const BucketMap bucket(edges[0], edges[cells_]);
+  const BucketMap bucket(edges[0], edges[kCells]);
   // first[b]: how many edges lie in buckets below b. The edges are sorted
   // and the map monotone, so bucket b's edges are edges[first[b] ..
   // first[b + 1]), every edge before them is < any value in bucket b and
   // every edge after them is >.
   std::array<uint16_t, kBuckets + 1> first{};
-  for (int c = 0; c <= cells_; ++c) {
+  for (int c = 0; c <= kCells; ++c) {
     ++first[static_cast<size_t>(bucket(edges[c])) + 1];
   }
   for (int b = 0; b < kBuckets; ++b) {
     first[static_cast<size_t>(b) + 1] += first[static_cast<size_t>(b)];
   }
-  const int64_t last_cell = cells_ - 1;
+  const int64_t last_cell = kCells - 1;
   for (int64_t i = 0; i < n; ++i) {
     const double v = column[i];
     const size_t b = static_cast<size_t>(bucket(v));

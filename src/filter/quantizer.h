@@ -4,7 +4,8 @@
 ///
 /// A ScalarQuantizer partitions the leading dimensions of a FeatureStore's
 /// interleaved spectrum rows (the exact doubles the columnar kernels
-/// consume) into `1 << bits` cells. The spectrum of a real series is
+/// consume) into kCells = 256 cells each: one byte per code, an 8x shrink
+/// over the double it summarizes. The spectrum of a real series is
 /// conjugate-symmetric, X_{n-f} = conj(X_f), so coefficients 0 .. n/2
 /// determine the row: the quantizer covers only their dimensions,
 /// 0 .. HalfSpectrumDims(n) - 1 with HalfSpectrumDims(n) = 2 * (n/2 + 1)
@@ -32,9 +33,9 @@
 ///   b(v) = min(B - 1, floor((v - min) * B / (max - min))),  B = 4096
 ///
 /// orders the values by bucket in one counting pass, so an edge -- the
-/// value at rank c * (n - 1) / cells -- is found by sorting only the
+/// value at rank c * (n - 1) / kCells -- is found by sorting only the
 /// bucket that holds its rank: the same value the full sort puts there.
-/// The encode uses the same map over the edges (edge 0 and edge `cells`
+/// The encode uses the same map over the edges (edge 0 and edge kCells
 /// are min and max, so it is rebuilt from the edges alone): every edge in
 /// a lower bucket than b(v) is < v and every edge in a higher one is > v,
 /// so a value's code costs a search of its own bucket's few edges. Both
@@ -42,7 +43,7 @@
 ///
 /// The compile also keeps prefix sums of every dimension's edges and
 /// squared edges, so a query can sum a dimension's squared cell gaps
-/// (GapSqSum) in O(log cells) instead of filling a row per cell.
+/// (GapSqSum) in O(log kCells) instead of filling a row per cell.
 ///
 /// Quantizers are trained per relation shard from that shard's
 /// FeatureStore columns (core/sharded_relation.h owns the cache); they
@@ -60,19 +61,10 @@
 
 namespace simq {
 
-/// Engine-level configuration of the quantized filter subsystem.
-struct FilterOptions {
-  /// Bits per quantized dimension; valid layouts are 4..8 bits
-  /// (16..256 cells). 8 is the default: one byte per dimension, an 8x
-  /// shrink over the double column it summarizes.
-  int bits_per_dim = 8;
-};
-
 class ScalarQuantizer {
  public:
-  /// Narrowest / widest supported code layouts.
-  static constexpr int kMinBits = 4;
-  static constexpr int kMaxBits = 8;
+  /// Cells per dimension: every code is one byte.
+  static constexpr int kCells = 256;
 
   /// Receives one trained dimension during Train: `column` holds the
   /// store's size() values of dimension `d` in row order, and
@@ -86,19 +78,16 @@ class ScalarQuantizer {
   static int HalfSpectrumDims(int n) { return n > 0 ? 2 * (n / 2 + 1) : 0; }
 
   /// Trains per-dimension quantile boundaries of the half spectrum over
-  /// every spectrum row of `store`. `bits` is clamped to [kMinBits,
-  /// kMaxBits]. An empty store yields an empty quantizer (dims() == 0).
-  /// When `visit` is set it sees every dimension's column, in dimension
-  /// order, right after that dimension is trained, so a caller can encode
-  /// the column from the same gather.
-  static ScalarQuantizer Train(const FeatureStore& store, int bits,
+  /// every spectrum row of `store`. An empty store yields an empty
+  /// quantizer (dims() == 0). When `visit` is set it sees every
+  /// dimension's column, in dimension order, right after that dimension
+  /// is trained, so a caller can encode the column from the same gather.
+  static ScalarQuantizer Train(const FeatureStore& store,
                                const ColumnVisitor& visit = nullptr);
 
   ScalarQuantizer() = default;
 
   int dims() const { return dims_; }
-  int bits() const { return bits_; }
-  int cells() const { return cells_; }
   /// Length n of the spectra the quantizer was trained on.
   int spectrum_length() const { return n_; }
 
@@ -109,15 +98,15 @@ class ScalarQuantizer {
     return f > 0 && 2 * f < n_;
   }
 
-  /// Cell edges of dimension `d`: cells() + 1 non-decreasing doubles;
-  /// [0] is the column minimum, [cells()] the column maximum.
+  /// Cell edges of dimension `d`: kCells + 1 non-decreasing doubles;
+  /// [0] is the column minimum, [kCells] the column maximum.
   const double* bounds(int d) const {
-    return bounds_.data() + static_cast<size_t>(d) * (cells_ + 1);
+    return bounds_.data() + static_cast<size_t>(d) * (kCells + 1);
   }
 
   /// Code of `value` in dimension `d`: the largest cell whose low edge is
-  /// <= value, clamped to [0, cells() - 1]. For any value in
-  /// [bounds(d)[0], bounds(d)[cells()]] the returned cell brackets it.
+  /// <= value, clamped to [0, kCells - 1]. For any value in
+  /// [bounds(d)[0], bounds(d)[kCells]] the returned cell brackets it.
   uint32_t Encode(int d, double value) const;
 
   /// codes[i] = Encode(d, column[i]) for every finite column[i], i in
@@ -127,7 +116,7 @@ class ScalarQuantizer {
 
   /// Sum over every cell c of dimension `d` of the squared distance from
   /// `q` to [bounds(d)[c], bounds(d)[c + 1]] (zero inside), from the edge
-  /// prefix sums in O(log cells). The same sum as adding the cells one by
+  /// prefix sums in O(log kCells). The same sum as adding the cells one by
   /// one in real arithmetic; in floating point it may differ by rounding
   /// (it is clamped to >= 0), so it serves as an ordering key only.
   double GapSqSum(int d, double q) const;
@@ -141,13 +130,11 @@ class ScalarQuantizer {
  private:
   int n_ = 0;
   int dims_ = 0;
-  int bits_ = 0;
-  int cells_ = 0;
   double max_row_energy_ = 0.0;
-  std::vector<double> bounds_;  // dims_ * (cells_ + 1), dimension-major
-  // Per dimension, cells_ + 2 prefix sums of the edges and of their
+  std::vector<double> bounds_;  // dims_ * (kCells + 1), dimension-major
+  // Per dimension, kCells + 2 prefix sums of the edges and of their
   // squares, interleaved so one line holds both: entries 2i and 2i + 1 of
-  // dimension d's run (from d * 2 * (cells_ + 2)) are the sums over edges
+  // dimension d's run (from d * 2 * (kCells + 2)) are the sums over edges
   // 0 .. i-1 of e and of e^2.
   std::vector<double> edge_sums_;
 };

@@ -23,7 +23,10 @@
 /// `expand(node, push_node, push_entry)` must count the node access and
 /// push every child subtree (lower bound, child handle) or leaf entry
 /// (lower bound, data id); `exact_distance(id)` upgrades an entry's bound
-/// when it first surfaces.
+/// when it first surfaces. It returns a double, or a std::optional<double>
+/// that is empty for an entry the caller excludes (a deleted row, or one
+/// a predicate rejects), and that entry is dropped. Every distance,
+/// +infinity included, ranks by the same rules.
 ///
 /// `initial_bound` supports cross-shard pruning (core/database.cc's
 /// scatter-gather kNN): the driver behaves as if k results at that
@@ -40,6 +43,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -84,14 +88,9 @@ std::vector<std::pair<int64_t, double>> BestFirstNearestNeighbors(
   while (!queue.empty()) {
     const Item item = queue.top();
     if (static_cast<int>(results.size()) >= k) {
-      const double kth = results[static_cast<size_t>(k - 1)].second;
       // Stop past the k-th distance. Ties exactly at it are drained so
-      // the cut is id-deterministic -- except at +infinity (callers use
-      // it as an "excluded" sentinel and discard such results; draining
-      // would pull every excluded entry through the queue).
-      if (item.priority > kth ||
-          (item.priority == kth &&
-           kth == std::numeric_limits<double>::infinity())) {
+      // the cut is id-deterministic.
+      if (item.priority > results[static_cast<size_t>(k - 1)].second) {
         break;
       }
     } else if (item.priority > initial_bound) {
@@ -110,9 +109,12 @@ std::vector<std::pair<int64_t, double>> BestFirstNearestNeighbors(
       expand(item.node, push_node, push_entry);
     } else if (!item.resolved) {
       // First pop of an entry: upgrade the feature-space bound to the
-      // exact distance and re-queue; when it surfaces again it is final.
-      queue.push(
-          Item{exact_distance(item.id), false, NodeHandle{}, item.id, true});
+      // exact distance and re-queue (unless the caller excludes it); when
+      // it surfaces again it is final.
+      const std::optional<double> distance = exact_distance(item.id);
+      if (distance.has_value()) {
+        queue.push(Item{*distance, false, NodeHandle{}, item.id, true});
+      }
     } else {
       results.emplace_back(item.id, item.priority);
     }

@@ -45,11 +45,9 @@
 /// method -- Search, SearchGeneric, JoinWith, NearestNeighbors, and all
 /// accessors -- is snapshot-safe: any number of threads may traverse one
 /// snapshot concurrently with no external lock (the cumulative counter is
-/// a relaxed atomic, nothing else mutates). Owners cache snapshots in a
-/// PackedSnapshotCache (bottom of this file): mutators call Invalidate()
-/// while holding the owner's exclusive lock, queries call Get()/TryGet()
-/// under the owner's shared lock, and the cache's internal mutex
-/// serializes only the first post-invalidation compiles.
+/// a relaxed atomic, nothing else mutates). Owners cache snapshots in an
+/// ArtifactCache (util/artifact_cache.h), which compiles one lazily under
+/// the owner's shared lock and drops it under the exclusive one.
 
 #ifndef SIMQ_INDEX_PACKED_RTREE_H_
 #define SIMQ_INDEX_PACKED_RTREE_H_
@@ -59,7 +57,6 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -67,7 +64,6 @@
 #include "geom/rect.h"
 #include "geom/search_region.h"
 #include "index/knn_best_first.h"
-#include "util/failpoint.h"
 #include "util/logging.h"
 
 namespace simq {
@@ -180,10 +176,12 @@ class PackedRTree {
   /// Best-first k-nearest neighbors over a MINDIST priority queue. Results
   /// are (id, exact_distance) ordered by (distance, id); ties at the k-th
   /// distance are resolved toward smaller ids. Same algorithm and
-  /// accounting as RTree::NearestNeighbors. `initial_bound` caps the
-  /// search as if k results at that distance already exist (cross-shard
-  /// pruning; see index/knn_best_first.h); +infinity disables the cap.
-  /// When `node_accesses` is non-null it receives the nodes visited.
+  /// accounting as RTree::NearestNeighbors. `exact_distance(id)` may
+  /// return an empty std::optional to exclude the entry (a deleted row).
+  /// `initial_bound` caps the search as if k results at that distance
+  /// already exist (cross-shard pruning; see index/knn_best_first.h);
+  /// +infinity disables the cap. When `node_accesses` is non-null it
+  /// receives the nodes visited.
   template <typename ExactFn>
   std::vector<std::pair<int64_t, double>> NearestNeighbors(
       const NnLowerBound& bound, const std::vector<DimAffine>* affines, int k,
@@ -445,98 +443,6 @@ std::vector<std::pair<int64_t, double>> PackedRTree::NearestNeighbors(
   }
   return results;
 }
-
-/// Lazily-compiled snapshot cache, the one rebuild-on-mutation protocol
-/// shared by snapshot owners (Relation shards, SubsequenceIndex):
-/// mutators call Invalidate(), queries call Get/TryGet with the owner's
-/// compile callback (a callable returning std::unique_ptr<PackedRTree>),
-/// which runs only when the cache is stale. Thread-safety: Get/TryGet
-/// are snapshot-safe against each other (internal mutex); Invalidate,
-/// Install and the mutation they reflect must hold exclusive access to
-/// the owning structure, so a compile can never race a mutation.
-class PackedSnapshotCache {
- public:
-  /// A snapshot and the owner rows it covers, read under one lock: rows
-  /// at or past `covered` are the owner's delta and must be scanned
-  /// exactly alongside the snapshot. A null `tree` (failed compile)
-  /// covers nothing.
-  struct View {
-    const PackedRTree* tree = nullptr;
-    int64_t covered = 0;
-  };
-
-  void Invalidate() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stale_ = true;
-  }
-
-  /// Returns the current snapshot, compiling it with `compile()` first if
-  /// a mutation invalidated it (or none was built yet). The reference
-  /// stays valid until the next Get/TryGet after an Invalidate(). `rows`
-  /// is the owner's row count the compile covers (see View::covered);
-  /// owners that never consult coverage (the subsequence index) may omit
-  /// it.
-  template <typename CompileFn>
-  const PackedRTree& Get(CompileFn&& compile, int64_t rows = -1) const {
-    const View view = TryGet(compile, /*can_fail=*/false, rows);
-    SIMQ_CHECK(view.tree != nullptr);
-    return *view.tree;
-  }
-
-  /// Degradation-aware Get: the view's tree is null when the compile fails
-  /// (today that means the "packed.compile" failpoint fired; a real
-  /// allocation failure would land here too if compiles ever became
-  /// fallible), and the caller exact-scans the rows instead. A cached
-  /// snapshot that is still fresh is returned without re-evaluating the
-  /// failpoint -- only compiles can fail, not reuse.
-  template <typename CompileFn>
-  View TryGet(CompileFn&& compile, bool can_fail = true,
-              int64_t rows = -1) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stale_ || snapshot_ == nullptr) {
-      if (can_fail && SIMQ_FAILPOINT_FIRED("packed.compile")) {
-        return View{};
-      }
-      snapshot_ = compile();
-      covered_ = rows;
-      stale_ = false;
-    }
-    return View{snapshot_.get(), std::max<int64_t>(covered_, 0)};
-  }
-
-  /// Installs an externally compiled snapshot covering the owner's first
-  /// `rows` rows, marking the cache fresh. Recompaction publish uses this
-  /// to swap in the new generation's snapshot; the caller must hold the
-  /// owner's exclusive lock (same requirement as Invalidate), so no
-  /// reader can still be traversing the snapshot being replaced.
-  void Install(std::unique_ptr<PackedRTree> snapshot, int64_t rows) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    snapshot_ = std::move(snapshot);
-    covered_ = rows;
-    stale_ = snapshot_ == nullptr;
-  }
-
-  /// True when the next Get/TryGet returns the cached snapshot without
-  /// compiling.
-  bool fresh() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return !stale_ && snapshot_ != nullptr;
-  }
-
-  /// Number of owner rows the cached snapshot covers (View::covered of
-  /// the next TryGet that does not compile). 0 when no fresh snapshot
-  /// exists, or when the last compile did not state its row count.
-  int64_t covered() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return (stale_ || snapshot_ == nullptr || covered_ < 0) ? 0 : covered_;
-  }
-
- private:
-  mutable std::mutex mutex_;
-  mutable std::unique_ptr<PackedRTree> snapshot_;
-  mutable int64_t covered_ = 0;
-  mutable bool stale_ = true;
-};
 
 }  // namespace simq
 

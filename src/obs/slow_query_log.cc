@@ -10,9 +10,7 @@
 namespace simq {
 namespace obs {
 
-namespace {
-
-void AppendEscaped(const std::string& value, std::string* out) {
+void AppendJsonString(const std::string& value, std::string* out) {
   out->push_back('"');
   for (char c : value) {
     const unsigned char uc = static_cast<unsigned char>(c);
@@ -45,6 +43,8 @@ void AppendEscaped(const std::string& value, std::string* out) {
   out->push_back('"');
 }
 
+namespace {
+
 void AppendNumber(double value, std::string* out) {
   if (!std::isfinite(value)) {
     *out += "0";
@@ -72,7 +72,7 @@ void AppendField(const char* key, const std::string& value, bool* first,
   out->push_back('"');
   *out += key;
   *out += "\":";
-  AppendEscaped(value, out);
+  AppendJsonString(value, out);
 }
 
 void AppendField(const char* key, double value, bool* first,
@@ -451,13 +451,8 @@ SlowQueryLog::~SlowQueryLog() {
   }
 }
 
-bool SlowQueryLog::ShouldLog(double elapsed_ms) {
-  if (file_ == nullptr || elapsed_ms < options_.threshold_ms) {
-    return false;
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  const int every = options_.sample_every > 0 ? options_.sample_every : 1;
-  return (qualifying_++ % every) == 0;
+bool SlowQueryLog::ShouldLog(double elapsed_ms) const {
+  return file_ != nullptr && elapsed_ms >= options_.threshold_ms;
 }
 
 void SlowQueryLog::Append(const SlowQueryEntry& entry) {

@@ -5,15 +5,16 @@
 ///
 /// The service owns one SlowQueryLog when ServiceOptions::slow_query_log_
 /// path is set; after each traced execution it calls ShouldLog(elapsed)
-/// -- threshold first, then the 1-in-N sampling counter -- and appends a
-/// FormatSlowQueryJson line. Appends take a mutex and write+flush one
-/// line; the slow path is by definition not the hot path.
+/// -- the threshold -- and appends a FormatSlowQueryJson line. Appends
+/// take a mutex and write+flush one line; the slow path is by definition
+/// not the hot path.
 ///
 /// The JSON subset used here is deliberately tiny (string/number/bool
 /// scalars, one flat object, one array of flat span objects, no nesting
 /// beyond that) so ParseSlowQueryJson can round-trip it for tests and
 /// offline tooling without a JSON dependency. Strings are escaped per
-/// RFC 8259 (backslash, quote, and control characters as \uXXXX).
+/// RFC 8259 (backslash, quote, and control characters as \uXXXX) by
+/// AppendJsonString, which the statements table's JSON shares.
 
 #ifndef SIMQ_OBS_SLOW_QUERY_LOG_H_
 #define SIMQ_OBS_SLOW_QUERY_LOG_H_
@@ -46,6 +47,11 @@ struct SlowQueryEntry {
   std::vector<TraceSpan> spans;
 };
 
+/// Appends `value` to `out` as a quoted JSON string: quote, backslash,
+/// \n, \t and \r escaped by name, every other byte below 0x20 as
+/// \u00XX, every other byte as is.
+void AppendJsonString(const std::string& value, std::string* out);
+
 /// Serializes `entry` as a single JSON object (no trailing newline).
 std::string FormatSlowQueryJson(const SlowQueryEntry& entry);
 
@@ -54,11 +60,10 @@ std::string FormatSlowQueryJson(const SlowQueryEntry& entry);
 /// the schema can grow.
 bool ParseSlowQueryJson(const std::string& line, SlowQueryEntry* out);
 
-/// Threshold + sampling config for the log (ServiceOptions mirrors this).
+/// Where the log goes and its threshold (ServiceOptions mirrors this).
 struct SlowQueryLogOptions {
   std::string path;            // empty = disabled
   double threshold_ms = 100.0; // log only queries at least this slow
-  int sample_every = 1;        // keep 1 in N of the qualifying queries
 };
 
 /// Append-only JSONL writer. Thread-safe; one line per Append.
@@ -70,11 +75,8 @@ class SlowQueryLog {
   SlowQueryLog(const SlowQueryLog&) = delete;
   SlowQueryLog& operator=(const SlowQueryLog&) = delete;
 
-  /// True when the log is open and `elapsed_ms` clears the threshold and
-  /// the sampling counter elects this query. Advances the sampling
-  /// counter only for qualifying queries, so "1 in N" means 1 in N slow
-  /// queries, not 1 in N queries.
-  bool ShouldLog(double elapsed_ms);
+  /// True when the log is open and `elapsed_ms` clears the threshold.
+  bool ShouldLog(double elapsed_ms) const;
 
   /// Writes one line and flushes. No-op if the file failed to open.
   void Append(const SlowQueryEntry& entry);
@@ -86,7 +88,6 @@ class SlowQueryLog {
   const SlowQueryLogOptions options_;
   mutable std::mutex mutex_;
   std::FILE* file_ = nullptr;
-  int64_t qualifying_ = 0;  // slow queries seen (sampling counter)
   int64_t written_ = 0;
 };
 

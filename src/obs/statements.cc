@@ -2,38 +2,10 @@
 
 #include <algorithm>
 
+#include "obs/slow_query_log.h"
+
 namespace simq {
 namespace obs {
-
-namespace {
-
-// RFC 8259 string escaping (the slow-query log's convention): quotes,
-// backslashes, and control characters; everything else passes through.
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 void StatementsTable::Record(uint64_t fingerprint, const std::string& text,
                              const Status& status, bool cache_hit,
@@ -126,7 +98,9 @@ std::string RenderStatementsJson(const std::vector<StatementStats>& rows) {
     std::snprintf(buf, sizeof(buf), "{\"fingerprint\":\"%016llx\",",
                   static_cast<unsigned long long>(row.fingerprint));
     out += buf;
-    out += "\"text\":\"" + EscapeJson(row.text) + "\",";
+    out += "\"text\":";
+    AppendJsonString(row.text, &out);
+    out += ",";
     std::snprintf(
         buf, sizeof(buf), "\"calls\":%lld,\"errors\":%lld,",
         static_cast<long long>(row.calls), static_cast<long long>(row.errors));

@@ -22,9 +22,9 @@
 /// shares it: KeyFingerprint of it names the statements-table row and the
 /// flight-recorder events, the statements table and the slow-query log show
 /// it as the query's text, and the result cache keys on it with
-/// "@<relation epoch>@g<generation>" (plus "@fq<bits>" when the quantized
-/// filter runs) appended, pinning every entry to the data version and plan
-/// it was computed against (see service/query_service.h).
+/// "@<relation epoch>@g<generation>" appended, pinning every entry to the
+/// data version and plan it was computed against (see
+/// service/query_service.h).
 
 #ifndef SIMQ_SERVICE_FINGERPRINT_H_
 #define SIMQ_SERVICE_FINGERPRINT_H_

@@ -397,7 +397,6 @@ QueryService::QueryService(Database db, ServiceOptions options)
     obs::SlowQueryLogOptions slow;
     slow.path = options_.slow_query_log_path;
     slow.threshold_ms = options_.slow_query_threshold_ms;
-    slow.sample_every = options_.slow_query_sample_every;
     slow_log_ = std::make_unique<obs::SlowQueryLog>(std::move(slow));
   }
   if (!options_.wal_path.empty()) {
@@ -981,21 +980,12 @@ Result<ServiceResult> QueryService::ExecuteInternal(const Query& query,
     std::shared_lock<std::shared_mutex> lock(data_mutex_);
     epoch = EpochLocked(effective->relation, &shards);
     generation = GenerationLocked(effective->relation, &delta_rows);
-    // Cached entries replay their execution's plan metadata (filter,
-    // pruning counts), and a query's effective filter configuration is
-    // resolved against the engine-wide settings at execution time -- so
-    // when the quantized engine would run, the key must name it AND its
-    // bit width, or an entry cached before a set_filter_engine /
-    // set_filter_options change would keep reporting the old plan. The
-    // exact-engine case keeps the historical key rendering.
-    const bool effectively_quantized =
-        effective->filter == FilterMode::kFiltered ||
-        (effective->filter == FilterMode::kDefault &&
-         db_.filter_engine() == FilterEngine::kQuantized);
     // The generation joins the key because cached entries replay their
     // execution's plan metadata: answers are identical across
     // generations, but an entry cached before a recompaction would keep
-    // reporting the old generation's delta_rows.
+    // reporting the old generation's delta_rows. The plan's filter needs
+    // nothing more: the canonical key names a query's MODE, the only
+    // thing that selects it.
     std::string key;
     key.reserve(canonical.size() + 64);
     key += canonical;
@@ -1003,10 +993,6 @@ Result<ServiceResult> QueryService::ExecuteInternal(const Query& query,
     key += std::to_string(epoch);
     key += "@g";
     key += std::to_string(generation);
-    if (effectively_quantized) {
-      key += "@fq";
-      key += std::to_string(db_.filter_options().bits_per_dim);
-    }
     if (!cache_.Get(key, &out.result)) {
       Result<QueryResult> executed = [&]() -> Result<QueryResult> {
         try {

@@ -105,8 +105,8 @@
 ///  * Session::mutex_: that session's prepared-statement map, cancel
 ///    flag, and in-flight execution contexts.
 /// All public methods of QueryService and Session are safe to call from
-/// any thread concurrently, EXCEPT database_unlocked() /
-/// mutable_database_unlocked(), which bypass data_mutex_ by design.
+/// any thread concurrently, EXCEPT database_unlocked(), which bypasses
+/// data_mutex_ by design.
 ///
 /// Lifetime: Sessions hold a pointer to their service. Destroy all
 /// sessions before the service (the shell and tests scope them naturally).
@@ -169,10 +169,9 @@ struct ServiceOptions {
   /// Only traced executions are considered -- a slow line always carries
   /// its span tree.
   std::string slow_query_log_path;
-  /// Minimum elapsed time for a traced query to reach the slow-query log.
+  /// Minimum elapsed time for a traced query to reach the slow-query log;
+  /// every traced query at least this slow is logged.
   double slow_query_threshold_ms = 100.0;
-  /// Keep 1 in N of the qualifying (slow) queries; 1 logs them all.
-  int slow_query_sample_every = 1;
 
   /// Default per-query deadline in milliseconds; 0 = no deadline.
   /// ExecOptions::deadline_ms overrides it per execution.
@@ -542,7 +541,6 @@ class QueryService {
   /// The owned database, without any locking. Safe only while no other
   /// thread is using the service (setup, teardown, single-threaded tools).
   const Database& database_unlocked() const { return db_; }
-  Database& mutable_database_unlocked() { return db_; }
 
  private:
   friend class Session;

@@ -225,7 +225,10 @@ Result<int64_t> SubsequenceIndex::AddSeries(const TimeSeries& series) {
 }
 
 const PackedRTree& SubsequenceIndex::packed_rtree() const {
-  return packed_.Get([this] { return std::make_unique<PackedRTree>(*tree_); });
+  return *packed_
+              .Get([this] { return std::make_unique<PackedRTree>(*tree_); },
+                   num_trails())
+              .artifact;
 }
 
 std::vector<SubsequenceIndex::SubsequenceMatch> SubsequenceIndex::RangeSearch(

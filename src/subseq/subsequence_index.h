@@ -34,8 +34,7 @@
 /// snapshot-safe (concurrent callers share the immutable packed snapshot,
 /// and each search counts its own node accesses). AddSeries mutates the
 /// trail table and the R*-tree and requires exclusive access, exactly
-/// like relation mutations (see index/packed_rtree.h,
-/// PackedSnapshotCache).
+/// like relation mutations (see util/artifact_cache.h).
 
 #ifndef SIMQ_SUBSEQ_SUBSEQUENCE_INDEX_H_
 #define SIMQ_SUBSEQ_SUBSEQUENCE_INDEX_H_
@@ -48,6 +47,7 @@
 #include "index/rtree.h"
 #include "ts/dft.h"
 #include "ts/time_series.h"
+#include "util/artifact_cache.h"
 #include "util/status.h"
 
 namespace simq {
@@ -124,7 +124,8 @@ class SubsequenceIndex {
   std::vector<std::vector<double>> series_;
   std::vector<Trail> trails_;
   std::unique_ptr<RTree> tree_;
-  PackedSnapshotCache packed_;
+  // No failpoint: the subsequence index has no degraded path.
+  ArtifactCache<PackedRTree> packed_{nullptr};
   int64_t num_windows_ = 0;
 };
 

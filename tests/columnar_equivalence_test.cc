@@ -339,6 +339,39 @@ TEST(ColumnarEquivalenceTest, ShardStoresHoldFeaturesOfRaw) {
   }
 }
 
+// A reservation, made before the first Append fixes the row widths or
+// after it, holds every column in place until the reserved rows are used.
+TEST(ColumnarEquivalenceTest, ReservedRowsNeverMove) {
+  const std::vector<TimeSeries> series = workload::RandomWalkSeries(24, 33, 5);
+  const auto append = [&](FeatureStore* store, size_t i) {
+    const std::vector<double>& raw = series[i].values;
+    store->Append(ComputeFeatures(raw), ToNormalForm(raw).values);
+  };
+  const auto columns = [](const FeatureStore& store) {
+    return std::vector<const double*>{store.SpectrumRow(0),
+                                      store.NormalRow(0), store.Prefixes(),
+                                      store.means(), store.stds()};
+  };
+  FeatureStore store;
+  store.Reserve(8);
+  append(&store, 0);
+  const std::vector<const double*> first = columns(store);
+  for (size_t i = 1; i < 8; ++i) {
+    append(&store, i);
+  }
+  EXPECT_EQ(columns(store), first);
+  store.Reserve(24);
+  const std::vector<const double*> second = columns(store);
+  for (size_t i = 8; i < series.size(); ++i) {
+    append(&store, i);
+  }
+  EXPECT_EQ(columns(store), second);
+  for (size_t i = 0; i < series.size(); ++i) {
+    EXPECT_EQ(Bits(store.mean(static_cast<int64_t>(i))),
+              Bits(ComputeFeatures(series[i].values).mean));
+  }
+}
+
 // Per-record reference formulas for the exact checks that bypass the
 // columnar kernels (expanding spectral rules, non-spectral rules, raw
 // mode), written against representations computed here from raw values.

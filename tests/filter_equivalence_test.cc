@@ -2,14 +2,15 @@
 // engine (src/filter, MODE FILTERED) must return answers bit-identical to
 // the unfiltered engines -- same ids, same names, same IEEE-754 distance
 // bits, same tie-breaking, same pair emission -- for every shard count,
-// bit width, strategy, and workload, including tie-heavy ones where
+// strategy, and workload, including tie-heavy ones where
 // distances land exactly on eps and on the k-th kNN distance. The filter
 // may only change HOW MANY exact checks run (stats), never the answer.
 //
 // Also covered: the bracketing invariant of the quantizer, the code
 // round-trip through the code columns, the column scan's lower bound
 // against brute-force distances, the stale-on-mutation rebuild contract,
-// and the planner bias of an explicit MODE FILTERED under VIA AUTO.
+// the planner bias of an explicit MODE FILTERED under VIA AUTO, and MODE
+// as the filter's only switch.
 
 #include <algorithm>
 #include <cmath>
@@ -40,12 +41,8 @@ ShardingOptions Sharded(int shards) {
   return options;
 }
 
-Database BuildDatabase(const std::vector<TimeSeries>& series, int shards,
-                       int bits) {
+Database BuildDatabase(const std::vector<TimeSeries>& series, int shards) {
   Database db(FeatureConfig(), RTree::Options(), Sharded(shards));
-  FilterOptions filter;
-  filter.bits_per_dim = bits;
-  db.set_filter_options(filter);
   EXPECT_TRUE(db.CreateRelation("r").ok());
   EXPECT_TRUE(db.BulkLoad("r", series).ok());
   return db;
@@ -136,24 +133,21 @@ TEST(Quantizer, CellsBracketEveryEncodedValue) {
     const auto normal = ToNormalForm(ts.values);
     store.Append(ComputeFeatures(ts.values), normal.values);
   }
-  for (const int bits : {4, 5, 6, 7, 8}) {
-    const ScalarQuantizer q = ScalarQuantizer::Train(store, bits);
-    ASSERT_EQ(q.dims(), 2 * (store.spectrum_length() / 2 + 1));
-    ASSERT_EQ(q.cells(), 1 << bits);
-    for (int64_t i = 0; i < store.size(); ++i) {
-      const double* row = store.SpectrumRow(i);
-      for (int d = 0; d < q.dims(); ++d) {
-        const uint32_t c = q.Encode(d, row[d]);
-        ASSERT_LT(c, static_cast<uint32_t>(q.cells()));
-        const double* edges = q.bounds(d);
-        EXPECT_LE(edges[c], row[d]) << "bits " << bits << " dim " << d;
-        EXPECT_GE(edges[c + 1], row[d]) << "bits " << bits << " dim " << d;
-      }
+  const ScalarQuantizer q = ScalarQuantizer::Train(store);
+  ASSERT_EQ(q.dims(), 2 * (store.spectrum_length() / 2 + 1));
+  for (int64_t i = 0; i < store.size(); ++i) {
+    const double* row = store.SpectrumRow(i);
+    for (int d = 0; d < q.dims(); ++d) {
+      const uint32_t c = q.Encode(d, row[d]);
+      ASSERT_LT(c, static_cast<uint32_t>(ScalarQuantizer::kCells));
+      const double* edges = q.bounds(d);
+      EXPECT_LE(edges[c], row[d]) << "dim " << d;
+      EXPECT_GE(edges[c + 1], row[d]) << "dim " << d;
     }
   }
 }
 
-TEST(QuantizedCodes, ColumnsRoundTripEveryWidth) {
+TEST(QuantizedCodes, ColumnsRoundTrip) {
   const std::vector<TimeSeries> series =
       workload::RandomWalkSeries(40, 33, 11);  // odd length: tail dims
   FeatureStore store;
@@ -161,15 +155,13 @@ TEST(QuantizedCodes, ColumnsRoundTripEveryWidth) {
     const auto normal = ToNormalForm(ts.values);
     store.Append(ComputeFeatures(ts.values), normal.values);
   }
-  for (const int bits : {4, 5, 6, 7, 8}) {
-    const QuantizedCodes codes(store, bits);
-    ASSERT_EQ(codes.size(), store.size());
-    for (int64_t i = 0; i < codes.size(); ++i) {
-      const double* row = store.SpectrumRow(i);
-      for (int d = 0; d < codes.dims(); ++d) {
-        EXPECT_EQ(codes.Column(d)[i], codes.quantizer().Encode(d, row[d]))
-            << "bits " << bits << " row " << i << " dim " << d;
-      }
+  const QuantizedCodes codes(store);
+  ASSERT_EQ(codes.size(), store.size());
+  for (int64_t i = 0; i < codes.size(); ++i) {
+    const double* row = store.SpectrumRow(i);
+    for (int d = 0; d < codes.dims(); ++d) {
+      EXPECT_EQ(codes.Column(d)[i], codes.quantizer().Encode(d, row[d]))
+          << "row " << i << " dim " << d;
     }
   }
 }
@@ -196,99 +188,94 @@ TEST(BoundKernels, LowerBoundBelowBruteForceDistances) {
       m = rng.UniformDouble(-2.0, 2.0);
     }
     const std::vector<double> zero_mult(static_cast<size_t>(2 * n), 0.0);
-    for (const int bits : {4, 8}) {
-      const QuantizedCodes codes(store, bits);
-      ASSERT_EQ(codes.dims(), 2 * (n / 2 + 1)) << "length " << length;
-      for (const double* mult : std::vector<const double*>{
-               nullptr, random_mult.data(), zero_mult.data()}) {
-        // Queries: stored rows (exact cell hits) and perturbed ones.
-        for (int qi = 0; qi < 8; ++qi) {
-          std::vector<double> query(static_cast<size_t>(2 * n));
-          const double* src = store.SpectrumRow(qi * 7 % store.size());
-          for (int d = 0; d < 2 * n; ++d) {
-            query[static_cast<size_t>(d)] = src[d] + (qi % 3 - 1) * 0.01 * d;
-          }
-          const QueryLuts luts =
-              BuildQueryLuts(codes.quantizer(), query.data(), mult, n);
-          // An infinite threshold keeps every row, so the scan leaves each
-          // row's full lower bound in `bounds`.
-          std::vector<int32_t> active;
-          for (int64_t i = 0; i < codes.size(); ++i) {
-            active.push_back(static_cast<int32_t>(i));
-          }
-          std::vector<double> bounds;
-          ColumnLowerBoundScan(
-              codes, luts, 0, codes.size(),
-              [](std::vector<int32_t>*, const double*) {
-                return std::numeric_limits<double>::infinity();
-              },
-              &active, &bounds);
-          ASSERT_EQ(active.size(), static_cast<size_t>(codes.size()));
-          for (int64_t i = 0; i < codes.size(); ++i) {
-            const double exact_sq =
-                mult == nullptr
-                    ? RowDistanceSq(store.SpectrumRow(i), query.data(), n,
-                                    std::numeric_limits<double>::infinity())
-                    : RowDistanceSqMult(
-                          store.SpectrumRow(i), mult, query.data(), n,
-                          std::numeric_limits<double>::infinity());
-            // The bound must hold up to the documented FP slack.
-            EXPECT_LE(bounds[static_cast<size_t>(i)],
-                      SafeThreshold(exact_sq, luts.slack))
-                << "length " << length << " bits " << bits << " multiplier "
-                << (mult == nullptr ? "identity"
-                    : mult == zero_mult.data() ? "zero" : "random")
-                << " query " << qi << " row " << i;
-          }
+    const QuantizedCodes codes(store);
+    ASSERT_EQ(codes.dims(), 2 * (n / 2 + 1)) << "length " << length;
+    for (const double* mult : std::vector<const double*>{
+             nullptr, random_mult.data(), zero_mult.data()}) {
+      // Queries: stored rows (exact cell hits) and perturbed ones.
+      for (int qi = 0; qi < 8; ++qi) {
+        std::vector<double> query(static_cast<size_t>(2 * n));
+        const double* src = store.SpectrumRow(qi * 7 % store.size());
+        for (int d = 0; d < 2 * n; ++d) {
+          query[static_cast<size_t>(d)] = src[d] + (qi % 3 - 1) * 0.01 * d;
+        }
+        const QueryLuts luts =
+            BuildQueryLuts(codes.quantizer(), query.data(), mult, n);
+        // An infinite threshold keeps every row, so the scan leaves each
+        // row's full lower bound in `bounds`.
+        std::vector<int32_t> active;
+        for (int64_t i = 0; i < codes.size(); ++i) {
+          active.push_back(static_cast<int32_t>(i));
+        }
+        std::vector<double> bounds;
+        ColumnLowerBoundScan(
+            codes, luts, 0, codes.size(),
+            [](std::vector<int32_t>*, const double*) {
+              return std::numeric_limits<double>::infinity();
+            },
+            &active, &bounds);
+        ASSERT_EQ(active.size(), static_cast<size_t>(codes.size()));
+        for (int64_t i = 0; i < codes.size(); ++i) {
+          const double exact_sq =
+              mult == nullptr
+                  ? RowDistanceSq(store.SpectrumRow(i), query.data(), n,
+                                  std::numeric_limits<double>::infinity())
+                  : RowDistanceSqMult(
+                        store.SpectrumRow(i), mult, query.data(), n,
+                        std::numeric_limits<double>::infinity());
+          // The bound must hold up to the documented FP slack.
+          EXPECT_LE(bounds[static_cast<size_t>(i)],
+                    SafeThreshold(exact_sq, luts.slack))
+              << "length " << length << " multiplier "
+              << (mult == nullptr ? "identity"
+                  : mult == zero_mult.data() ? "zero" : "random")
+              << " query " << qi << " row " << i;
         }
       }
     }
   }
 }
 
-TEST(FilterEquivalence, RangeKnnJoinAcrossShardsAndWidths) {
+TEST(FilterEquivalence, RangeKnnJoinAcrossShards) {
   const std::vector<TimeSeries> series = TieHeavyWorkload(12, 32, 23);
   for (const int shards : {1, 2, 4}) {
-    for (const int bits : {4, 6, 8}) {
-      const Database db = BuildDatabase(series, shards, bits);
-      const std::string tag =
-          "shards=" + std::to_string(shards) + " bits=" + std::to_string(bits);
-      // Range: eps 0 (exact duplicates only), a mid eps, and a huge eps
-      // (everything matches -- zero pruning, pure pass-through).
-      for (const char* eps : {"0", "0.3", "2.5", "1e6"}) {
-        ExpectFilteredMatchesExact(
-            db,
-            std::string("RANGE r WITHIN ") + eps + " OF #walk0 VIA SCAN",
-            tag + " range eps=" + eps);
-      }
-      // kNN: k hitting the duplicate/shift tie groups, k = 1, k > count.
-      for (const char* k : {"1", "3", "7", "500"}) {
-        ExpectFilteredMatchesExact(
-            db, std::string("NEAREST ") + k + " r TO #walk1 VIA SCAN",
-            tag + " knn k=" + k);
-      }
-      // Literal query series (not a stored record).
+    const Database db = BuildDatabase(series, shards);
+    const std::string tag = "shards=" + std::to_string(shards);
+    // Range: eps 0 (exact duplicates only), a mid eps, and a huge eps
+    // (everything matches -- zero pruning, pure pass-through).
+    for (const char* eps : {"0", "0.3", "2.5", "1e6"}) {
       ExpectFilteredMatchesExact(
           db,
-          "NEAREST 5 r TO [1, 2, 1.5, 3, 2, 1, 0.5, 1, 2, 3, 2.5, 2, 1, 0, "
-          "1, 2, 1, 0.5, 0, 1, 2, 3, 2, 1, 1.5, 2, 2.5, 3, 2, 1, 0.5, 0] "
-          "VIA SCAN",
-          tag + " knn literal");
-      // Self-join at a tie-rich eps and at 0 (duplicate pairs only).
-      for (const char* eps : {"0", "0.4", "3.0"}) {
-        const QueryResult filtered = ExpectFilteredMatchesExact(
-            db, std::string("PAIRS r WITHIN ") + eps + " VIA SCAN",
-            tag + " join eps=" + eps);
-        EXPECT_TRUE(filtered.stats.used_filter) << tag;
-        EXPECT_GT(filtered.stats.filter_scanned, 0) << tag;
-      }
+          std::string("RANGE r WITHIN ") + eps + " OF #walk0 VIA SCAN",
+          tag + " range eps=" + eps);
+    }
+    // kNN: k hitting the duplicate/shift tie groups, k = 1, k > count.
+    for (const char* k : {"1", "3", "7", "500"}) {
+      ExpectFilteredMatchesExact(
+          db, std::string("NEAREST ") + k + " r TO #walk1 VIA SCAN",
+          tag + " knn k=" + k);
+    }
+    // Literal query series (not a stored record).
+    ExpectFilteredMatchesExact(
+        db,
+        "NEAREST 5 r TO [1, 2, 1.5, 3, 2, 1, 0.5, 1, 2, 3, 2.5, 2, 1, 0, "
+        "1, 2, 1, 0.5, 0, 1, 2, 3, 2, 1, 1.5, 2, 2.5, 3, 2, 1, 0.5, 0] "
+        "VIA SCAN",
+        tag + " knn literal");
+    // Self-join at a tie-rich eps and at 0 (duplicate pairs only).
+    for (const char* eps : {"0", "0.4", "3.0"}) {
+      const QueryResult filtered = ExpectFilteredMatchesExact(
+          db, std::string("PAIRS r WITHIN ") + eps + " VIA SCAN",
+          tag + " join eps=" + eps);
+      EXPECT_TRUE(filtered.stats.used_filter) << tag;
+      EXPECT_GT(filtered.stats.filter_scanned, 0) << tag;
     }
   }
 }
 
 TEST(FilterEquivalence, EpsilonExactlyAtStoredDistanceKeepsTies) {
   const std::vector<TimeSeries> series = TieHeavyWorkload(10, 24, 31);
-  const Database db = BuildDatabase(series, 2, 8);
+  const Database db = BuildDatabase(series, 2);
   // Harvest true distances (from a wide RANGE scan, so the doubles come
   // from the same abandoning kernel the boundary query will run), then
   // query with eps exactly equal to one: the boundary record must
@@ -316,7 +303,7 @@ TEST(FilterEquivalence, EpsilonExactlyAtStoredDistanceKeepsTies) {
 TEST(FilterEquivalence, SpectralMultiplierRulesUseWeightedLuts) {
   const std::vector<TimeSeries> series = TieHeavyWorkload(10, 32, 41);
   for (const int shards : {1, 3}) {
-    const Database db = BuildDatabase(series, shards, 8);
+    const Database db = BuildDatabase(series, shards);
     const std::string tag = "shards=" + std::to_string(shards);
     // mavg lowers to a spectral multiplier with zero entries at some
     // frequencies (the base-constant path of the LUT builder).
@@ -336,7 +323,7 @@ TEST(FilterEquivalence, SpectralMultiplierRulesUseWeightedLuts) {
 
 TEST(FilterEquivalence, PatternPredicatesApplyBeforeTheCodeScan) {
   const std::vector<TimeSeries> series = TieHeavyWorkload(10, 28, 53);
-  const Database db = BuildDatabase(series, 2, 8);
+  const Database db = BuildDatabase(series, 2);
   const QueryResult filtered = ExpectFilteredMatchesExact(
       db, "RANGE r WITHIN 2.0 OF #walk0 VIA SCAN MEAN 10 60 STD 0.5 30",
       "stats pattern");
@@ -349,7 +336,7 @@ TEST(FilterEquivalence, PatternPredicatesApplyBeforeTheCodeScan) {
 
 TEST(FilterEquivalence, ExplicitFilteredBiasesAutoPlanningToScan) {
   const std::vector<TimeSeries> series = TieHeavyWorkload(8, 24, 61);
-  const Database db = BuildDatabase(series, 1, 8);
+  const Database db = BuildDatabase(series, 1);
   const Result<QueryResult> filtered =
       db.ExecuteText("RANGE r WITHIN 0.5 OF #walk0 MODE FILTERED");
   ASSERT_TRUE(filtered.ok());
@@ -413,29 +400,31 @@ TEST(FilterEquivalence, ExplicitFilteredBiasesAutoPlanningToScan) {
   }
 }
 
-TEST(FilterEquivalence, EngineWideToggleAndStats) {
+// MODE FILTERED is the filter's only switch: a query without a MODE runs
+// the exact kernels, like MODE EXACT.
+TEST(FilterEquivalence, ModeFilteredIsTheOnlySwitch) {
   const std::vector<TimeSeries> series = TieHeavyWorkload(10, 32, 71);
-  Database db = BuildDatabase(series, 2, 8);
-  db.set_filter_engine(FilterEngine::kQuantized);
-  const Result<QueryResult> on =
-      db.ExecuteText("RANGE r WITHIN 0.4 OF #walk0 VIA SCAN");
+  const Database db = BuildDatabase(series, 2);
+  const std::string text = "RANGE r WITHIN 0.4 OF #walk0 VIA SCAN";
+  const Result<QueryResult> on = db.ExecuteText(text + " MODE FILTERED");
   ASSERT_TRUE(on.ok());
   EXPECT_TRUE(on.value().stats.used_filter);
   EXPECT_EQ(on.value().stats.candidates, on.value().stats.exact_checks);
   EXPECT_GE(on.value().stats.filter_scanned, on.value().stats.candidates);
   // Pruning must actually bite at a small eps on this workload.
   EXPECT_LT(on.value().stats.candidates, on.value().stats.filter_scanned);
-  // Per-query MODE EXACT overrides the engine default.
-  const Result<QueryResult> off =
-      db.ExecuteText("RANGE r WITHIN 0.4 OF #walk0 VIA SCAN MODE EXACT");
-  ASSERT_TRUE(off.ok());
-  EXPECT_FALSE(off.value().stats.used_filter);
-  ExpectSameMatches(off.value(), on.value(), "toggle");
+  for (const std::string& mode : {std::string(), std::string(" MODE EXACT")}) {
+    const Result<QueryResult> off = db.ExecuteText(text + mode);
+    ASSERT_TRUE(off.ok()) << mode;
+    EXPECT_FALSE(off.value().stats.used_filter) << mode;
+    EXPECT_EQ(off.value().stats.filter_scanned, 0) << mode;
+    ExpectSameMatches(off.value(), on.value(), "mode" + mode);
+  }
 }
 
 TEST(FilterEquivalence, CodesRebuildAfterMutationLikeTheSnapshot) {
   std::vector<TimeSeries> series = TieHeavyWorkload(8, 24, 83);
-  Database db = BuildDatabase(series, 2, 8);
+  Database db = BuildDatabase(series, 2);
   const QueryResult before = ExpectFilteredMatchesExact(
       db, "RANGE r WITHIN 1.0 OF #walk0 VIA SCAN", "before insert");
   // Mutate one shard: the new record lands in the delta layer, so the
@@ -465,23 +454,23 @@ TEST(FilterEquivalence, CodesRebuildAfterMutationLikeTheSnapshot) {
 
 TEST(FilterEquivalence, FoldsBuildCodesOnlyWhereAQueryCompiledThem) {
   std::vector<TimeSeries> series = TieHeavyWorkload(8, 24, 89);
-  Database db = BuildDatabase(series, 2, 8);
+  Database db = BuildDatabase(series, 2);
   const ShardedRelation& data = db.GetRelation("r")->sharded();
   TimeSeries extra = series[0];
   extra.id = "fresh";
   extra.values[3] += 0.01;
   ASSERT_TRUE(db.Insert("r", extra).ok());
   // No filtered query has compiled codes, so the fold builds none: the
-  // caches stay empty but fresh.
+  // caches stay empty.
   ASSERT_TRUE(db.Recompact("r").ok());
   for (int s = 0; s < data.num_shards(); ++s) {
-    EXPECT_EQ(data.shard(s).quantized_codes_if_fresh(8), nullptr) << s;
+    EXPECT_EQ(data.shard(s).codes_peek().artifact, nullptr) << s;
   }
   // The next filtered query compiles them lazily, over every row.
   ExpectFilteredMatchesExact(db, "NEAREST 5 r TO #fresh VIA SCAN",
                              "after a fold without codes");
   for (int s = 0; s < data.num_shards(); ++s) {
-    const QuantizedCodes* codes = data.shard(s).quantized_codes_if_fresh(8);
+    const QuantizedCodes* codes = data.shard(s).codes_peek().artifact;
     ASSERT_NE(codes, nullptr) << s;
     EXPECT_EQ(codes->size(), data.shard(s).size()) << s;
   }
@@ -489,7 +478,7 @@ TEST(FilterEquivalence, FoldsBuildCodesOnlyWhereAQueryCompiledThem) {
 
 TEST(FilterEquivalence, RawModeAndNonSpectralRulesFallBackExactly) {
   const std::vector<TimeSeries> series = TieHeavyWorkload(8, 24, 97);
-  const Database db = BuildDatabase(series, 2, 8);
+  const Database db = BuildDatabase(series, 2);
   // kRaw distances are not in the quantized (normal-form spectral) space:
   // the filter must decline and the answers must still match.
   const QueryResult raw = ExpectFilteredMatchesExact(

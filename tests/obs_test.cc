@@ -374,24 +374,24 @@ TEST(SlowQueryLogTest, JsonRoundTripsEveryField) {
   EXPECT_FALSE(obs::ParseSlowQueryJson("{\"unix_ms\":1}", &bad));
 }
 
-TEST(SlowQueryLogTest, ThresholdAndSamplingElectQualifyingQueries) {
+TEST(SlowQueryLogTest, ThresholdElectsEveryQualifyingQuery) {
   obs::SlowQueryLogOptions options;
-  options.path = TempPath("slow_sampling.jsonl");
+  options.path = TempPath("slow_threshold.jsonl");
   options.threshold_ms = 10.0;
-  options.sample_every = 3;
   std::remove(options.path.c_str());
   obs::SlowQueryLog log(options);
   ASSERT_TRUE(log.ok());
-  // Below threshold: never logged, and the sampling counter must not
-  // advance ("1 in N" means 1 in N *slow* queries).
   for (int i = 0; i < 10; ++i) {
     EXPECT_FALSE(log.ShouldLog(9.9));
   }
-  int elected = 0;
   for (int i = 0; i < 9; ++i) {
-    elected += log.ShouldLog(10.0) ? 1 : 0;
+    EXPECT_TRUE(log.ShouldLog(10.0));
+    EXPECT_TRUE(log.ShouldLog(250.0));
   }
-  EXPECT_EQ(elected, 3);
+  // A log whose file did not open elects nothing.
+  obs::SlowQueryLogOptions closed;
+  closed.threshold_ms = 0.0;
+  EXPECT_FALSE(obs::SlowQueryLog(closed).ShouldLog(1e9));
 }
 
 TEST(SlowQueryLogTest, ServiceAppendsParseableLinesForSlowQueries) {

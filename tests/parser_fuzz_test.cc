@@ -36,6 +36,7 @@
 
 #include "core/database.h"
 #include "core/parser.h"
+#include "core/sharded_relation.h"
 #include "core/transformation.h"
 #include "service/fingerprint.h"
 #include "util/thread_pool.h"
@@ -510,6 +511,74 @@ TEST(ExecutorBoundsTest, OverflowingRuleChainsAreInvalidArguments) {
     EXPECT_EQ(filtered.value().matches[i].id, exact.value().matches[i].id);
     EXPECT_EQ(Bits(filtered.value().matches[i].distance),
               Bits(exact.value().matches[i].distance));
+  }
+}
+
+// A kNN whose distances are all +inf ranks them like any other distance:
+// ties at +inf are cut by id, so every strategy answers the k smallest ids,
+// at 1 shard and at 3. Rows the query excludes -- deleted, or outside a
+// MEAN pattern -- still never appear, at +inf too.
+TEST(ExecutorBoundsTest, InfiniteDistancesRankAlikeOnEveryStrategy) {
+  const std::vector<TimeSeries> series = workload::RandomWalkSeries(20, 16, 7);
+  // A MEAN lower bound halfway between the 5th and 6th smallest means
+  // excludes the five rows below it.
+  std::vector<double> means;
+  for (const TimeSeries& ts : series) {
+    double sum = 0.0;
+    for (const double v : ts.values) {
+      sum += v;
+    }
+    means.push_back(sum / static_cast<double>(ts.values.size()));
+  }
+  std::vector<double> sorted = means;
+  std::sort(sorted.begin(), sorted.end());
+  const double mean_lo = 0.5 * (sorted[4] + sorted[5]);
+  char pattern[64];
+  std::snprintf(pattern, sizeof(pattern), " MEAN %.17g 1e300", mean_lo);
+  const std::vector<std::string> strategies = {"VIA INDEX", "VIA SCAN",
+                                               "VIA SCAN MODE FILTERED"};
+  for (const int shards : {1, 3}) {
+    ShardingOptions sharding;
+    sharding.num_shards = shards;
+    Database db(FeatureConfig(), RTree::Options(), sharding);
+    ASSERT_TRUE(db.CreateRelation("r").ok());
+    ASSERT_TRUE(db.BulkLoad("r", series).ok());
+    const auto expect_ids = [&](const std::string& text,
+                                const std::vector<int64_t>& ids) {
+      const Result<QueryResult> result = db.ExecuteText(text);
+      ASSERT_TRUE(result.ok()) << text << ": " << result.status().ToString();
+      ASSERT_EQ(result.value().matches.size(), ids.size()) << text;
+      for (size_t i = 0; i < ids.size(); ++i) {
+        EXPECT_EQ(result.value().matches[i].id, ids[i]) << text;
+        EXPECT_EQ(Bits(result.value().matches[i].distance),
+                  Bits(std::numeric_limits<double>::infinity()))
+            << text;
+      }
+    };
+    const std::vector<std::string> rules = {"scale(1e155)|diff",
+                                            "scale(1e160)|diff"};
+    for (const std::string& rule : rules) {
+      for (const std::string& via : strategies) {
+        expect_ids("NEAREST 5 r TO #walk0 USING " + rule + " " + via,
+                   {0, 1, 2, 3, 4});
+      }
+    }
+    ASSERT_TRUE(db.Delete("r", 1).ok());
+    std::vector<int64_t> admitted;
+    for (int64_t id = 0; id < static_cast<int64_t>(series.size()); ++id) {
+      if (id != 1 && means[static_cast<size_t>(id)] > mean_lo &&
+          admitted.size() < 5) {
+        admitted.push_back(id);
+      }
+    }
+    for (const std::string& rule : rules) {
+      for (const std::string& via : strategies) {
+        const std::string text =
+            "NEAREST 5 r TO #walk0 USING " + rule + " " + via;
+        expect_ids(text, {0, 2, 3, 4, 5});
+        expect_ids(text + pattern, admitted);
+      }
+    }
   }
 }
 

@@ -11,7 +11,8 @@
 //
 // Inputs: adversarial stores (1 to 1000 rows, tiny spectra, duplicates,
 // constant columns, 1e12 outliers, magnitudes from 2^-30 to 2^30, signed
-// zeros, subnormals) at every width, and a 3000x128 stock relation.
+// zeros, subnormals) and a 3000x128 stock relation, at the codes' one
+// width of 256 cells.
 
 #include <algorithm>
 #include <cmath>
@@ -35,6 +36,8 @@
 namespace simq {
 namespace {
 
+constexpr int kCells = ScalarQuantizer::kCells;
+
 // The compile by definition: what the bucketed one must reproduce.
 struct SortCompile {
   int cells = 0;
@@ -49,9 +52,9 @@ struct SortCompile {
   }
 };
 
-SortCompile CompileBySorting(const FeatureStore& store, int bits) {
+SortCompile CompileBySorting(const FeatureStore& store) {
   SortCompile ref;
-  ref.cells = 1 << bits;
+  ref.cells = 256;  // 8-bit codes
   const int n = store.spectrum_length();
   ref.dims = 2 * (n / 2 + 1);
   const int64_t count = store.size();
@@ -117,7 +120,7 @@ SortCompile CompileBySorting(const FeatureStore& store, int bits) {
 void ExpectSameEdges(const SortCompile& ref, const ScalarQuantizer& q,
                      const std::string& context) {
   ASSERT_EQ(q.dims(), ref.dims) << context;
-  ASSERT_EQ(q.cells(), ref.cells) << context;
+  ASSERT_EQ(kCells, ref.cells) << context;
   for (int d = 0; d < ref.dims; ++d) {
     for (int c = 0; c <= ref.cells; ++c) {
       // ==, not bitwise: std::sort may put either of +0.0 and -0.0 at a
@@ -129,28 +132,24 @@ void ExpectSameEdges(const SortCompile& ref, const ScalarQuantizer& q,
   EXPECT_EQ(q.max_row_energy(), ref.max_row_energy) << context;
 }
 
-// The compile at every width against the sorting definition; Train alone
-// must give the same edges as the codes' compile.
+// The compile against the sorting definition; Train alone must give the
+// same edges as the codes' compile.
 void ExpectCompileMatchesSorting(const FeatureStore& store,
                                  const std::string& context) {
-  for (int bits = ScalarQuantizer::kMinBits;
-       bits <= ScalarQuantizer::kMaxBits; ++bits) {
-    const std::string tag = context + " bits " + std::to_string(bits);
-    const SortCompile ref = CompileBySorting(store, bits);
-    const QuantizedCodes codes(store, bits);
-    ExpectSameEdges(ref, codes.quantizer(), tag);
-    ExpectSameEdges(ref, ScalarQuantizer::Train(store, bits), tag + " Train");
-    ASSERT_EQ(codes.size(), store.size()) << tag;
-    for (int d = 0; d < ref.dims; ++d) {
-      ASSERT_EQ(std::memcmp(codes.Column(d),
-                            ref.codes.data() +
-                                static_cast<size_t>(d) * store.size(),
-                            static_cast<size_t>(store.size())),
-                0)
-          << tag << " dim " << d;
-    }
-    EXPECT_EQ(codes.scan_order(), ref.scan_order) << tag;
+  const SortCompile ref = CompileBySorting(store);
+  const QuantizedCodes codes(store);
+  ExpectSameEdges(ref, codes.quantizer(), context);
+  ExpectSameEdges(ref, ScalarQuantizer::Train(store), context + " Train");
+  ASSERT_EQ(codes.size(), store.size()) << context;
+  for (int d = 0; d < ref.dims; ++d) {
+    ASSERT_EQ(std::memcmp(codes.Column(d),
+                          ref.codes.data() +
+                              static_cast<size_t>(d) * store.size(),
+                          static_cast<size_t>(store.size())),
+              0)
+        << context << " dim " << d;
   }
+  EXPECT_EQ(codes.scan_order(), ref.scan_order) << context;
 }
 
 // A store whose spectrum rows are exactly `rows` (2 * length doubles
@@ -262,29 +261,26 @@ TEST(QuantizerCompile, EncodeColumnIsEncodeOutsideTheTrainingRange) {
     rows.push_back(row);
   }
   const FeatureStore store = StoreOfSpectra(rows);
-  for (int bits = ScalarQuantizer::kMinBits;
-       bits <= ScalarQuantizer::kMaxBits; ++bits) {
-    const ScalarQuantizer q = ScalarQuantizer::Train(store, bits);
-    for (int d = 0; d < q.dims(); ++d) {
-      const double* edges = q.bounds(d);
-      std::vector<double> probes = {
-          -std::numeric_limits<double>::max(), edges[0] - 1.0,
-          std::nextafter(edges[0], -1e300), edges[q.cells()] + 1.0,
-          std::nextafter(edges[q.cells()], 1e300),
-          std::numeric_limits<double>::max()};
-      for (int c = 0; c <= q.cells(); ++c) {
-        probes.push_back(edges[c]);
-        if (c < q.cells()) {
-          probes.push_back(0.5 * (edges[c] + edges[c + 1]));
-        }
+  const ScalarQuantizer q = ScalarQuantizer::Train(store);
+  for (int d = 0; d < q.dims(); ++d) {
+    const double* edges = q.bounds(d);
+    std::vector<double> probes = {
+        -std::numeric_limits<double>::max(), edges[0] - 1.0,
+        std::nextafter(edges[0], -1e300), edges[kCells] + 1.0,
+        std::nextafter(edges[kCells], 1e300),
+        std::numeric_limits<double>::max()};
+    for (int c = 0; c <= kCells; ++c) {
+      probes.push_back(edges[c]);
+      if (c < kCells) {
+        probes.push_back(0.5 * (edges[c] + edges[c + 1]));
       }
-      std::vector<uint8_t> codes(probes.size());
-      q.EncodeColumn(d, probes.data(), static_cast<int64_t>(probes.size()),
-                     codes.data());
-      for (size_t i = 0; i < probes.size(); ++i) {
-        EXPECT_EQ(codes[i], q.Encode(d, probes[i]))
-            << "bits " << bits << " dim " << d << " value " << probes[i];
-      }
+    }
+    std::vector<uint8_t> codes(probes.size());
+    q.EncodeColumn(d, probes.data(), static_cast<int64_t>(probes.size()),
+                   codes.data());
+    for (size_t i = 0; i < probes.size(); ++i) {
+      EXPECT_EQ(codes[i], q.Encode(d, probes[i]))
+          << "dim " << d << " value " << probes[i];
     }
   }
 }
@@ -304,33 +300,29 @@ TEST(QuantizerCompile, GapSqSumIsTheCellByCellSum) {
     rows.push_back(row);
   }
   const FeatureStore store = StoreOfSpectra(rows);
-  for (int bits = ScalarQuantizer::kMinBits;
-       bits <= ScalarQuantizer::kMaxBits; ++bits) {
-    const ScalarQuantizer q = ScalarQuantizer::Train(store, bits);
-    ASSERT_EQ(q.dims(), 8);  // n = 7: coefficients 0 .. 3
-    for (int d = 0; d < q.dims(); ++d) {
-      const double* edges = q.bounds(d);
-      std::vector<double> targets = {edges[0] - 3.0, edges[q.cells()] + 3.0,
-                                     0.0};
-      for (int c = 0; c <= q.cells(); c += 5) {
-        targets.push_back(edges[c]);
-        if (c < q.cells()) {
-          targets.push_back(0.5 * (edges[c] + edges[c + 1]));
-        }
+  const ScalarQuantizer q = ScalarQuantizer::Train(store);
+  ASSERT_EQ(q.dims(), 8);  // n = 7: coefficients 0 .. 3
+  for (int d = 0; d < q.dims(); ++d) {
+    const double* edges = q.bounds(d);
+    std::vector<double> targets = {edges[0] - 3.0, edges[kCells] + 3.0, 0.0};
+    for (int c = 0; c <= kCells; c += 5) {
+      targets.push_back(edges[c]);
+      if (c < kCells) {
+        targets.push_back(0.5 * (edges[c] + edges[c + 1]));
       }
-      for (const double t : targets) {
-        double direct = 0.0;
-        double scale = 0.0;
-        for (int c = 0; c < q.cells(); ++c) {
-          const double gap = t < edges[c]       ? edges[c] - t
-                             : t > edges[c + 1] ? t - edges[c + 1]
-                                                : 0.0;
-          direct += gap * gap;
-          scale += t * t + edges[c] * edges[c];
-        }
-        EXPECT_NEAR(q.GapSqSum(d, t), direct, 1e-12 * scale)
-            << "bits " << bits << " dim " << d << " target " << t;
+    }
+    for (const double t : targets) {
+      double direct = 0.0;
+      double scale = 0.0;
+      for (int c = 0; c < kCells; ++c) {
+        const double gap = t < edges[c]       ? edges[c] - t
+                           : t > edges[c + 1] ? t - edges[c + 1]
+                                              : 0.0;
+        direct += gap * gap;
+        scale += t * t + edges[c] * edges[c];
       }
+      EXPECT_NEAR(q.GapSqSum(d, t), direct, 1e-12 * scale)
+          << "dim " << d << " target " << t;
     }
   }
 }

@@ -189,36 +189,37 @@ TEST(QueryServiceTest, ExplainReportsStrategyEngineAndCacheStatus) {
   EXPECT_TRUE(plain.value().plan.cache_hit);
 }
 
-TEST(QueryServiceTest, FilterEngineToggleKeepsExplainPlansTruthful) {
+// MODE is the only thing that selects the filter, and the canonical key
+// names it, so the cache key needs no suffix of its own: a query with and
+// without MODE FILTERED are two entries, each replaying its own plan.
+TEST(QueryServiceTest, FilterModeKeepsExplainPlansTruthful) {
   QueryService service(MakeDatabase());
   const std::string text = "EXPLAIN RANGE r WITHIN 2.0 OF #walk1 VIA SCAN";
   const Result<ServiceResult> exact = service.ExecuteText(text);
   ASSERT_TRUE(exact.ok());
+  EXPECT_FALSE(exact.value().plan.cache_hit);
   EXPECT_EQ(exact.value().plan.filter, "none");
-  // Toggling the engine-wide default must not replay the exact-engine
-  // cache entry for default-mode queries: the effective engine is part
-  // of the cache key, so the filtered plan (and its pruning stats) is
-  // reported from a real filtered execution.
-  service.mutable_database_unlocked().set_filter_engine(
-      FilterEngine::kQuantized);
-  const Result<ServiceResult> filtered = service.ExecuteText(text);
+  const Result<ServiceResult> filtered =
+      service.ExecuteText(text + " MODE FILTERED");
   ASSERT_TRUE(filtered.ok());
   EXPECT_FALSE(filtered.value().plan.cache_hit);
   EXPECT_EQ(filtered.value().plan.filter, "quantized");
   EXPECT_GT(filtered.value().plan.filter_scanned, 0);
   ExpectSameMatches(exact.value().result, filtered.value().result);
-  // Flipping back revives the original entry (same key as before).
-  service.mutable_database_unlocked().set_filter_engine(
-      FilterEngine::kExact);
-  const Result<ServiceResult> back = service.ExecuteText(text);
-  ASSERT_TRUE(back.ok());
-  EXPECT_TRUE(back.value().plan.cache_hit);
-  EXPECT_EQ(back.value().plan.filter, "none");
-  // An explicit MODE FILTERED query reports its own plan either way.
-  const Result<ServiceResult> explicit_filtered = service.ExecuteText(
-      "EXPLAIN RANGE r WITHIN 2.0 OF #walk1 VIA SCAN MODE FILTERED");
-  ASSERT_TRUE(explicit_filtered.ok());
-  EXPECT_EQ(explicit_filtered.value().plan.filter, "quantized");
+  // Rerunning each query hits its own entry and reports its own plan.
+  const Result<ServiceResult> exact_again = service.ExecuteText(text);
+  ASSERT_TRUE(exact_again.ok());
+  EXPECT_TRUE(exact_again.value().plan.cache_hit);
+  EXPECT_EQ(exact_again.value().plan.filter, "none");
+  EXPECT_EQ(exact_again.value().plan.filter_scanned, 0);
+  const Result<ServiceResult> filtered_again =
+      service.ExecuteText(text + " MODE FILTERED");
+  ASSERT_TRUE(filtered_again.ok());
+  EXPECT_TRUE(filtered_again.value().plan.cache_hit);
+  EXPECT_EQ(filtered_again.value().plan.filter, "quantized");
+  EXPECT_EQ(filtered_again.value().plan.filter_scanned,
+            filtered.value().plan.filter_scanned);
+  ExpectSameMatches(filtered.value().result, filtered_again.value().result);
 }
 
 TEST(QueryServiceTest, ShardedServiceAnswersMatchUnshardedAndRollUpEpochs) {

@@ -1,10 +1,11 @@
 // Shard-equivalence property suite: the sharded scatter-gather engine
 // must return answers bit-identical to the unsharded engine -- same ids,
 // same names, same IEEE-754 distance bits, same tie-breaking -- for every
-// shard count, partition policy, and strategy, on randomized workloads. Also asserts the accounting contracts: node
-// accesses are monotone under cross-shard kNN pruning (pruned <=
-// unpruned), relation epochs roll up one bump per shard mutation, and
-// every work count is the same for one pool block or many.
+// shard count and strategy, on randomized workloads, loaded in bulk or row
+// by row. Also asserts the accounting contracts: node accesses are
+// monotone under cross-shard kNN pruning (pruned <= unpruned), relation
+// epochs roll up one bump per shard mutation, and every work count is the
+// same for one pool block or many.
 //
 // The comparison discipline mirrors the engine's determinism contracts:
 // range/kNN answers are canonically ordered by (distance, id) by the
@@ -53,11 +54,9 @@ Database BuildDatabase(const std::vector<TimeSeries>& series,
   return db;
 }
 
-ShardingOptions Sharded(int shards, ShardingOptions::Partition partition =
-                                        ShardingOptions::Partition::kHash) {
+ShardingOptions Sharded(int shards) {
   ShardingOptions options;
   options.num_shards = shards;
-  options.partition = partition;
   return options;
 }
 
@@ -114,7 +113,7 @@ std::vector<TimeSeries> TieWorkload(int count, int length, uint64_t seed) {
   return series;
 }
 
-TEST(ShardEquivalence, RangeQueriesAllStrategiesAndPolicies) {
+TEST(ShardEquivalence, RangeQueriesAllStrategies) {
   for (const uint64_t seed : {11u, 29u}) {
     const std::vector<TimeSeries> series = TieWorkload(130, 48, seed);
     const Database baseline = BuildDatabase(series, ShardingOptions());
@@ -130,20 +129,15 @@ TEST(ShardEquivalence, RangeQueriesAllStrategiesAndPolicies) {
         "RANGE r WITHIN 8.0 OF #walk4 MODE RAW",
     };
     for (const int shards : kShardCounts) {
-      for (const auto partition : {ShardingOptions::Partition::kHash,
-                                   ShardingOptions::Partition::kRange}) {
-        const Database sharded =
-            BuildDatabase(series, Sharded(shards, partition));
-        for (const std::string& text : queries) {
-          const std::string context =
-              text + " @ shards=" + std::to_string(shards) +
-              " partition=" + std::to_string(static_cast<int>(partition));
-          const Result<QueryResult> want = baseline.ExecuteText(text);
-          const Result<QueryResult> got = sharded.ExecuteText(text);
-          ASSERT_TRUE(want.ok()) << context << ": " << want.status().ToString();
-          ASSERT_TRUE(got.ok()) << context << ": " << got.status().ToString();
-          ExpectSameMatches(want.value(), got.value(), context);
-        }
+      const Database sharded = BuildDatabase(series, Sharded(shards));
+      for (const std::string& text : queries) {
+        const std::string context =
+            text + " @ shards=" + std::to_string(shards);
+        const Result<QueryResult> want = baseline.ExecuteText(text);
+        const Result<QueryResult> got = sharded.ExecuteText(text);
+        ASSERT_TRUE(want.ok()) << context << ": " << want.status().ToString();
+        ASSERT_TRUE(got.ok()) << context << ": " << got.status().ToString();
+        ExpectSameMatches(want.value(), got.value(), context);
       }
     }
   }
@@ -225,32 +219,29 @@ TEST(ShardEquivalence, IncrementalInsertRoutingMatchesBulkLoad) {
   const std::vector<TimeSeries> series =
       workload::RandomWalkSeries(70, 24, 31);
   const Database baseline = BuildDatabase(series, ShardingOptions());
-  for (const auto partition : {ShardingOptions::Partition::kHash,
-                               ShardingOptions::Partition::kRange}) {
-    // Pure incremental build and a mixed bulk+incremental build must both
-    // agree with the unsharded engine.
-    const Database incremental =
-        BuildDatabase(series, Sharded(3, partition), /*incremental=*/true);
-    Database mixed(FeatureConfig(), RTree::Options(), Sharded(3, partition));
-    ASSERT_TRUE(mixed.CreateRelation("r").ok());
-    const std::vector<TimeSeries> head(series.begin(), series.begin() + 40);
-    ASSERT_TRUE(mixed.BulkLoad("r", head).ok());
-    for (size_t i = 40; i < series.size(); ++i) {
-      ASSERT_TRUE(mixed.Insert("r", series[i]).ok());
-    }
-    for (const std::string& text :
-         {std::string("RANGE r WITHIN 3.0 OF #walk5"),
-          std::string("NEAREST 7 r TO #walk8 USING mavg(4)"),
-          std::string("PAIRS r WITHIN 2.0")}) {
-      const Result<QueryResult> want = baseline.ExecuteText(text);
-      const Result<QueryResult> inc = incremental.ExecuteText(text);
-      const Result<QueryResult> mix = mixed.ExecuteText(text);
-      ASSERT_TRUE(want.ok() && inc.ok() && mix.ok()) << text;
-      ExpectSameMatches(want.value(), inc.value(), "incremental " + text);
-      ExpectSameMatches(want.value(), mix.value(), "mixed " + text);
-      ExpectSamePairs(want.value(), inc.value(), "incremental " + text);
-      ExpectSamePairs(want.value(), mix.value(), "mixed " + text);
-    }
+  // Pure incremental build and a mixed bulk+incremental build must both
+  // agree with the unsharded engine.
+  const Database incremental =
+      BuildDatabase(series, Sharded(3), /*incremental=*/true);
+  Database mixed(FeatureConfig(), RTree::Options(), Sharded(3));
+  ASSERT_TRUE(mixed.CreateRelation("r").ok());
+  const std::vector<TimeSeries> head(series.begin(), series.begin() + 40);
+  ASSERT_TRUE(mixed.BulkLoad("r", head).ok());
+  for (size_t i = 40; i < series.size(); ++i) {
+    ASSERT_TRUE(mixed.Insert("r", series[i]).ok());
+  }
+  for (const std::string& text :
+       {std::string("RANGE r WITHIN 3.0 OF #walk5"),
+        std::string("NEAREST 7 r TO #walk8 USING mavg(4)"),
+        std::string("PAIRS r WITHIN 2.0")}) {
+    const Result<QueryResult> want = baseline.ExecuteText(text);
+    const Result<QueryResult> inc = incremental.ExecuteText(text);
+    const Result<QueryResult> mix = mixed.ExecuteText(text);
+    ASSERT_TRUE(want.ok() && inc.ok() && mix.ok()) << text;
+    ExpectSameMatches(want.value(), inc.value(), "incremental " + text);
+    ExpectSameMatches(want.value(), mix.value(), "mixed " + text);
+    ExpectSamePairs(want.value(), inc.value(), "incremental " + text);
+    ExpectSamePairs(want.value(), mix.value(), "mixed " + text);
   }
 }
 

@@ -20,6 +20,7 @@
 #include "net/protocol.h"
 #include "net/server.h"
 #include "obs/resource_usage.h"
+#include "obs/slow_query_log.h"
 #include "obs/statements.h"
 #include "service/query_service.h"
 #include "workload/generators.h"
@@ -148,6 +149,30 @@ TEST(StatementsTableTest, DisabledTextCapAndClear) {
   table.Clear();
   EXPECT_EQ(table.size(), 0u);
   EXPECT_TRUE(table.Top(0).empty());
+}
+
+// The statements JSON and the slow-query log share one string escaper: a
+// text that needs every kind of escape renders to the same bytes on both,
+// and the slow log's parser reads it back unchanged.
+TEST(StatementsTableTest, JsonEscapesTextLikeTheSlowQueryLog) {
+  const std::string text =
+      std::string("RANGE \"r\" \\ a\nb\tc\rd") + '\x01' + "e";
+  const std::string escaped = "\"RANGE \\\"r\\\" \\\\ a\\nb\\tc\\rd\\u0001e\"";
+  obs::StatementStats row;
+  row.fingerprint = 1;
+  row.text = text;
+  const std::string json = obs::RenderStatementsJson({row});
+  EXPECT_NE(json.find("\"text\":" + escaped + ","), std::string::npos)
+      << json;
+  obs::SlowQueryEntry entry;
+  entry.fingerprint = text;
+  entry.elapsed_ms = 1.0;
+  const std::string line = obs::FormatSlowQueryJson(entry);
+  EXPECT_NE(line.find("\"fingerprint\":" + escaped + ","), std::string::npos)
+      << line;
+  obs::SlowQueryEntry parsed;
+  ASSERT_TRUE(obs::ParseSlowQueryJson(line, &parsed)) << line;
+  EXPECT_EQ(parsed.fingerprint, text);
 }
 
 TEST(StatementsTableTest, ConcurrentRecordsStayExact) {
