@@ -5,7 +5,7 @@
 //  join between r and T_rev(r)."  -- [RM97] §3.2
 //
 // Finds all pairs of stocks whose smoothed normal forms mirror each other:
-// D( mavg20(nf(a)), -mavg20(nf(b)) ) <= eps, evaluated through the R*-tree
+// D( mavg20(nf(a)), -mavg20(nf(b)) ) <= eps, evaluated through the R-tree
 // with the reversal applied to the index on the fly.
 
 #include <algorithm>

@@ -1,7 +1,7 @@
 // The query language L end to end: parse, plan, execute, explain.
 //
 // Shows the textual surface syntax for every query shape, how the planner
-// decides between the R*-tree and scanning, and how the [GK95] statistic
+// decides between the R-tree and scanning, and how the [GK95] statistic
 // predicates (MEAN/STD) combine with similarity predicates.
 
 #include <cstdio>

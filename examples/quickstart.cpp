@@ -16,7 +16,7 @@ int main() {
   using namespace simq;  // NOLINT: example brevity
 
   // 1. A database holds relations of equal-length series, each indexed by
-  //    an R*-tree over normal-form DFT features (the paper's 6-d layout).
+  //    an R-tree over normal-form DFT features (the paper's 6-d layout).
   Database db;
   SIMQ_CHECK(db.CreateRelation("stocks").ok());
 

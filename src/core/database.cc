@@ -620,8 +620,9 @@ Database::Database(FeatureConfig config, RTree::Options index_options,
     : config_(config),
       max_entries_(index_options.max_entries),
       sharding_(sharding) {
-  // The packed layout caps node fanout at kMaxFanout; the STR build's
-  // RTree needs max_entries >= 2 * min_entries = 4.
+  // The packed layout caps node fanout at kMaxFanout. The STR packer
+  // needs at least 2 (below that a level never shrinks); the floor of 4
+  // is the one this check has always kept.
   SIMQ_CHECK(max_entries_ >= 4 && max_entries_ <= PackedRTree::kMaxFanout)
       << "RTree::Options::max_entries must lie in [4, "
       << PackedRTree::kMaxFanout << "], got " << max_entries_;

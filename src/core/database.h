@@ -3,7 +3,7 @@
 /// [AFS93]/[RM97] §4), plus the planner/executor for the query language L.
 ///
 /// Each relation shard has exactly one index: a packed R-tree
-/// (index/packed_rtree.h) STR-compiled over the shard's live rows, plus an
+/// (index/packed_rtree.h) STR-packed from the shard's live rows, plus an
 /// exactly-scanned delta of the rows appended since that compile (see
 /// core/sharded_relation.h). There is no mutable tree and no second
 /// engine: when a compile fails, the shard's rows are all delta and the

@@ -1,7 +1,7 @@
 /// Binary snapshots of a Database.
 ///
 /// The snapshot stores the feature configuration plus every relation's raw
-/// series; normal forms, spectra, and R*-trees are derived data and are
+/// series; normal forms, spectra, and R-trees are derived data and are
 /// rebuilt deterministically on load (bulk loading). The format is a
 /// single-machine, native-endian snapshot -- a checkpoint/restore facility,
 /// not an interchange format.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "geom/rect.h"
-#include "index/rtree.h"
 #include "util/env.h"
 #include "util/failpoint.h"
 #include "util/thread_pool.h"
@@ -38,27 +36,20 @@ RelationShard::RelationShard(int dims, int max_entries)
 
 std::unique_ptr<PackedRTree> RelationShard::CompileSnapshot(
     int64_t rows) const {
-  std::vector<std::pair<Rect, int64_t>> entries;
-  entries.reserve(static_cast<size_t>(rows));
+  std::vector<double> points;
+  std::vector<int64_t> ids;
+  points.reserve(static_cast<size_t>(rows * dims_));
+  ids.reserve(static_cast<size_t>(rows));
   for (int64_t r = 0; r < rows; ++r) {
     if (!alive(r)) {
       continue;
     }
     const double* point = points_.data() + r * dims_;
-    entries.emplace_back(
-        Rect::FromPoint(std::vector<double>(point, point + dims_)),
-        global_id(r));
+    points.insert(points.end(), point, point + dims_);
+    ids.push_back(global_id(r));
   }
-  // STR packing reads only the fanout; the fill bounds are the loosest
-  // RTree accepts.
-  RTree::Options options;
-  options.max_entries = max_entries_;
-  options.min_entries = 2;
-  RTree tree(dims_, options);
-  if (!entries.empty()) {
-    tree.BulkLoad(std::move(entries));
-  }
-  return std::make_unique<PackedRTree>(tree);
+  return std::make_unique<PackedRTree>(dims_, max_entries_, points, points,
+                                       ids);
 }
 
 ShardedRelation::ShardedRelation(int dims, int max_entries,

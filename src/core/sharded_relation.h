@@ -28,8 +28,8 @@
 ///
 /// One index per shard (DESIGN.md "Delta layer & MVCC generations"): the
 /// packed snapshot. A shard keeps no mutable tree; its snapshot is
-/// compiled by one helper that STR-bulk-loads a temporary RTree over the
-/// live rows of a row prefix [0, n), packs it, and drops the temporary.
+/// compiled by one helper that STR-packs the live rows of a row prefix
+/// [0, n) straight from the shard's feature points into a PackedRTree.
 /// The first index query after a bulk load compiles it lazily with
 /// n = size(); recompaction compiles the next generation's with n frozen
 /// at build time. Mutations never invalidate compiled artifacts: the
@@ -168,9 +168,8 @@ class RelationShard {
  private:
   friend class ShardedRelation;
 
-  /// The one way a shard's packed tree is built: STR-bulk-loads a
-  /// temporary RTree over the live rows of [0, rows) in local row order,
-  /// compiles it, and drops the temporary.
+  /// The one way a shard's packed tree is built: STR-packs the live rows
+  /// of [0, rows), in local row order, with their global ids.
   std::unique_ptr<PackedRTree> CompileSnapshot(int64_t rows) const;
 
   int dims_;

@@ -7,7 +7,7 @@
 /// multipliers on DFT coefficients additionally expose their spectral form,
 /// which is what makes them *index-accelerable*: the engine lowers the
 /// multiplier onto the feature space (geom/linear_transform.h) and evaluates
-/// the query through the R*-tree (Algorithm 2 of [RM97]).
+/// the query through the packed R-tree (Algorithm 2 of [RM97]).
 
 #ifndef SIMQ_CORE_TRANSFORMATION_H_
 #define SIMQ_CORE_TRANSFORMATION_H_

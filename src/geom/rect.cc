@@ -1,9 +1,7 @@
 #include "geom/rect.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
-#include <sstream>
 
 #include "util/logging.h"
 
@@ -89,91 +87,6 @@ Rect Rect::Union(const Rect& a, const Rect& b) {
   Rect result = a;
   result.ExpandToInclude(b);
   return result;
-}
-
-double Rect::Area() const {
-  double area = 1.0;
-  for (size_t d = 0; d < lo_.size(); ++d) {
-    const double side = hi_[d] - lo_[d];
-    if (side < 0.0) {
-      return 0.0;
-    }
-    area *= side;
-  }
-  return area;
-}
-
-double Rect::Margin() const {
-  double margin = 0.0;
-  for (size_t d = 0; d < lo_.size(); ++d) {
-    margin += std::max(0.0, hi_[d] - lo_[d]);
-  }
-  return margin;
-}
-
-double Rect::OverlapArea(const Rect& other) const {
-  SIMQ_DCHECK(dims() == other.dims());
-  double area = 1.0;
-  for (size_t d = 0; d < lo_.size(); ++d) {
-    const double lo = std::max(lo_[d], other.lo_[d]);
-    const double hi = std::min(hi_[d], other.hi_[d]);
-    if (hi <= lo) {
-      return 0.0;
-    }
-    area *= hi - lo;
-  }
-  return area;
-}
-
-double Rect::Enlargement(const Rect& added) const {
-  return Union(*this, added).Area() - Area();
-}
-
-Point Rect::Center() const {
-  Point center(lo_.size());
-  for (size_t d = 0; d < lo_.size(); ++d) {
-    center[d] = 0.5 * (lo_[d] + hi_[d]);
-  }
-  return center;
-}
-
-double Rect::CenterDistanceSquared(const Rect& other) const {
-  SIMQ_DCHECK(dims() == other.dims());
-  double sum = 0.0;
-  for (size_t d = 0; d < lo_.size(); ++d) {
-    const double diff =
-        0.5 * ((lo_[d] + hi_[d]) - (other.lo_[d] + other.hi_[d]));
-    sum += diff * diff;
-  }
-  return sum;
-}
-
-double Rect::MinDistSquaredToPoint(const Point& point) const {
-  SIMQ_DCHECK(point.size() == lo_.size());
-  double sum = 0.0;
-  for (size_t d = 0; d < lo_.size(); ++d) {
-    double gap = 0.0;
-    if (point[d] < lo_[d]) {
-      gap = lo_[d] - point[d];
-    } else if (point[d] > hi_[d]) {
-      gap = point[d] - hi_[d];
-    }
-    sum += gap * gap;
-  }
-  return sum;
-}
-
-std::string Rect::DebugString() const {
-  std::ostringstream out;
-  out << "[";
-  for (size_t d = 0; d < lo_.size(); ++d) {
-    if (d > 0) {
-      out << ", ";
-    }
-    out << "(" << lo_[d] << "," << hi_[d] << ")";
-  }
-  out << "]";
-  return out.str();
 }
 
 }  // namespace simq

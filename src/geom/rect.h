@@ -1,11 +1,12 @@
-// Axis-aligned hyper-rectangles (minimum bounding rectangles) with the
-// metrics needed by the R*-tree insertion and split heuristics: area,
-// margin, overlap, enlargement, and center distance.
+// Axis-aligned hyper-rectangles (minimum bounding rectangles): the entry
+// and node boxes of the reference R-tree (index/rtree.h) and the boxes
+// search regions are tested against.
 
 #ifndef SIMQ_GEOM_RECT_H_
 #define SIMQ_GEOM_RECT_H_
 
-#include <string>
+#include <cstddef>
+#include <utility>
 #include <vector>
 
 namespace simq {
@@ -41,23 +42,6 @@ class Rect {
 
   void ExpandToInclude(const Rect& other);
   static Rect Union(const Rect& a, const Rect& b);
-
-  // Product of side lengths.
-  double Area() const;
-  // Sum of side lengths (the R* "margin").
-  double Margin() const;
-  // Area of the intersection with `other` (0 if disjoint).
-  double OverlapArea(const Rect& other) const;
-  // Area(Union(this, added)) - Area(this).
-  double Enlargement(const Rect& added) const;
-
-  Point Center() const;
-  double CenterDistanceSquared(const Rect& other) const;
-
-  // Squared MINDIST from a point to this rectangle (0 if inside).
-  double MinDistSquaredToPoint(const Point& point) const;
-
-  std::string DebugString() const;
 
  private:
   Rect(Point lo, Point hi) : lo_(std::move(lo)), hi_(std::move(hi)) {}

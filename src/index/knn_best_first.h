@@ -1,9 +1,10 @@
-/// Best-first k-nearest-neighbor driver shared by RTree and PackedRTree.
+/// Best-first k-nearest-neighbor driver shared by PackedRTree and the
+/// reference tree (index/rtree.h).
 ///
 /// The parity guarantees of the packed tree (identical results AND
-/// identical node-access counts vs the RTree it was compiled from) depend
-/// on both trees running exactly this control flow, so it exists once and
-/// the trees supply only node expansion:
+/// identical node-access counts vs the reference bulk-loaded from the same
+/// entries) depend on both trees running exactly this control flow, so it
+/// exists once and the trees supply only node expansion:
 ///
 ///  * Pops from the MINDIST priority queue arrive in nondecreasing
 ///    priority (children bound no tighter than their parent, exact

@@ -1,17 +1,17 @@
 #include "index/packed_rtree.h"
 
 #include <cmath>
-#include <unordered_map>
+#include <numeric>
 
 #include "geom/circular_interval.h"
-#include "index/rtree.h"
 
 namespace simq {
 namespace {
 
 // Per-query compiled form of one SearchRegion dimension, mirroring the
 // branch structure of SearchRegion::Intersects*/Contains* exactly so the
-// packed search accepts and rejects the same entries bit-for-bit as RTree.
+// packed search accepts and rejects the same entries bit-for-bit as the
+// reference tree (index/rtree.h).
 //
 // The plan drops dimensions that always pass (unconstrained linear bounds,
 // full-circle arcs) and orders linear dimensions before circular ones:
@@ -38,7 +38,7 @@ struct DimPlan {
   double arc_lo_norm = 0.0;
 };
 
-// Exact fallbacks replicating RTree's arc chain verbatim.
+// Exact fallbacks replicating the reference tree's arc chain verbatim.
 inline bool ExactNodeArcPass(const DimPlan& plan, double lo, double hi) {
   CircularInterval data_arc = CircularInterval::FromBounds(lo, hi);
   if (plan.rotate) {
@@ -94,40 +94,143 @@ SearchScratch& LocalScratch() {
   return scratch;
 }
 
+// One level of an STR build. Its entries are the data entries (leaf
+// level) or the groups of the level below, numbered as built: entry e
+// spans lo[e * dims + d] .. hi[e * dims + d]. `order` lists the entries
+// group after group, one group per node of this level, and group g's MBR
+// is mbr_lo / mbr_hi[g * dims + d].
+struct StrLevel {
+  const double* lo;
+  const double* hi;
+  std::vector<int32_t> order;
+  std::vector<int32_t> group_end;  // one past each group's last position
+  std::vector<double> mbr_lo;
+  std::vector<double> mbr_hi;
+
+  int32_t num_groups() const { return static_cast<int32_t>(group_end.size()); }
+  int32_t group_begin(int32_t g) const {
+    return g == 0 ? 0 : group_end[static_cast<size_t>(g - 1)];
+  }
+};
+
+// Sort-Tile-Recursive grouping of `count` entries into one level. A run of
+// at most `fanout` entries is one group. A longer run needs
+// ceil(run / fanout) groups: it is sorted by lo + hi along `dim` and cut
+// evenly into ceil(groups^(1 / (dims - dim))) slabs, each tiled again
+// along the next dimension; along the last dimension it is cut evenly into
+// the groups themselves. Sorting (key, entry) pairs with a key-only
+// comparator makes the comparisons that sorting the entries by that key
+// would, so std::sort leaves them in the same order. Each group's MBR is
+// folded with std::min / std::max in entry order from the empty box
+// (+inf, -inf): the order fixes which of two signed zeros a bound keeps.
+StrLevel TileLevel(int dims, int fanout, const double* lo, const double* hi,
+                   int32_t count) {
+  StrLevel level{lo, hi, std::vector<int32_t>(static_cast<size_t>(count)),
+                 {}, {}, {}};
+  std::iota(level.order.begin(), level.order.end(), 0);
+  std::vector<std::pair<double, int32_t>> keyed(static_cast<size_t>(count));
+  const auto tile = [&](const auto& self, int32_t begin, int32_t end,
+                        int dim) -> void {
+    const int32_t run = end - begin;
+    if (run <= fanout) {
+      level.group_end.push_back(end);
+      return;
+    }
+    for (int32_t i = begin; i < end; ++i) {
+      const int32_t entry = level.order[static_cast<size_t>(i)];
+      const int64_t at = static_cast<int64_t>(entry) * dims + dim;
+      keyed[static_cast<size_t>(i)] = {lo[at] + hi[at], entry};
+    }
+    std::sort(keyed.begin() + begin, keyed.begin() + end,
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (int32_t i = begin; i < end; ++i) {
+      level.order[static_cast<size_t>(i)] = keyed[static_cast<size_t>(i)].second;
+    }
+    const int num_groups = (run + fanout - 1) / fanout;
+    const bool last_dim = dim >= dims - 1;
+    const int parts =
+        last_dim ? num_groups
+                 : std::max(1, static_cast<int>(std::ceil(std::pow(
+                                   static_cast<double>(num_groups),
+                                   1.0 / static_cast<double>(dims - dim)))));
+    for (int p = 0; p < parts; ++p) {
+      const int32_t from =
+          begin + static_cast<int32_t>(static_cast<int64_t>(run) * p / parts);
+      const int32_t to =
+          begin +
+          static_cast<int32_t>(static_cast<int64_t>(run) * (p + 1) / parts);
+      if (to == from) {
+        continue;
+      }
+      if (last_dim) {
+        level.group_end.push_back(to);
+      } else {
+        self(self, from, to, dim + 1);
+      }
+    }
+  };
+  tile(tile, 0, count, 0);
+
+  const size_t bounds = level.group_end.size() * static_cast<size_t>(dims);
+  level.mbr_lo.assign(bounds, std::numeric_limits<double>::infinity());
+  level.mbr_hi.assign(bounds, -std::numeric_limits<double>::infinity());
+  for (int32_t g = 0; g < level.num_groups(); ++g) {
+    double* group_lo = level.mbr_lo.data() + static_cast<int64_t>(g) * dims;
+    double* group_hi = level.mbr_hi.data() + static_cast<int64_t>(g) * dims;
+    for (int32_t i = level.group_begin(g);
+         i < level.group_end[static_cast<size_t>(g)]; ++i) {
+      const int64_t at =
+          static_cast<int64_t>(level.order[static_cast<size_t>(i)]) * dims;
+      for (int d = 0; d < dims; ++d) {
+        group_lo[d] = std::min(group_lo[d], lo[at + d]);
+        group_hi[d] = std::max(group_hi[d], hi[at + d]);
+      }
+    }
+  }
+  return level;
+}
+
 }  // namespace
 
-PackedRTree::PackedRTree(const RTree& tree) {
-  dims_ = tree.dims();
-  size_ = tree.size();
-  height_ = tree.height();
+PackedRTree::PackedRTree(int dims, int fanout, const std::vector<double>& lo,
+                         const std::vector<double>& hi,
+                         const std::vector<int64_t>& ids)
+    : dims_(dims), size_(static_cast<int64_t>(ids.size())) {
+  SIMQ_CHECK_GT(dims_, 0);
+  SIMQ_CHECK(fanout >= 2 && fanout <= kMaxFanout)
+      << "fanout must lie in [2, " << kMaxFanout << "], got " << fanout;
+  SIMQ_CHECK_EQ(lo.size(), ids.size() * static_cast<size_t>(dims_));
+  SIMQ_CHECK_EQ(hi.size(), lo.size());
+  SIMQ_CHECK_LE(size_, std::numeric_limits<int32_t>::max());
+  const auto finite = [](double x) { return std::isfinite(x); };
+  SIMQ_CHECK(std::all_of(lo.begin(), lo.end(), finite) &&
+             std::all_of(hi.begin(), hi.end(), finite))
+      << "PackedRTree entries must be finite";
 
-  // Breadth-first node order: the tree is height-balanced, so BFS groups
-  // nodes by level (root first, all leaves contiguous at the end).
-  std::vector<const RTree::Node*> nodes;
-  nodes.push_back(tree.root());
-  for (size_t head = 0; head < nodes.size(); ++head) {
-    for (const auto& child : nodes[head]->children) {
-      nodes.push_back(child.get());
+  // Bottom-up: the leaves group the entries, and each level above groups
+  // the MBRs of the groups below, until one group, the root, is left.
+  // (Moving a level keeps its MBR buffers, so the next level's pointers
+  // into them stay valid as `levels` grows.)
+  std::vector<StrLevel> levels;
+  levels.push_back(TileLevel(dims_, fanout, lo.data(), hi.data(),
+                             static_cast<int32_t>(size_)));
+  while (levels.back().num_groups() > 1) {
+    const StrLevel& below = levels.back();
+    levels.push_back(TileLevel(dims_, fanout, below.mbr_lo.data(),
+                               below.mbr_hi.data(), below.num_groups()));
+  }
+
+  height_ = static_cast<int>(levels.size());
+  int32_t node_count = 0;
+  cap_ = 1;
+  for (const StrLevel& level : levels) {
+    node_count += level.num_groups();
+    for (int32_t g = 0; g < level.num_groups(); ++g) {
+      cap_ = std::max(cap_, level.group_end[static_cast<size_t>(g)] -
+                                level.group_begin(g));
     }
   }
-  const int32_t node_count = static_cast<int32_t>(nodes.size());
-  std::unordered_map<const RTree::Node*, int32_t> index_of;
-  index_of.reserve(nodes.size());
-  for (int32_t i = 0; i < node_count; ++i) {
-    index_of[nodes[static_cast<size_t>(i)]] = i;
-  }
-
-  int32_t cap = 1;
-  first_leaf_ = node_count;
-  for (int32_t i = 0; i < node_count; ++i) {
-    const RTree::Node* node = nodes[static_cast<size_t>(i)];
-    cap = std::max(cap, node->num_entries());
-    if (node->is_leaf && i < first_leaf_) {
-      first_leaf_ = i;
-    }
-  }
-  SIMQ_CHECK_LE(cap, kMaxFanout);
-  cap_ = cap;
+  first_leaf_ = node_count - levels.front().num_groups();
   coord_stride_ = 2 * static_cast<int64_t>(dims_) * cap_;
 
   coords_.assign(static_cast<size_t>(node_count * coord_stride_), 0.0);
@@ -142,71 +245,74 @@ PackedRTree::PackedRTree(const RTree& tree) {
                           static_cast<size_t>(cap_),
                       0);
 
+  // Top-down, breadth-first: the root is node 0, and each level's nodes
+  // follow the level above's in (parent, entry) order, so the children of
+  // a node take consecutive ids. `groups` lists one level's groups in that
+  // order.
+  std::vector<int32_t> groups = {0};
   std::vector<int> order(static_cast<size_t>(cap_));
-  for (int32_t i = 0; i < node_count; ++i) {
-    const RTree::Node* node = nodes[static_cast<size_t>(i)];
-    const int count = node->num_entries();
-    counts_[static_cast<size_t>(i)] = count;
-    levels_[static_cast<size_t>(i)] = node->level;
+  int32_t node = 0;
+  for (int level_index = height_ - 1; level_index >= 0; --level_index) {
+    const StrLevel& level = levels[static_cast<size_t>(level_index)];
+    int32_t next_child = node + static_cast<int32_t>(groups.size());
+    std::vector<int32_t> child_groups;
+    for (const int32_t group : groups) {
+      const int32_t begin = level.group_begin(group);
+      const int32_t count = level.group_end[static_cast<size_t>(group)] - begin;
+      counts_[static_cast<size_t>(node)] = count;
+      levels_[static_cast<size_t>(node)] = level_index;
 
-    double* lo_base = coords_.data() + i * coord_stride_;
-    double* hi_base = lo_base + static_cast<int64_t>(dims_) * cap_;
-    for (int e = 0; e < count; ++e) {
-      const Rect& rect = node->rects[static_cast<size_t>(e)];
-      for (int d = 0; d < dims_; ++d) {
-        lo_base[d * cap_ + e] = rect.lo(d);
-        hi_base[d * cap_ + e] = rect.hi(d);
-      }
-    }
-
-    int32_t* ids = kids_.data() + static_cast<int64_t>(i) * cap_;
-    if (node->is_leaf) {
-      for (int e = 0; e < count; ++e) {
-        const int64_t id = node->ids[static_cast<size_t>(e)];
+      double* lo_base = coords_.data() + node * coord_stride_;
+      double* hi_base = lo_base + static_cast<int64_t>(dims_) * cap_;
+      int32_t* kids = kids_.data() + static_cast<int64_t>(node) * cap_;
+      for (int32_t e = 0; e < count; ++e) {
+        const int32_t entry = level.order[static_cast<size_t>(begin + e)];
+        const int64_t at = static_cast<int64_t>(entry) * dims_;
+        for (int d = 0; d < dims_; ++d) {
+          lo_base[d * cap_ + e] = level.lo[at + d];
+          hi_base[d * cap_ + e] = level.hi[at + d];
+        }
+        if (level_index > 0) {
+          kids[e] = next_child++;
+          child_groups.push_back(entry);
+          continue;
+        }
+        const int64_t id = ids[static_cast<size_t>(entry)];
         SIMQ_CHECK(id >= std::numeric_limits<int32_t>::min() &&
                    id <= std::numeric_limits<int32_t>::max())
             << "data id does not fit the packed int32 layout";
-        ids[e] = static_cast<int32_t>(id);
+        kids[e] = static_cast<int32_t>(id);
       }
-    } else {
-      for (int e = 0; e < count; ++e) {
-        ids[e] = index_of.at(node->children[static_cast<size_t>(e)].get());
-      }
-    }
 
-    // Exact MBR, same accumulation as RTree::NodeMbr (an empty node keeps
-    // the +inf/-inf identity bounds).
-    Rect mbr = Rect::Empty(dims_);
-    for (const Rect& rect : node->rects) {
-      mbr.ExpandToInclude(rect);
-    }
-    double* mbr_row = mbrs_.data() + static_cast<int64_t>(i) * 2 * dims_;
-    for (int d = 0; d < dims_; ++d) {
-      mbr_row[d] = mbr.lo(d);
-      mbr_row[dims_ + d] = mbr.hi(d);
-    }
+      double* mbr_row = mbrs_.data() + static_cast<int64_t>(node) * 2 * dims_;
+      const size_t mbr_at = static_cast<size_t>(group) * dims_;
+      std::copy_n(level.mbr_lo.begin() + mbr_at, dims_, mbr_row);
+      std::copy_n(level.mbr_hi.begin() + mbr_at, dims_, mbr_row + dims_);
 
-    // Sweep orders: entries ascending by lo per dimension, ties broken by
-    // entry index so snapshots of equal trees are identical.
-    uint8_t* sweep =
-        sweep_order_.data() +
-        (static_cast<int64_t>(i) * dims_) * static_cast<int64_t>(cap_);
-    for (int d = 0; d < dims_; ++d) {
-      for (int e = 0; e < count; ++e) {
-        order[static_cast<size_t>(e)] = e;
-      }
-      const double* lo_plane = lo_base + static_cast<int64_t>(d) * cap_;
-      std::sort(order.begin(), order.begin() + count, [&](int a, int b) {
-        if (lo_plane[a] != lo_plane[b]) {
-          return lo_plane[a] < lo_plane[b];
+      // Sweep orders: entries ascending by lo per dimension, ties broken by
+      // entry index so trees over equal entries are identical.
+      uint8_t* sweep =
+          sweep_order_.data() +
+          (static_cast<int64_t>(node) * dims_) * static_cast<int64_t>(cap_);
+      for (int d = 0; d < dims_; ++d) {
+        for (int e = 0; e < count; ++e) {
+          order[static_cast<size_t>(e)] = e;
         }
-        return a < b;
-      });
-      for (int e = 0; e < count; ++e) {
-        sweep[static_cast<int64_t>(d) * cap_ + e] =
-            static_cast<uint8_t>(order[static_cast<size_t>(e)]);
+        const double* lo_plane = lo_base + static_cast<int64_t>(d) * cap_;
+        std::sort(order.begin(), order.begin() + count, [&](int a, int b) {
+          if (lo_plane[a] != lo_plane[b]) {
+            return lo_plane[a] < lo_plane[b];
+          }
+          return a < b;
+        });
+        for (int e = 0; e < count; ++e) {
+          sweep[static_cast<int64_t>(d) * cap_ + e] =
+              static_cast<uint8_t>(order[static_cast<size_t>(e)]);
+        }
       }
+      ++node;
     }
+    groups = std::move(child_groups);
   }
 }
 
@@ -456,8 +562,8 @@ int64_t PackedRTree::Search(const SearchRegion& region,
         }
       }
     } else {
-      // Reverse push: the DFS pops entry 0 first, matching the recursive
-      // RTree visit order (and therefore its result order).
+      // Reverse push: the DFS pops entry 0 first, matching the reference
+      // tree's recursive visit order (and therefore its result order).
       for (int32_t e = count - 1; e >= 0; --e) {
         if (alive[e]) {
           stack.push_back(ids[e]);

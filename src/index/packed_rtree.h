@@ -1,12 +1,13 @@
 /// Immutable, cache-friendly R-tree: the index every query hot path runs on.
 ///
-/// A PackedRTree is compiled from an RTree (index/rtree.h). Relation
-/// shards compile theirs from a temporary STR bulk-loaded RTree over the
-/// shard's live rows and drop it right after (core/sharded_relation.h).
-/// RTree's heap-scattered nodes (unique_ptr children, per-node
-/// std::vector<Rect> with two heap arrays per rectangle) make every
-/// traversal a pointer chase; PackedRTree lays the same tree out as one
-/// contiguous arena of fixed-stride structure-of-arrays nodes:
+/// A PackedRTree is built in one step by Sort-Tile-Recursive bulk loading
+/// (STR; Leutenegger, Lopez and Edgington, ICDE 1997) straight from flat
+/// entry arrays: relation shards pack their live feature points
+/// (core/sharded_relation.h) and the subsequence index its trail MBRs
+/// (subseq/subsequence_index.h). The tiling is that of the reference
+/// tree's bulk load (index/rtree.h), so the two build node for node the
+/// same tree from the same entries. The tree is one contiguous arena of
+/// fixed-stride structure-of-arrays nodes:
 ///
 ///   * Nodes are numbered in breadth-first, level-grouped order (root = 0,
 ///     leaves last), so a level-ordered traversal streams the arena and
@@ -16,16 +17,16 @@
 ///     rect-overlap or MINDIST test over one dimension of a whole node is a
 ///     unit-stride loop the compiler vectorizes.
 ///   * Child node ids (internal) and data ids (leaves) are dense int32 in
-///     one array; data ids are checked to fit at compile time.
-///   * Per node: the exact MBR (union of entry rects, same arithmetic as
-///     RTree::NodeMbr) and, for the plane-sweep join, the entry order
-///     sorted by lo along every dimension (precomputed once per snapshot).
+///     one array; data ids are checked to fit when the tree is built.
+///   * Per node: the exact MBR (union of entry rects, folded in entry
+///     order) and, for the plane-sweep join, the entry order sorted by lo
+///     along every dimension (precomputed once per tree).
 ///
 /// Traversals are iterative (explicit stack / priority queue, no recursion):
 ///   * Search / SearchGeneric: DFS with an explicit stack, visiting entries
-///     in the same order as the recursive RTree traversal.
-///   * JoinWith: synchronized descent structured exactly like
-///     RTree::JoinWith, but leaf/leaf node pairs are resolved with a plane
+///     in the same order as the reference tree's recursive traversal.
+///   * JoinWith: synchronized descent structured exactly like the
+///     reference's, but leaf/leaf node pairs are resolved with a plane
 ///     sweep along the best (widest) dimension instead of all-pairs entry
 ///     tests. See the `slack` contract on JoinWith.
 ///   * NearestNeighbors: best-first search over a MINDIST priority queue of
@@ -33,21 +34,22 @@
 ///
 /// Node-access accounting (DESIGN.md "Node-access accounting"): every
 /// traversal counts the packed nodes it visits and returns that count, so
-/// concurrent traversals of one snapshot never see each other's visits.
-/// The visit rules match the source RTree one-for-one (Search /
+/// concurrent traversals of one tree never see each other's visits. The
+/// visit rules match the reference tree's one-for-one (Search /
 /// SearchGeneric / JoinWith by construction; for NearestNeighbors both
 /// visit exactly the nodes whose MINDIST is <= the k-th result distance),
-/// which is what lets tests and micro_rtree use RTree as the reference.
-/// The cumulative node_accesses() counter is bumped once per traversal by
-/// its count; it is for tests and benches, not for per-query stats.
+/// which is what lets the tests check this tree against the reference
+/// bulk-loaded from the same entries. The cumulative node_accesses()
+/// counter is bumped once per traversal by its count; it is for tests and
+/// benches, not for per-query stats.
 ///
-/// Thread-safety contract: a snapshot is immutable, so every const
-/// method -- Search, SearchGeneric, JoinWith, NearestNeighbors, and all
-/// accessors -- is snapshot-safe: any number of threads may traverse one
-/// snapshot concurrently with no external lock (the cumulative counter is
-/// a relaxed atomic, nothing else mutates). Owners cache snapshots in an
-/// ArtifactCache (util/artifact_cache.h), which compiles one lazily under
-/// the owner's shared lock and drops it under the exclusive one.
+/// Thread-safety contract: a tree is immutable, so every const method --
+/// Search, SearchGeneric, JoinWith, NearestNeighbors, and all accessors --
+/// is snapshot-safe: any number of threads may traverse one tree
+/// concurrently with no external lock (the cumulative counter is a relaxed
+/// atomic, nothing else mutates). Owners cache trees in an ArtifactCache
+/// (util/artifact_cache.h), which builds one lazily under the owner's
+/// shared lock and drops it under the exclusive one.
 
 #ifndef SIMQ_INDEX_PACKED_RTREE_H_
 #define SIMQ_INDEX_PACKED_RTREE_H_
@@ -68,13 +70,11 @@
 
 namespace simq {
 
-class RTree;
-
 /// Non-owning rectangle view over packed coordinate storage: dimension d
 /// lives at lo[d * stride] / hi[d * stride]. This is what packed traversal
 /// predicates receive instead of a Rect; write predicates as generic
 /// lambdas ([](const auto& rect) { ... rect.lo(d) ... }) to share them
-/// with RTree traversals.
+/// with the reference tree's traversals.
 class PackedRect {
  public:
   PackedRect(const double* lo, const double* hi, int32_t stride)
@@ -99,7 +99,7 @@ class PackedRect {
 /// it runs against both Rect and PackedRect, and bounded by eps along
 /// every dimension -- i.e. it satisfies PackedRTree::JoinWith's slack
 /// contract with slack = eps. Tests and benches use this one definition so
-/// the contract cannot drift between PackedRTree and RTree.
+/// the contract cannot drift between the packed and the reference tree.
 struct EpsilonPairPredicate {
   int dims;
   double eps;
@@ -117,16 +117,23 @@ struct EpsilonPairPredicate {
 class PackedRTree {
  public:
   /// Largest node fanout the packed layout supports (sweep orders are uint8
-  /// and traversal scratch is stack-allocated at this size). Compiling a
-  /// tree with a larger fanout is a checked precondition violation; owners
-  /// that accept RTree::Options (Database, SubsequenceIndex) check
-  /// max_entries against it when they are constructed.
+  /// and traversal scratch is stack-allocated at this size). Owners check
+  /// their fanout against it when they are constructed (Database,
+  /// SubsequenceIndex).
   static constexpr int kMaxFanout = 256;
 
-  /// Compiles a snapshot of `tree`. O(nodes * dims * fanout); the source
-  /// tree is not retained. Precondition: every node fanout is at most
-  /// kMaxFanout (guaranteed when options.max_entries <= kMaxFanout).
-  explicit PackedRTree(const RTree& tree);
+  /// STR-packs `ids.size()` entries into nodes of at most `fanout`
+  /// entries. Entry i is the box lo[i * dims + d] .. hi[i * dims + d] with
+  /// data id ids[i]; point entries pass one array as both lo and hi. A run
+  /// of more than `fanout` entries is sorted by lo + hi along one
+  /// dimension and cut evenly into slabs, which are tiled along the next;
+  /// levels are built bottom-up until one node, the root, is left.
+  /// Requires 2 <= fanout <= kMaxFanout (below 2 a level never shrinks),
+  /// every id within int32, and every coordinate finite (so no sort key,
+  /// lo + hi, is NaN: the sort needs a strict weak order). All checked.
+  /// O(n log n) time; the arrays are not retained.
+  PackedRTree(int dims, int fanout, const std::vector<double>& lo,
+              const std::vector<double>& hi, const std::vector<int64_t>& ids);
 
   PackedRTree(const PackedRTree&) = delete;
   PackedRTree& operator=(const PackedRTree&) = delete;
@@ -139,36 +146,36 @@ class PackedRTree {
   int64_t arena_bytes() const;
 
   /// Range search per Algorithm 2, identical in results and node accesses
-  /// to RTree::Search on the source tree. Leaf entries are treated as
-  /// points (their lo corner), as in RTree. Returns the nodes visited.
+  /// to the reference tree's Search. Leaf entries are treated as points
+  /// (their lo corner). Returns the nodes visited.
   int64_t Search(const SearchRegion& region,
                  const std::vector<DimAffine>* affines,
                  std::vector<int64_t>* results) const;
 
   /// Generic DFS: visits subtrees whose MBR satisfies node_predicate and
   /// emits leaf entries satisfying leaf_predicate, in the same order as
-  /// RTree::SearchGeneric. Predicates receive PackedRect views. Returns
-  /// the nodes visited.
+  /// the reference tree's SearchGeneric. Predicates receive PackedRect
+  /// views. Returns the nodes visited.
   template <typename NodePred, typename LeafPred, typename Emit>
   int64_t SearchGeneric(NodePred&& node_predicate, LeafPred&& leaf_predicate,
                         Emit&& emit) const;
 
   /// Synchronized spatial join with `other` (which may be this snapshot: a
-  /// self-join). The descent mirrors RTree::JoinWith (same node pairs, same
-  /// node-access counts, both orientations and (id, id) pairs on
-  /// self-joins); leaf/leaf pairs are resolved by a plane sweep along the
+  /// self-join). The descent mirrors the reference tree's JoinWith (same
+  /// node pairs, same node-access counts, both orientations and (id, id)
+  /// pairs on self-joins); leaf/leaf pairs are resolved by a plane sweep along the
   /// dimension where the two nodes' combined MBR is widest.
   ///
-  /// Contract: `pair_predicate` must be conservative on MBRs (as in
-  /// RTree::JoinWith) and bounded by `slack` along every dimension --
+  /// Contract: `pair_predicate` must be conservative on MBRs (if any
+  /// contained pair qualifies, the MBR pair must) and bounded by `slack` along every dimension --
   /// pair_predicate(a, b) must imply
   ///     a.lo(d) <= b.hi(d) + slack  &&  b.lo(d) <= a.hi(d) + slack
   /// for every d. Plain rect overlap satisfies this with slack = 0; an
   /// epsilon-distance join with slack = epsilon. Pass slack = +infinity to
   /// disable the sweep (all-pairs within each leaf pair, still iterative).
   /// Returns the node accesses of both sides (each node pair counts one
-  /// access per side, one on a self-join's diagonal), as RTree::JoinWith
-  /// adds them to the two trees' counters.
+  /// access per side, one on a self-join's diagonal), as the reference
+  /// tree adds them to the two trees' counters.
   template <typename PairPred, typename Emit>
   int64_t JoinWith(const PackedRTree& other, PairPred&& pair_predicate,
                    Emit&& emit, double slack) const;
@@ -176,7 +183,7 @@ class PackedRTree {
   /// Best-first k-nearest neighbors over a MINDIST priority queue. Results
   /// are (id, exact_distance) ordered by (distance, id); ties at the k-th
   /// distance are resolved toward smaller ids. Same algorithm and
-  /// accounting as RTree::NearestNeighbors. `exact_distance(id)` may
+  /// accounting as the reference tree's NearestNeighbors. `exact_distance(id)` may
   /// return an empty std::optional to exclude the entry (a deleted row).
   /// `initial_bound` caps the search as if k results at that distance
   /// already exist (cross-shard pruning; see index/knn_best_first.h);
@@ -291,7 +298,7 @@ int64_t PackedRTree::SearchGeneric(NodePred&& node_predicate,
       continue;
     }
     // Push survivors in reverse so the DFS pops entry 0 first -- the same
-    // visit (and emit) order as the recursive RTree traversal.
+    // visit (and emit) order as the reference tree's recursive traversal.
     for (int32_t i = count - 1; i >= 0; --i) {
       if (node_predicate(EntryRect(node, i))) {
         stack.push_back(EntryId(node, i));
@@ -378,8 +385,8 @@ int64_t PackedRTree::JoinWith(const PackedRTree& other,
       }
       continue;
     }
-    // Descend the deeper (or only internal) side, exactly as
-    // RTree::JoinWith does; reverse push order preserves its DFS pair
+    // Descend the deeper (or only internal) side, exactly as the
+    // reference tree does; reverse push order preserves its DFS pair
     // order.
     if (!IsLeaf(a) && (other.IsLeaf(b) || Level(a) >= other.Level(b))) {
       const PackedRect b_mbr = other.NodeMbr(b);
@@ -412,9 +419,9 @@ std::vector<std::pair<int64_t, double>> PackedRTree::NearestNeighbors(
   const size_t queue_reserve =
       static_cast<size_t>(std::min<int64_t>(k, size_)) +
       static_cast<size_t>(height_ + 1) * static_cast<size_t>(cap_) + 64;
-  // The driver shared with RTree (index/knn_best_first.h) owns the queue,
-  // tie draining, and deterministic (distance, id) ordering; this tree
-  // only expands nodes over the packed planes.
+  // The driver shared with the reference tree (index/knn_best_first.h)
+  // owns the queue, tie draining, and deterministic (distance, id)
+  // ordering; this tree only expands nodes over the packed planes.
   int64_t visited = 0;
   const auto expand = [&](int32_t node, auto&& push_node, auto&& push_entry) {
     ++visited;

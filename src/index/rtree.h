@@ -1,13 +1,16 @@
-/// In-memory R*-tree over runtime-dimensional rectangles/points.
+/// The reference R-tree: a pointer-based tree over runtime-dimensional
+/// rectangles, kept to check the packed tree (index/packed_rtree.h), which
+/// every query runs on. Nothing in the engine builds one; the tests
+/// bulk-load it from the entries they pack and compare the two trees.
 ///
-/// Implements the R-tree of Guttman [Gut84] with the R* improvements of
-/// Beckmann et al. [BKSS90]: least-overlap ChooseSubtree at the leaf level,
-/// forced reinsertion on first overflow per level, and the margin-driven
-/// topological split. This is the index substrate of [RM97] §4-5 (the paper
-/// builds on Beckmann's R*-tree V2); disk pages are replaced by heap nodes
-/// and a node-access counter stands in for disk accesses (see DESIGN.md).
-///
-/// Similarity search plugs in through generic entry points:
+/// BulkLoad is Sort-Tile-Recursive loading (Leutenegger, Lopez and
+/// Edgington, ICDE 1997) with the tiling the packed tree repeats, so the
+/// two trees agree node for node. The traversals are the straightforward
+/// recursive forms of the packed ones, with the same visit rules, so the
+/// two also agree on every answer and node-access count. This is the
+/// index substrate of [RM97] §4-5, with heap nodes in place of disk pages
+/// and a node-access counter standing in for disk accesses (see
+/// DESIGN.md):
 ///  * Search(region, affines): Algorithm 2 of [RM97] -- every node MBR and
 ///    leaf point is passed through the safe transformation's per-dimension
 ///    actions before being tested against the query's search region, which
@@ -24,10 +27,12 @@
 ///    are re-ranked by a caller-supplied exact distance so the index only
 ///    needs lower bounds.
 ///
-/// Concurrent read traversals (Search/SearchGeneric/JoinWith/
-/// NearestNeighbors) from multiple threads are safe: the node-access
-/// counters are relaxed atomics and nothing else mutates. Mutations
-/// (Insert/Delete/BulkLoad) still require exclusive access.
+/// Options::max_entries is also the engine's fanout setting: Database
+/// takes an RTree::Options and passes max_entries to its packed trees.
+///
+/// Concurrent read traversals from multiple threads are safe: the
+/// node-access counter is a relaxed atomic and nothing else mutates.
+/// BulkLoad requires exclusive access.
 
 #ifndef SIMQ_INDEX_RTREE_H_
 #define SIMQ_INDEX_RTREE_H_
@@ -51,19 +56,15 @@ namespace simq {
 class RTree {
  public:
   struct Options {
-    int max_entries = 32;
-    int min_entries = 12;  // must satisfy 2 <= min_entries <= max_entries/2
-    bool forced_reinsert = true;
-    double reinsert_fraction = 0.3;  // p = 30% of M, the [BKSS90] default
+    int max_entries = 32;  // node fanout; at least 2
   };
 
-  // Tree node, exposed read-only for join algorithms and invariant checks.
+  // Tree node, exposed read-only for the tests' structural comparisons.
   // Entries of a level-L node are child nodes of level L-1 (internal) or
   // data ids (leaves, level 0); rects[i] is the MBR of entry i.
   struct Node {
     bool is_leaf = true;
     int level = 0;  // 0 = leaf
-    Node* parent = nullptr;
     std::vector<Rect> rects;
     std::vector<std::unique_ptr<Node>> children;  // internal nodes only
     std::vector<int64_t> ids;                     // leaves only
@@ -77,16 +78,8 @@ class RTree {
   RTree(const RTree&) = delete;
   RTree& operator=(const RTree&) = delete;
 
-  // Inserts a rectangle (degenerate rectangles represent points).
-  void Insert(const Rect& box, int64_t id);
-  void InsertPoint(const Point& point, int64_t id);
-
-  // Removes the entry with exactly this bounding box and id; returns false
-  // if no such entry exists. Underfull nodes are condensed and their
-  // entries reinserted (Guttman's CondenseTree).
-  bool Delete(const Rect& box, int64_t id);
-
-  // Sort-Tile-Recursive bulk load. Requires an empty tree.
+  // Sort-Tile-Recursive bulk load (see the file comment). Requires an
+  // empty tree; without a call, the tree is one empty leaf.
   void BulkLoad(std::vector<std::pair<Rect, int64_t>> entries);
 
   // Range search per Algorithm 2. `affines` (from LowerToFeatureSpace) is
@@ -139,7 +132,6 @@ class RTree {
   int height() const { return root_->level + 1; }
   int64_t node_count() const { return node_count_; }
   const Node* root() const { return root_.get(); }
-  Rect bounding_box() const;
 
   // Node-access accounting: number of nodes touched by searches since the
   // last reset. The in-memory proxy for the paper's disk accesses.
@@ -152,11 +144,6 @@ class RTree {
     return node_accesses_.load(std::memory_order_relaxed);
   }
 
-  // Structural validation for tests: MBR containment, fill factors, level
-  // consistency, parent links, and entry count. Returns false and logs the
-  // first violation (via stderr) on failure.
-  bool CheckInvariants() const;
-
  private:
   struct PendingEntry {
     Rect rect;
@@ -164,19 +151,11 @@ class RTree {
     std::unique_ptr<Node> child;      // valid for internal entries
   };
 
-  Node* ChooseSubtree(Node* node, const Rect& rect) const;
-  void InsertAtLevel(PendingEntry entry, int level,
-                     std::vector<bool>* reinsert_used);
   void AddEntryToNode(Node* node, PendingEntry entry);
-  void HandleOverflow(Node* node, std::vector<bool>* reinsert_used);
-  void ReinsertEntries(Node* node, std::vector<bool>* reinsert_used);
-  void SplitNode(Node* node, std::vector<bool>* reinsert_used);
-  void UpdateMbrsUpward(Node* node);
   Rect NodeMbr(const Node* node) const;
   void SearchNode(const Node* node, const SearchRegion& region,
                   const std::vector<DimAffine>* affines,
                   std::vector<int64_t>* results) const;
-  bool CheckNode(const Node* node, bool is_root, int64_t* leaf_entries) const;
 
   void CountNodeAccess() const {
     node_accesses_.fetch_add(1, std::memory_order_relaxed);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "util/logging.h"
 #include "util/stats.h"
@@ -43,17 +44,17 @@ void SortMatches(std::vector<SubsequenceIndex::SubsequenceMatch>* matches) {
 
 }  // namespace
 
-SubsequenceIndex::SubsequenceIndex(Options options)
-    : options_(options),
-      tree_(std::make_unique<RTree>(2 * options.num_coefficients - 1,
-                                    options.rtree)) {
+SubsequenceIndex::SubsequenceIndex(Options options) : options_(options) {
   SIMQ_CHECK_GT(options_.window, 1);
   SIMQ_CHECK_GT(options_.num_coefficients, 0);
   SIMQ_CHECK_LE(options_.num_coefficients, options_.window / 2 + 1);
   SIMQ_CHECK_GT(options_.max_trail_length, 0);
-  // RangeSearch runs on the packed snapshot only, whose layout caps the
-  // node fanout.
-  SIMQ_CHECK_LE(options_.rtree.max_entries, PackedRTree::kMaxFanout);
+  // RangeSearch runs on the packed tree only, whose layout caps the node
+  // fanout; the floor is the one Database keeps.
+  SIMQ_CHECK(options_.max_entries >= 4 &&
+             options_.max_entries <= PackedRTree::kMaxFanout)
+      << "max_entries must lie in [4, PackedRTree::kMaxFanout], got "
+      << options_.max_entries;
 }
 
 std::vector<double> SubsequenceIndex::WindowFeatures(
@@ -80,17 +81,6 @@ std::vector<double> SubsequenceIndex::WindowFeatures(
   return features;
 }
 
-double SubsequenceIndex::MbrCost(const Rect& rect) const {
-  // [FRM94]'s cost surrogate: expected page accesses of a point query are
-  // proportional to the volume of the MBR inflated by the query radius;
-  // with a nominal radius of 0.5 per side this is prod(L_i + 0.5).
-  double cost = 1.0;
-  for (int d = 0; d < rect.dims(); ++d) {
-    cost *= (rect.hi(d) - rect.lo(d)) + 0.5;
-  }
-  return cost;
-}
-
 Result<int64_t> SubsequenceIndex::AddSeries(const TimeSeries& series) {
   const int w = options_.window;
   const int k = options_.num_coefficients;
@@ -98,9 +88,16 @@ Result<int64_t> SubsequenceIndex::AddSeries(const TimeSeries& series) {
     return Status::InvalidArgument(
         "series shorter than the subsequence window");
   }
+  // The sliding update would carry an inf or NaN into the features of the
+  // windows after it (inf - inf is NaN) until the next direct recompute,
+  // and their trail MBRs would then miss matches the scan finds.
+  for (const double value : series.values) {
+    if (!std::isfinite(value)) {
+      return Status::InvalidArgument("series holds a non-finite value");
+    }
+  }
   const int64_t series_id = num_series();
-  series_.push_back(series.values);
-  const std::vector<double>& values = series_.back();
+  const std::vector<double>& values = series.values;
   const int num_offsets = series.length() - w + 1;
 
   // Sliding-window DFT: coefficients of window s+1 follow from window s as
@@ -127,10 +124,10 @@ Result<int64_t> SubsequenceIndex::AddSeries(const TimeSeries& series) {
     }
   };
 
-  // Pass 1: feature points of every window position.
+  // Pass 1: feature points of every window position, row-major.
   const int dims = feature_dims();
-  std::vector<Point> points(static_cast<size_t>(num_offsets),
-                            Point(static_cast<size_t>(dims)));
+  std::vector<double> points(static_cast<size_t>(num_offsets) *
+                             static_cast<size_t>(dims));
   for (int start = 0; start < num_offsets; ++start) {
     if (start % 1024 == 0) {
       // Periodic direct recomputation bounds floating-point drift of the
@@ -147,13 +144,11 @@ Result<int64_t> SubsequenceIndex::AddSeries(const TimeSeries& series) {
             rotators[static_cast<size_t>(f)];
       }
     }
-    Point& features = points[static_cast<size_t>(start)];
+    double* features = points.data() + static_cast<int64_t>(start) * dims;
     features[0] = coeffs[0].real();
     for (int f = 1; f < k; ++f) {
-      features[static_cast<size_t>(2 * f - 1)] =
-          coeffs[static_cast<size_t>(f)].real();
-      features[static_cast<size_t>(2 * f)] =
-          coeffs[static_cast<size_t>(f)].imag();
+      features[2 * f - 1] = coeffs[static_cast<size_t>(f)].real();
+      features[2 * f] = coeffs[static_cast<size_t>(f)].imag();
     }
   }
 
@@ -162,39 +157,52 @@ Result<int64_t> SubsequenceIndex::AddSeries(const TimeSeries& series) {
   // relative to the trail's overall spread.
   std::vector<double> extent(static_cast<size_t>(dims), 1.0);
   for (int d = 0; d < dims; ++d) {
-    double lo = points[0][static_cast<size_t>(d)];
+    double lo = points[static_cast<size_t>(d)];
     double hi = lo;
-    for (const Point& p : points) {
-      lo = std::min(lo, p[static_cast<size_t>(d)]);
-      hi = std::max(hi, p[static_cast<size_t>(d)]);
+    for (int start = 0; start < num_offsets; ++start) {
+      const double p = points[static_cast<size_t>(start) * dims + d];
+      lo = std::min(lo, p);
+      hi = std::max(hi, p);
     }
     extent[static_cast<size_t>(d)] = std::max(hi - lo, 1e-9);
   }
-  auto normalized_cost = [&](const Rect& rect) {
+  // Finite values near the double range can still overflow a window's DFT
+  // sum, and a NaN feature would leave the trail sort without a strict
+  // weak order.
+  if (!std::all_of(points.begin(), points.end(),
+                   [](double x) { return std::isfinite(x); })) {
+    return Status::InvalidArgument("series overflows its window features");
+  }
+  series_.push_back(series.values);
+  auto normalized_cost = [&](const double* lo, const double* hi) {
     double cost = 1.0;
     for (int d = 0; d < dims; ++d) {
-      cost *= (rect.hi(d) - rect.lo(d)) / extent[static_cast<size_t>(d)] +
-              0.5;
+      cost *= (hi[d] - lo[d]) / extent[static_cast<size_t>(d)] + 0.5;
     }
     return cost;
   };
 
-  // Pass 2: trail packing.
-  Rect mbr = Rect::Empty(dims);
+  // Pass 2: trail packing. The current sub-trail's MBR starts empty
+  // (+inf, -inf) and grows with std::min / std::max.
+  std::vector<double> mbr_lo(static_cast<size_t>(dims), kInf);
+  std::vector<double> mbr_hi(static_cast<size_t>(dims), -kInf);
+  std::vector<double> grown_lo(static_cast<size_t>(dims));
+  std::vector<double> grown_hi(static_cast<size_t>(dims));
   int trail_start = 0;
   int trail_count = 0;
   auto flush_trail = [&] {
     if (trail_count == 0) {
       return;
     }
-    const int64_t trail_id = static_cast<int64_t>(trails_.size());
     trails_.push_back(Trail{series_id, trail_start, trail_count});
-    tree_->Insert(mbr, trail_id);
-    mbr = Rect::Empty(dims);
+    trail_lo_.insert(trail_lo_.end(), mbr_lo.begin(), mbr_lo.end());
+    trail_hi_.insert(trail_hi_.end(), mbr_hi.begin(), mbr_hi.end());
+    std::fill(mbr_lo.begin(), mbr_lo.end(), kInf);
+    std::fill(mbr_hi.begin(), mbr_hi.end(), -kInf);
     trail_count = 0;
   };
   for (int start = 0; start < num_offsets; ++start) {
-    const Rect point_rect = Rect::FromPoint(points[static_cast<size_t>(start)]);
+    const double* point = points.data() + static_cast<int64_t>(start) * dims;
     bool close_current = trail_count >= options_.max_trail_length;
     if (!close_current && trail_count > 0 &&
         options_.packing == TrailPacking::kAdaptive) {
@@ -203,10 +211,16 @@ Result<int64_t> SubsequenceIndex::AddSeries(const TimeSeries& series) {
       // point grows the current MBR's cost; splitting adds a fresh
       // point-MBR costing 0.5^d. Append while growing is the cheaper of
       // the two.
-      const Rect grown = Rect::Union(mbr, point_rect);
+      for (int d = 0; d < dims; ++d) {
+        grown_lo[static_cast<size_t>(d)] =
+            std::min(mbr_lo[static_cast<size_t>(d)], point[d]);
+        grown_hi[static_cast<size_t>(d)] =
+            std::max(mbr_hi[static_cast<size_t>(d)], point[d]);
+      }
       const double growth =
-          normalized_cost(grown) - normalized_cost(mbr);
-      const double fresh = normalized_cost(point_rect);
+          normalized_cost(grown_lo.data(), grown_hi.data()) -
+          normalized_cost(mbr_lo.data(), mbr_hi.data());
+      const double fresh = normalized_cost(point, point);
       close_current = growth > fresh;
     }
     if (close_current) {
@@ -215,7 +229,12 @@ Result<int64_t> SubsequenceIndex::AddSeries(const TimeSeries& series) {
     if (trail_count == 0) {
       trail_start = start;
     }
-    mbr.ExpandToInclude(point_rect);
+    for (int d = 0; d < dims; ++d) {
+      mbr_lo[static_cast<size_t>(d)] =
+          std::min(mbr_lo[static_cast<size_t>(d)], point[d]);
+      mbr_hi[static_cast<size_t>(d)] =
+          std::max(mbr_hi[static_cast<size_t>(d)], point[d]);
+    }
     ++trail_count;
   }
   flush_trail();
@@ -225,10 +244,13 @@ Result<int64_t> SubsequenceIndex::AddSeries(const TimeSeries& series) {
 }
 
 const PackedRTree& SubsequenceIndex::packed_rtree() const {
-  return *packed_
-              .Get([this] { return std::make_unique<PackedRTree>(*tree_); },
-                   num_trails())
-              .artifact;
+  const auto pack = [this] {
+    std::vector<int64_t> ids(trails_.size());
+    std::iota(ids.begin(), ids.end(), 0);
+    return std::make_unique<PackedRTree>(
+        feature_dims(), options_.max_entries, trail_lo_, trail_hi_, ids);
+  };
+  return *packed_.Get(pack, num_trails()).artifact;
 }
 
 std::vector<SubsequenceIndex::SubsequenceMatch> SubsequenceIndex::RangeSearch(

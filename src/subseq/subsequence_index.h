@@ -10,7 +10,7 @@
 /// position maps to the first k DFT coefficients of the window -- a point in
 /// a low-dimensional feature space. Consecutive positions form a *trail*;
 /// trails are cut into sub-trails, each covered by an MBR stored in an
-/// R*-tree. A range query inflates the query's feature point by epsilon and
+/// R-tree. A range query inflates the query's feature point by epsilon and
 /// retrieves intersecting MBRs; every window offset inside a retrieved
 /// sub-trail is then verified against the raw data (early-abandoning
 /// Euclidean distance). Feature distances lower-bound window distances
@@ -25,16 +25,19 @@
 /// stays below the cost of opening a fresh MBR (kAdaptive), or simply cut
 /// every `max_trail_length` points (kFixed).
 ///
-/// Trails are inserted into an R*-tree one series at a time (AddSeries);
-/// RangeSearch traverses a packed snapshot of it, recompiled on the first
-/// search after an AddSeries. Options::rtree.max_entries must not exceed
-/// PackedRTree::kMaxFanout (checked at construction).
+/// AddSeries appends each sub-trail's MBR to two flat arrays (lower and
+/// upper bounds); RangeSearch traverses a PackedRTree STR-packed from
+/// them, built on the first search after an AddSeries. Options::max_entries
+/// is its node fanout, in [4, PackedRTree::kMaxFanout] as for a Database
+/// (checked at construction). AddSeries rejects a series holding inf or
+/// NaN: the sliding update would carry it into the features of later
+/// windows, whose MBRs would then miss their matches.
 ///
 /// Thread-safety: RangeSearch/ScanSearch and all const accessors are
-/// snapshot-safe (concurrent callers share the immutable packed snapshot,
-/// and each search counts its own node accesses). AddSeries mutates the
-/// trail table and the R*-tree and requires exclusive access, exactly
-/// like relation mutations (see util/artifact_cache.h).
+/// snapshot-safe (concurrent callers share the immutable packed tree, and
+/// each search counts its own node accesses). AddSeries mutates the trail
+/// table and requires exclusive access, exactly like relation mutations
+/// (see util/artifact_cache.h).
 
 #ifndef SIMQ_SUBSEQ_SUBSEQUENCE_INDEX_H_
 #define SIMQ_SUBSEQ_SUBSEQUENCE_INDEX_H_
@@ -44,7 +47,6 @@
 #include <vector>
 
 #include "index/packed_rtree.h"
-#include "index/rtree.h"
 #include "ts/dft.h"
 #include "ts/time_series.h"
 #include "util/artifact_cache.h"
@@ -61,7 +63,7 @@ class SubsequenceIndex {
     int num_coefficients = 3;   // k: DFT coefficients kept (incl. f = 0)
     TrailPacking packing = TrailPacking::kAdaptive;
     int max_trail_length = 64;  // hard cap on points per sub-trail MBR
-    RTree::Options rtree;
+    int max_entries = 32;       // node fanout of the trail tree
   };
 
   struct SubsequenceMatch {
@@ -79,7 +81,8 @@ class SubsequenceIndex {
   explicit SubsequenceIndex(Options options);
 
   // Registers a sequence (id = number of previously added sequences).
-  // Requires series.length() >= window.
+  // InvalidArgument, with nothing stored, unless series.length() >= window
+  // and every value is finite.
   Result<int64_t> AddSeries(const TimeSeries& series);
 
   // All windows within `epsilon` of `query` (query.size() == window),
@@ -96,9 +99,8 @@ class SubsequenceIndex {
   int64_t num_series() const { return static_cast<int64_t>(series_.size()); }
   int64_t num_windows() const { return num_windows_; }
   int64_t num_trails() const { return static_cast<int64_t>(trails_.size()); }
-  const RTree& rtree() const { return *tree_; }
-  // Packed snapshot of rtree(); RangeSearch traverses this. AddSeries
-  // marks it stale, the next query recompiles it (thread-safe against
+  // The tree over every trail MBR; RangeSearch traverses it. AddSeries
+  // drops it, and the next query packs it again (thread-safe against
   // concurrent queries).
   const PackedRTree& packed_rtree() const;
   const Options& options() const { return options_; }
@@ -118,12 +120,12 @@ class SubsequenceIndex {
     int count = 0;  // number of consecutive windows covered
   };
 
-  double MbrCost(const Rect& rect) const;
-
   Options options_;
   std::vector<std::vector<double>> series_;
   std::vector<Trail> trails_;
-  std::unique_ptr<RTree> tree_;
+  // Trail t's MBR: feature_dims() bounds from t * feature_dims().
+  std::vector<double> trail_lo_;
+  std::vector<double> trail_hi_;
   // No failpoint: the subsequence index has no degraded path.
   ArtifactCache<PackedRTree> packed_{nullptr};
   int64_t num_windows_ = 0;

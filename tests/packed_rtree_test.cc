@@ -1,11 +1,17 @@
-// Unit tests of the packed R-tree: equivalence with the RTree it is
-// compiled from on all three traversals (results AND node-access
-// accounting), kNN tie-break determinism, snapshot semantics through the
-// Database (delta rows, per-query node-access counts under concurrency,
-// the fanout check), and edge cases (empty tree, rect leaf entries).
+// Unit tests of the packed R-tree: the STR packer builds node for node the
+// tree the reference (index/rtree.h) bulk-loads from the same entries, and
+// the two agree on all three traversals (results AND node-access
+// accounting), at the Table-1 operating point too; kNN tie-break
+// determinism; snapshot semantics through the Database (delta rows,
+// per-query node-access counts under concurrency, the fanout check); and
+// edge cases (empty tree, rect leaf entries).
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
+#include <limits>
+#include <map>
+#include <memory>
 #include <set>
 #include <thread>
 #include <vector>
@@ -18,6 +24,7 @@
 #include "index/rtree.h"
 #include "ts/feature.h"
 #include "util/random.h"
+#include "workload/generators.h"
 
 namespace simq {
 namespace {
@@ -34,6 +41,287 @@ std::vector<Point> RandomPoints(Random* rng, int count, int dims, double lo,
   return points;
 }
 
+// Entries as the packer takes them: flat bounds, entry i at i * dims.
+struct FlatEntries {
+  explicit FlatEntries(int dims) : dims(dims) {}
+
+  void Add(const Point& lo_corner, const Point& hi_corner, int64_t id) {
+    lo.insert(lo.end(), lo_corner.begin(), lo_corner.end());
+    hi.insert(hi.end(), hi_corner.begin(), hi_corner.end());
+    ids.push_back(id);
+  }
+  void AddPoint(const Point& point, int64_t id) { Add(point, point, id); }
+
+  int dims;
+  std::vector<double> lo;
+  std::vector<double> hi;
+  std::vector<int64_t> ids;
+};
+
+FlatEntries PointEntries(const std::vector<Point>& points) {
+  FlatEntries entries(static_cast<int>(points.front().size()));
+  for (size_t i = 0; i < points.size(); ++i) {
+    entries.AddPoint(points[i], static_cast<int64_t>(i));
+  }
+  return entries;
+}
+
+std::unique_ptr<PackedRTree> Pack(const FlatEntries& entries,
+                                  int fanout = 32) {
+  return std::make_unique<PackedRTree>(entries.dims, fanout, entries.lo,
+                                       entries.hi, entries.ids);
+}
+
+// The reference tree bulk-loaded from the same entries, in the same order.
+std::unique_ptr<RTree> Reference(const FlatEntries& entries,
+                                 int fanout = 32) {
+  RTree::Options options;
+  options.max_entries = fanout;
+  auto tree = std::make_unique<RTree>(entries.dims, options);
+  std::vector<std::pair<Rect, int64_t>> rects;
+  const size_t dims = static_cast<size_t>(entries.dims);
+  for (size_t i = 0; i < entries.ids.size(); ++i) {
+    rects.emplace_back(
+        Rect::FromBounds(Point(entries.lo.begin() + i * dims,
+                               entries.lo.begin() + (i + 1) * dims),
+                         Point(entries.hi.begin() + i * dims,
+                               entries.hi.begin() + (i + 1) * dims)),
+        entries.ids[i]);
+  }
+  tree->BulkLoad(std::move(rects));
+  return tree;
+}
+
+uint64_t Bits(double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+// Compares `packed` with `reference` node for node. The reference is
+// walked breadth-first, the order the packed tree numbers its nodes, so a
+// child's packed id is its breadth-first number. Per node: entry count,
+// level, the bits of every entry rect, the ids, and the bits of the MBR
+// (the reference's entry rects folded in entry order from Rect::Empty);
+// then the arena size that the widest node fixes.
+void ExpectSameTree(const RTree& reference, const PackedRTree& packed) {
+  const int dims = reference.dims();
+  std::vector<const RTree::Node*> nodes = {reference.root()};
+  for (size_t head = 0; head < nodes.size(); ++head) {
+    for (const auto& child : nodes[head]->children) {
+      nodes.push_back(child.get());
+    }
+  }
+  ASSERT_EQ(packed.node_count(), static_cast<int32_t>(nodes.size()));
+  ASSERT_EQ(packed.height(), reference.height());
+  ASSERT_EQ(packed.size(), reference.size());
+  ASSERT_EQ(packed.dims(), dims);
+  int64_t cap = 1;
+  int32_t next_child = 1;
+  for (int32_t n = 0; n < packed.node_count(); ++n) {
+    const RTree::Node& node = *nodes[static_cast<size_t>(n)];
+    ASSERT_EQ(packed.EntryCount(n), node.num_entries()) << "node " << n;
+    ASSERT_EQ(packed.Level(n), node.level) << "node " << n;
+    ASSERT_EQ(packed.IsLeaf(n), node.is_leaf) << "node " << n;
+    cap = std::max<int64_t>(cap, node.num_entries());
+    Rect mbr = Rect::Empty(dims);
+    for (int e = 0; e < node.num_entries(); ++e) {
+      const Rect& rect = node.rects[static_cast<size_t>(e)];
+      mbr.ExpandToInclude(rect);
+      const PackedRect entry = packed.EntryRect(n, e);
+      for (int d = 0; d < dims; ++d) {
+        ASSERT_EQ(Bits(entry.lo(d)), Bits(rect.lo(d)))
+            << "node " << n << " entry " << e << " dim " << d;
+        ASSERT_EQ(Bits(entry.hi(d)), Bits(rect.hi(d)))
+            << "node " << n << " entry " << e << " dim " << d;
+      }
+      const int64_t expected_id = node.is_leaf
+                                      ? node.ids[static_cast<size_t>(e)]
+                                      : next_child++;
+      ASSERT_EQ(packed.EntryId(n, e), expected_id)
+          << "node " << n << " entry " << e;
+    }
+    const PackedRect packed_mbr = packed.NodeMbr(n);
+    for (int d = 0; d < dims; ++d) {
+      ASSERT_EQ(Bits(packed_mbr.lo(d)), Bits(mbr.lo(d))) << "node " << n;
+      ASSERT_EQ(Bits(packed_mbr.hi(d)), Bits(mbr.hi(d))) << "node " << n;
+    }
+  }
+  // Per node: lo and hi planes, ids, count, level, MBR, sweep orders.
+  const int64_t per_node = 2 * dims * cap * 8 + cap * 4 + 4 + 4 +
+                           2 * dims * 8 + dims * cap;
+  EXPECT_EQ(packed.arena_bytes(), packed.node_count() * per_node);
+}
+
+void ExpectPackerMatchesReference(const FlatEntries& entries, int fanout) {
+  const std::unique_ptr<RTree> reference = Reference(entries, fanout);
+  const std::unique_ptr<PackedRTree> packed = Pack(entries, fanout);
+  ExpectSameTree(*reference, *packed);
+}
+
+// The Table-1 workload: the stock relation's 6-d polar feature points
+// (paper-default FeatureConfig: k = 2 with mean and std) and each row's
+// coefficients, to query with. Computed once per size.
+struct Table1Points {
+  FeatureConfig config;
+  std::vector<Point> points;
+  std::vector<std::vector<Complex>> coefficients;
+};
+
+const Table1Points& StockFeaturePoints(int num_series) {
+  static std::map<int, Table1Points> cache;
+  Table1Points& table = cache[num_series];
+  if (table.points.empty()) {
+    workload::StockMarketOptions options;
+    options.num_series = num_series;
+    for (const TimeSeries& series : workload::StockMarket(options)) {
+      const SeriesFeatures features = ComputeFeatures(series.values);
+      table.coefficients.push_back(ExtractCoefficients(
+          features.normal_spectrum, table.config.num_coefficients));
+      table.points.push_back(MakeFeaturePoint(features, table.config));
+    }
+  }
+  return table;
+}
+
+TEST(PackedRTreeTest, PackerMatchesReferenceNodeForNode) {
+  Random rng(17);
+  for (const int dims : {2, 4, 6}) {
+    for (const int count : {0, 1, 2, 31, 32, 33, 1024, 1025, 5000}) {
+      FlatEntries entries(dims);
+      for (const Point& point : RandomPoints(&rng, count, dims, -10, 10)) {
+        entries.AddPoint(point, static_cast<int64_t>(entries.ids.size()));
+      }
+      for (const int fanout : {4, 32}) {
+        SCOPED_TRACE("dims " + std::to_string(dims) + " count " +
+                     std::to_string(count) + " fanout " +
+                     std::to_string(fanout));
+        ExpectPackerMatchesReference(entries, fanout);
+      }
+    }
+  }
+}
+
+TEST(PackedRTreeTest, PackerMatchesReferenceOnDuplicatesAndSignedZeros) {
+  // Equal sort keys exercise the sort's handling of ties, and MBR folds
+  // over -0.0 and +0.0 keep whichever comes first in entry order.
+  Random rng(23);
+  FlatEntries entries(3);
+  const double values[] = {-0.0, 0.0, 1.0, -1.0, 0.5};
+  for (int i = 0; i < 3000; ++i) {
+    Point point(3);
+    for (double& v : point) {
+      v = values[rng.UniformInt(0, 4)];
+    }
+    entries.AddPoint(point, i);
+  }
+  for (const int fanout : {4, 5, 32}) {
+    SCOPED_TRACE("fanout " + std::to_string(fanout));
+    ExpectPackerMatchesReference(entries, fanout);
+  }
+}
+
+TEST(PackedRTreeTest, PackerMatchesReferenceOnRectEntries) {
+  // Leaf entries that are true rectangles (the subsequence index's trail
+  // MBRs): the sort key is lo + hi, not twice a point coordinate.
+  Random rng(29);
+  FlatEntries entries(3);
+  for (int i = 0; i < 4000; ++i) {
+    Point lo(3);
+    Point hi(3);
+    for (int d = 0; d < 3; ++d) {
+      lo[static_cast<size_t>(d)] = rng.UniformDouble(-50.0, 50.0);
+      hi[static_cast<size_t>(d)] =
+          lo[static_cast<size_t>(d)] + rng.UniformDouble(0.0, 8.0);
+    }
+    entries.Add(lo, hi, i);
+  }
+  for (const int fanout : {4, 32, 256}) {
+    SCOPED_TRACE("fanout " + std::to_string(fanout));
+    ExpectPackerMatchesReference(entries, fanout);
+  }
+}
+
+TEST(PackedRTreeTest, PackerMatchesReferenceOnTable1FeaturePoints) {
+  for (const int rows : {1067, 12000}) {
+    const FlatEntries entries = PointEntries(StockFeaturePoints(rows).points);
+    for (const int fanout : {4, 5, 32, 256}) {
+      SCOPED_TRACE("rows " + std::to_string(rows) + " fanout " +
+                   std::to_string(fanout));
+      ExpectPackerMatchesReference(entries, fanout);
+    }
+  }
+}
+
+// The packed tree against the reference at the Table-1 operating point:
+// 64 range searches, the epsilon = 0.45 self-join and 32 10-NN queries over
+// the stock relation's feature points, comparing answers and node
+// accesses.
+TEST(PackedRTreeTest, Table1TraversalsMatchReference) {
+  constexpr double kEpsilon = 0.45;
+  for (const int rows : {1067, 12000}) {
+    SCOPED_TRACE("rows " + std::to_string(rows));
+    const Table1Points& table = StockFeaturePoints(rows);
+    const FlatEntries entries = PointEntries(table.points);
+    const std::unique_ptr<RTree> reference = Reference(entries);
+    const std::unique_ptr<PackedRTree> packed = Pack(entries);
+    const size_t num_rows = table.points.size();
+
+    std::vector<int64_t> reference_ids;
+    std::vector<int64_t> packed_ids;
+    reference->ResetNodeAccesses();
+    packed->ResetNodeAccesses();
+    for (size_t q = 0; q < 64; ++q) {
+      const SearchRegion region = SearchRegion::MakeRange(
+          table.coefficients[q % num_rows], kEpsilon, table.config);
+      reference->Search(region, nullptr, &reference_ids);
+      packed->Search(region, nullptr, &packed_ids);
+    }
+    EXPECT_EQ(packed_ids, reference_ids);
+    EXPECT_EQ(packed->node_accesses(), reference->node_accesses());
+    EXPECT_GT(reference_ids.size(), 64u);
+
+    const EpsilonPairPredicate pred{6, kEpsilon};
+    int64_t reference_pairs = 0;
+    int64_t packed_pairs = 0;
+    reference->ResetNodeAccesses();
+    packed->ResetNodeAccesses();
+    reference->JoinWith(*reference, pred,
+                        [&](int64_t, int64_t) { ++reference_pairs; });
+    packed->JoinWith(*packed, pred, [&](int64_t, int64_t) { ++packed_pairs; },
+                     kEpsilon);
+    EXPECT_EQ(packed_pairs, reference_pairs);
+    EXPECT_EQ(packed->node_accesses(), reference->node_accesses());
+    EXPECT_GE(reference_pairs, static_cast<int64_t>(num_rows));
+
+    const std::vector<DimAffine> identity(6);
+    reference->ResetNodeAccesses();
+    packed->ResetNodeAccesses();
+    for (size_t q = 0; q < 32; ++q) {
+      const NnLowerBound bound(table.coefficients[q % num_rows],
+                               table.config);
+      const auto exact = [&](int64_t id) {
+        return bound.ToTransformedPoint(table.points[static_cast<size_t>(id)],
+                                        identity);
+      };
+      EXPECT_EQ(packed->NearestNeighbors(bound, nullptr, 10, exact),
+                reference->NearestNeighbors(bound, nullptr, 10, exact))
+          << "query " << q;
+    }
+    EXPECT_EQ(packed->node_accesses(), reference->node_accesses());
+  }
+}
+
+TEST(PackedRTreeDeathTest, PackerRejectsFanoutOutsideRange) {
+  // With one entry per node a level never shrinks, so the build would not
+  // end; past kMaxFanout the uint8 sweep orders overflow.
+  FlatEntries entries(2);
+  entries.AddPoint({1.0, 2.0}, 0);
+  entries.AddPoint({3.0, 4.0}, 1);
+  EXPECT_DEATH(Pack(entries, 1), "fanout");
+  EXPECT_DEATH(Pack(entries, PackedRTree::kMaxFanout + 1), "fanout");
+}
+
 TEST(PackedRTreeTest, SearchMatchesPointerEngineWithTransforms) {
   Random rng(41);
   FeatureConfig config;
@@ -43,7 +331,6 @@ TEST(PackedRTreeTest, SearchMatchesPointerEngineWithTransforms) {
        {FeatureSpace::kRectangular, FeatureSpace::kPolar}) {
     config.space = space;
     const int dims = FeatureDimension(config);
-    RTree tree(dims);
     std::vector<Point> points;
     if (space == FeatureSpace::kPolar) {
       // Polar layout: (magnitude, angle) pairs.
@@ -58,14 +345,14 @@ TEST(PackedRTreeTest, SearchMatchesPointerEngineWithTransforms) {
     } else {
       points = RandomPoints(&rng, 800, dims, -4.0, 4.0);
     }
-    for (size_t i = 0; i < points.size(); ++i) {
-      tree.InsertPoint(points[i], static_cast<int64_t>(i));
-    }
-    const PackedRTree packed(tree);
+    const FlatEntries entries = PointEntries(points);
+    const std::unique_ptr<RTree> tree_ptr = Reference(entries);
+    const RTree& tree = *tree_ptr;
+    const std::unique_ptr<PackedRTree> packed_ptr = Pack(entries);
+    const PackedRTree& packed = *packed_ptr;
     EXPECT_EQ(packed.node_count(), tree.node_count());
     EXPECT_EQ(packed.size(), tree.size());
     EXPECT_EQ(packed.height(), tree.height());
-
     for (int trial = 0; trial < 20; ++trial) {
       const std::vector<Complex> query = {
           Complex(rng.UniformDouble(-2.0, 2.0), rng.UniformDouble(-2.0, 2.0)),
@@ -118,8 +405,7 @@ TEST(PackedRTreeTest, SearchGenericHandlesRectLeafEntries) {
   // Leaf entries that are true rectangles (the subsequence index's trail
   // MBRs), not points.
   Random rng(52);
-  RTree tree(3);
-  std::vector<Rect> rects;
+  FlatEntries entries(3);
   for (int i = 0; i < 500; ++i) {
     Point lo(3);
     Point hi(3);
@@ -128,10 +414,12 @@ TEST(PackedRTreeTest, SearchGenericHandlesRectLeafEntries) {
       lo[static_cast<size_t>(d)] = a;
       hi[static_cast<size_t>(d)] = a + rng.UniformDouble(0.0, 8.0);
     }
-    rects.push_back(Rect::FromBounds(lo, hi));
-    tree.Insert(rects.back(), i);
+    entries.Add(lo, hi, i);
   }
-  const PackedRTree packed(tree);
+  const std::unique_ptr<RTree> tree_ptr = Reference(entries);
+  const RTree& tree = *tree_ptr;
+  const std::unique_ptr<PackedRTree> packed_ptr = Pack(entries);
+  const PackedRTree& packed = *packed_ptr;
 
   for (int trial = 0; trial < 20; ++trial) {
     Point lo(3);
@@ -172,18 +460,18 @@ TEST(PackedRTreeTest, SearchGenericHandlesRectLeafEntries) {
 
 TEST(PackedRTreeTest, JoinMatchesPointerEngine) {
   Random rng(63);
-  RTree left(3);
-  RTree right(3);
-  const std::vector<Point> left_points = RandomPoints(&rng, 400, 3, -20, 20);
-  const std::vector<Point> right_points = RandomPoints(&rng, 350, 3, -20, 20);
-  for (size_t i = 0; i < left_points.size(); ++i) {
-    left.InsertPoint(left_points[i], static_cast<int64_t>(i));
-  }
-  for (size_t j = 0; j < right_points.size(); ++j) {
-    right.InsertPoint(right_points[j], static_cast<int64_t>(j));
-  }
-  const PackedRTree packed_left(left);
-  const PackedRTree packed_right(right);
+  const FlatEntries left_entries =
+      PointEntries(RandomPoints(&rng, 400, 3, -20, 20));
+  const FlatEntries right_entries =
+      PointEntries(RandomPoints(&rng, 350, 3, -20, 20));
+  const std::unique_ptr<RTree> left_ptr = Reference(left_entries);
+  const std::unique_ptr<RTree> right_ptr = Reference(right_entries);
+  const RTree& left = *left_ptr;
+  const RTree& right = *right_ptr;
+  const std::unique_ptr<PackedRTree> packed_left_ptr = Pack(left_entries);
+  const std::unique_ptr<PackedRTree> packed_right_ptr = Pack(right_entries);
+  const PackedRTree& packed_left = *packed_left_ptr;
+  const PackedRTree& packed_right = *packed_right_ptr;
   const EpsilonPairPredicate pred{3, 2.0};
 
   // Self-join (both orientations + diagonal, like the pointer engine).
@@ -239,7 +527,6 @@ TEST(PackedRTreeTest, NearestNeighborsDeterministicTieBreaking) {
   config.num_coefficients = 2;
   config.space = FeatureSpace::kRectangular;
   config.include_mean_std = false;
-  RTree tree(4);
   std::vector<Point> points;
   Random rng(74);
   // 60 distinct locations, each duplicated 5 times -> 300 entries.
@@ -252,7 +539,7 @@ TEST(PackedRTreeTest, NearestNeighborsDeterministicTieBreaking) {
       points.push_back(p);
     }
   }
-  // Shuffled insert order so duplicates land in different leaves.
+  // Shuffled entry order so duplicates land in different leaves.
   std::vector<int64_t> ids(points.size());
   for (size_t i = 0; i < ids.size(); ++i) {
     ids[i] = static_cast<int64_t>(i);
@@ -262,10 +549,14 @@ TEST(PackedRTreeTest, NearestNeighborsDeterministicTieBreaking) {
               ids[static_cast<size_t>(rng.UniformInt(
                   0, static_cast<int64_t>(i) - 1))]);
   }
+  FlatEntries entries(4);
   for (const int64_t id : ids) {
-    tree.InsertPoint(points[static_cast<size_t>(id)], id);
+    entries.AddPoint(points[static_cast<size_t>(id)], id);
   }
-  const PackedRTree packed(tree);
+  const std::unique_ptr<RTree> tree_ptr = Reference(entries);
+  const RTree& tree = *tree_ptr;
+  const std::unique_ptr<PackedRTree> packed_ptr = Pack(entries);
+  const PackedRTree& packed = *packed_ptr;
 
   const std::vector<Complex> query = {Complex(0.3, -0.2), Complex(1.1, 0.4)};
   const NnLowerBound bound(query, config);
@@ -315,10 +606,11 @@ TEST(PackedRTreeTest, EmptyTreeTraversalsAreSafe) {
   config.num_coefficients = 1;
   config.space = FeatureSpace::kRectangular;
   config.include_mean_std = false;
-  RTree tree(2);
-  const PackedRTree packed(tree);
+  const std::unique_ptr<PackedRTree> packed_ptr = Pack(FlatEntries(2));
+  const PackedRTree& packed = *packed_ptr;
   EXPECT_EQ(packed.size(), 0);
   EXPECT_EQ(packed.node_count(), 1);
+  EXPECT_EQ(packed.height(), 1);
 
   const SearchRegion region =
       SearchRegion::MakeRange({Complex(0.0, 0.0)}, 1.0, config);
@@ -331,9 +623,10 @@ TEST(PackedRTreeTest, EmptyTreeTraversalsAreSafe) {
                                            [](int64_t) { return 0.0; });
   EXPECT_TRUE(knn.empty());
 
-  RTree other(2);
-  other.InsertPoint({1.0, 2.0}, 7);
-  const PackedRTree packed_other(other);
+  FlatEntries one(2);
+  one.AddPoint({1.0, 2.0}, 7);
+  const std::unique_ptr<PackedRTree> packed_other_ptr = Pack(one);
+  const PackedRTree& packed_other = *packed_other_ptr;
   int emitted = 0;
   packed.JoinWith(packed_other, [](const auto&, const auto&) { return true; },
                   [&](int64_t, int64_t) { ++emitted; }, 0.0);
@@ -348,7 +641,6 @@ TEST(PackedRTreeDeathTest, DatabaseRejectsOversizedFanoutAtConstruction) {
   // compile.
   RTree::Options options;
   options.max_entries = PackedRTree::kMaxFanout + 44;
-  options.min_entries = 2;
   EXPECT_DEATH(Database(FeatureConfig(), options), "max_entries");
   options.max_entries = PackedRTree::kMaxFanout;
   Database at_limit(FeatureConfig(), options);

@@ -1,5 +1,11 @@
+// Unit tests of the reference R-tree (index/rtree.h) against brute force:
+// STR bulk loading builds a well-formed tree, and every traversal (range
+// search with and without a transformation, generic search, kNN, self and
+// cross joins) returns exactly the brute-force answers.
+
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -15,7 +21,6 @@ namespace {
 struct TreeCase {
   int dims;
   int count;
-  bool forced_reinsert;
   int max_entries;
 };
 
@@ -31,37 +36,70 @@ std::vector<Point> RandomPoints(Random* rng, int count, int dims,
   return points;
 }
 
-RTree::Options MakeOptions(const TreeCase& c) {
-  RTree::Options options;
-  options.max_entries = c.max_entries;
-  options.min_entries = std::max(2, c.max_entries / 3);
-  options.forced_reinsert = c.forced_reinsert;
-  return options;
+// A tree bulk-loaded with points[i] as entry i.
+std::unique_ptr<RTree> BulkLoaded(int dims, const std::vector<Point>& points,
+                                  RTree::Options options = RTree::Options()) {
+  auto tree = std::make_unique<RTree>(dims, options);
+  std::vector<std::pair<Rect, int64_t>> entries;
+  for (size_t i = 0; i < points.size(); ++i) {
+    entries.emplace_back(Rect::FromPoint(points[i]), static_cast<int64_t>(i));
+  }
+  tree->BulkLoad(std::move(entries));
+  return tree;
+}
+
+// Structure of a bulk-loaded tree: no node over the fanout, children one
+// level below their parent, every internal entry rect exactly its child's
+// MBR, and each id in exactly one leaf.
+void ExpectWellFormed(const RTree& tree, int max_entries) {
+  std::multiset<int64_t> ids;
+  std::vector<const RTree::Node*> nodes = {tree.root()};
+  for (size_t head = 0; head < nodes.size(); ++head) {
+    const RTree::Node& node = *nodes[head];
+    ASSERT_LE(node.num_entries(), max_entries);
+    ASSERT_EQ(node.is_leaf, node.level == 0);
+    if (node.is_leaf) {
+      ids.insert(node.ids.begin(), node.ids.end());
+      continue;
+    }
+    ASSERT_EQ(node.children.size(), node.rects.size());
+    for (size_t e = 0; e < node.children.size(); ++e) {
+      const RTree::Node& child = *node.children[e];
+      ASSERT_EQ(child.level, node.level - 1);
+      Rect mbr = Rect::Empty(tree.dims());
+      for (const Rect& rect : child.rects) {
+        mbr.ExpandToInclude(rect);
+      }
+      ASSERT_TRUE(node.rects[e].Contains(mbr) && mbr.Contains(node.rects[e]));
+      nodes.push_back(&child);
+    }
+  }
+  EXPECT_EQ(static_cast<int64_t>(ids.size()), tree.size());
+  EXPECT_EQ(std::set<int64_t>(ids.begin(), ids.end()).size(), ids.size());
+  EXPECT_EQ(static_cast<int64_t>(nodes.size()), tree.node_count());
 }
 
 class RTreeCaseTest : public ::testing::TestWithParam<TreeCase> {};
 
-TEST_P(RTreeCaseTest, InsertMaintainsInvariantsAndSize) {
+TEST_P(RTreeCaseTest, BulkLoadIsWellFormed) {
   const TreeCase c = GetParam();
   Random rng(100 + static_cast<uint64_t>(c.count * c.dims));
-  RTree tree(c.dims, MakeOptions(c));
-  const std::vector<Point> points = RandomPoints(&rng, c.count, c.dims);
-  for (size_t i = 0; i < points.size(); ++i) {
-    tree.InsertPoint(points[i], static_cast<int64_t>(i));
-  }
-  EXPECT_EQ(tree.size(), c.count);
-  EXPECT_TRUE(tree.CheckInvariants());
-  EXPECT_GE(tree.height(), 1);
+  RTree::Options options;
+  options.max_entries = c.max_entries;
+  const std::unique_ptr<RTree> tree =
+      BulkLoaded(c.dims, RandomPoints(&rng, c.count, c.dims), options);
+  EXPECT_EQ(tree->size(), c.count);
+  EXPECT_GE(tree->height(), 1);
+  ExpectWellFormed(*tree, c.max_entries);
 }
 
 TEST_P(RTreeCaseTest, RangeSearchMatchesBruteForce) {
   const TreeCase c = GetParam();
   Random rng(200 + static_cast<uint64_t>(c.count * c.dims));
-  RTree tree(c.dims, MakeOptions(c));
+  RTree::Options options;
+  options.max_entries = c.max_entries;
   const std::vector<Point> points = RandomPoints(&rng, c.count, c.dims);
-  for (size_t i = 0; i < points.size(); ++i) {
-    tree.InsertPoint(points[i], static_cast<int64_t>(i));
-  }
+  const std::unique_ptr<RTree> tree = BulkLoaded(c.dims, points, options);
 
   for (int query = 0; query < 25; ++query) {
     Point lo(static_cast<size_t>(c.dims));
@@ -82,7 +120,7 @@ TEST_P(RTreeCaseTest, RangeSearchMatchesBruteForce) {
     }
 
     std::set<int64_t> actual;
-    tree.SearchGeneric(
+    tree->SearchGeneric(
         [&](const Rect& rect) { return box.Overlaps(rect); },
         [&](const Rect& rect, int64_t) {
           Point p(static_cast<size_t>(c.dims));
@@ -96,155 +134,39 @@ TEST_P(RTreeCaseTest, RangeSearchMatchesBruteForce) {
   }
 }
 
-TEST_P(RTreeCaseTest, DeleteHalfKeepsTreeConsistent) {
-  const TreeCase c = GetParam();
-  Random rng(300 + static_cast<uint64_t>(c.count * c.dims));
-  RTree tree(c.dims, MakeOptions(c));
-  const std::vector<Point> points = RandomPoints(&rng, c.count, c.dims);
-  for (size_t i = 0; i < points.size(); ++i) {
-    tree.InsertPoint(points[i], static_cast<int64_t>(i));
-  }
-
-  for (size_t i = 0; i < points.size(); i += 2) {
-    EXPECT_TRUE(tree.Delete(Rect::FromPoint(points[i]),
-                            static_cast<int64_t>(i)))
-        << "delete " << i;
-  }
-  EXPECT_EQ(tree.size(), c.count - (c.count + 1) / 2);
-  EXPECT_TRUE(tree.CheckInvariants());
-
-  // Deleted entries are gone; survivors are still findable.
-  const Rect everything =
-      Rect::FromBounds(Point(static_cast<size_t>(c.dims), -1000.0),
-                       Point(static_cast<size_t>(c.dims), 1000.0));
-  std::set<int64_t> remaining;
-  tree.SearchGeneric(
-      [&](const Rect& rect) { return everything.Overlaps(rect); },
-      [&](const Rect&, int64_t) { return true; },
-      [&](int64_t id) { remaining.insert(id); });
-  for (size_t i = 0; i < points.size(); ++i) {
-    EXPECT_EQ(remaining.count(static_cast<int64_t>(i)), i % 2 == 0 ? 0u : 1u);
-  }
-}
-
-TEST_P(RTreeCaseTest, BulkLoadEquivalentToIncremental) {
-  const TreeCase c = GetParam();
-  Random rng(400 + static_cast<uint64_t>(c.count * c.dims));
-  const std::vector<Point> points = RandomPoints(&rng, c.count, c.dims);
-
-  RTree bulk(c.dims, MakeOptions(c));
-  std::vector<std::pair<Rect, int64_t>> entries;
-  for (size_t i = 0; i < points.size(); ++i) {
-    entries.emplace_back(Rect::FromPoint(points[i]),
-                         static_cast<int64_t>(i));
-  }
-  bulk.BulkLoad(std::move(entries));
-  EXPECT_EQ(bulk.size(), c.count);
-  EXPECT_TRUE(bulk.CheckInvariants());
-
-  // Same query answers as brute force.
-  for (int query = 0; query < 10; ++query) {
-    Point lo(static_cast<size_t>(c.dims));
-    Point hi(static_cast<size_t>(c.dims));
-    for (int d = 0; d < c.dims; ++d) {
-      const double a = rng.UniformDouble(-110.0, 110.0);
-      const double b = rng.UniformDouble(-110.0, 110.0);
-      lo[static_cast<size_t>(d)] = std::min(a, b);
-      hi[static_cast<size_t>(d)] = std::max(a, b);
-    }
-    const Rect box = Rect::FromBounds(lo, hi);
-    std::set<int64_t> expected;
-    for (size_t i = 0; i < points.size(); ++i) {
-      if (box.ContainsPoint(points[i])) {
-        expected.insert(static_cast<int64_t>(i));
-      }
-    }
-    std::set<int64_t> actual;
-    bulk.SearchGeneric(
-        [&](const Rect& rect) { return box.Overlaps(rect); },
-        [&](const Rect& rect, int64_t) {
-          Point p(static_cast<size_t>(c.dims));
-          for (int d = 0; d < c.dims; ++d) {
-            p[static_cast<size_t>(d)] = rect.lo(d);
-          }
-          return box.ContainsPoint(p);
-        },
-        [&](int64_t id) { actual.insert(id); });
-    EXPECT_EQ(actual, expected);
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Cases, RTreeCaseTest,
-    ::testing::Values(TreeCase{2, 100, true, 8}, TreeCase{2, 100, false, 8},
-                      TreeCase{2, 2000, true, 32},
-                      TreeCase{4, 500, true, 16},
-                      TreeCase{4, 500, false, 16},
-                      TreeCase{6, 1500, true, 32},
-                      TreeCase{6, 1500, false, 32},
-                      TreeCase{3, 50, true, 4}));
+    ::testing::Values(TreeCase{2, 100, 8}, TreeCase{2, 2000, 32},
+                      TreeCase{4, 500, 16}, TreeCase{6, 1500, 32},
+                      TreeCase{3, 50, 4}, TreeCase{5, 777, 5}));
 
 TEST(RTreeTest, EmptyTreeBehaves) {
-  RTree tree(3);
+  RTree tree(2);
+  tree.BulkLoad({});
   EXPECT_EQ(tree.size(), 0);
   EXPECT_EQ(tree.height(), 1);
-  EXPECT_TRUE(tree.CheckInvariants());
-  EXPECT_TRUE(tree.bounding_box().IsEmpty());
+  EXPECT_EQ(tree.root()->num_entries(), 0);
   std::vector<int64_t> results;
   FeatureConfig config;
   config.num_coefficients = 1;
   config.space = FeatureSpace::kRectangular;
   config.include_mean_std = false;
-  // 2-d region over a 3-d tree would be wrong; rebuild a 2-d tree.
-  RTree tree2(2);
   const SearchRegion region = SearchRegion::MakeRange(
       {Complex(0.0, 0.0)}, 1.0, config);
-  tree2.Search(region, nullptr, &results);
+  tree.Search(region, nullptr, &results);
   EXPECT_TRUE(results.empty());
 }
 
-TEST(RTreeTest, DeleteNonexistentReturnsFalse) {
-  RTree tree(2);
-  tree.InsertPoint({1.0, 1.0}, 7);
-  EXPECT_FALSE(tree.Delete(Rect::FromPoint({2.0, 2.0}), 7));
-  EXPECT_FALSE(tree.Delete(Rect::FromPoint({1.0, 1.0}), 8));
-  EXPECT_TRUE(tree.Delete(Rect::FromPoint({1.0, 1.0}), 7));
-  EXPECT_EQ(tree.size(), 0);
-  EXPECT_TRUE(tree.CheckInvariants());
-}
-
-TEST(RTreeTest, DeleteEverythingThenReinsert) {
-  Random rng(55);
-  RTree tree(2);
-  const std::vector<Point> points = RandomPoints(&rng, 300, 2);
-  for (size_t i = 0; i < points.size(); ++i) {
-    tree.InsertPoint(points[i], static_cast<int64_t>(i));
-  }
-  for (size_t i = 0; i < points.size(); ++i) {
-    ASSERT_TRUE(
-        tree.Delete(Rect::FromPoint(points[i]), static_cast<int64_t>(i)));
-  }
-  EXPECT_EQ(tree.size(), 0);
-  EXPECT_TRUE(tree.CheckInvariants());
-  for (size_t i = 0; i < points.size(); ++i) {
-    tree.InsertPoint(points[i], static_cast<int64_t>(i));
-  }
-  EXPECT_EQ(tree.size(), 300);
-  EXPECT_TRUE(tree.CheckInvariants());
-}
-
 TEST(RTreeTest, DuplicatePointsSupported) {
-  RTree tree(2);
-  for (int i = 0; i < 100; ++i) {
-    tree.InsertPoint({1.0, 2.0}, i);
-  }
-  EXPECT_EQ(tree.size(), 100);
-  EXPECT_TRUE(tree.CheckInvariants());
+  const std::unique_ptr<RTree> tree =
+      BulkLoaded(2, std::vector<Point>(100, Point{1.0, 2.0}));
+  EXPECT_EQ(tree->size(), 100);
+  ExpectWellFormed(*tree, RTree::Options().max_entries);
   std::set<int64_t> found;
   const Rect box = Rect::FromBounds({0.0, 0.0}, {3.0, 3.0});
-  tree.SearchGeneric([&](const Rect& r) { return box.Overlaps(r); },
-                     [&](const Rect&, int64_t) { return true; },
-                     [&](int64_t id) { found.insert(id); });
+  tree->SearchGeneric([&](const Rect& r) { return box.Overlaps(r); },
+                      [&](const Rect&, int64_t) { return true; },
+                      [&](int64_t id) { found.insert(id); });
   EXPECT_EQ(found.size(), 100u);
 }
 
@@ -254,11 +176,10 @@ TEST(RTreeTest, SearchRegionIdentityMatchesBruteForce) {
   config.num_coefficients = 2;
   config.space = FeatureSpace::kRectangular;
   config.include_mean_std = false;
-  RTree tree(FeatureDimension(config));
   const std::vector<Point> points = RandomPoints(&rng, 800, 4, -3.0, 3.0);
-  for (size_t i = 0; i < points.size(); ++i) {
-    tree.InsertPoint(points[i], static_cast<int64_t>(i));
-  }
+  const std::unique_ptr<RTree> tree_ptr =
+      BulkLoaded(FeatureDimension(config), points);
+  const RTree& tree = *tree_ptr;
   for (int trial = 0; trial < 20; ++trial) {
     const std::vector<Complex> query = {
         Complex(rng.UniformDouble(-3.0, 3.0), rng.UniformDouble(-3.0, 3.0)),
@@ -285,16 +206,16 @@ TEST(RTreeTest, TransformedSearchMatchesBruteForce) {
   config.num_coefficients = 2;
   config.space = FeatureSpace::kPolar;
   config.include_mean_std = false;
-  RTree tree(FeatureDimension(config));
-
   std::vector<Point> points;
   for (int i = 0; i < 1000; ++i) {
     const std::vector<Complex> coeffs = {
         Complex(rng.UniformDouble(-2.0, 2.0), rng.UniformDouble(-2.0, 2.0)),
         Complex(rng.UniformDouble(-2.0, 2.0), rng.UniformDouble(-2.0, 2.0))};
     points.push_back(CoefficientsToCoords(coeffs, FeatureSpace::kPolar));
-    tree.InsertPoint(points.back(), i);
   }
+  const std::unique_ptr<RTree> tree_ptr =
+      BulkLoaded(FeatureDimension(config), points);
+  const RTree& tree = *tree_ptr;
 
   for (int trial = 0; trial < 20; ++trial) {
     const LinearTransform transform(
@@ -328,11 +249,10 @@ TEST(RTreeTest, NearestNeighborsMatchBruteForce) {
   config.num_coefficients = 2;
   config.space = FeatureSpace::kRectangular;
   config.include_mean_std = false;
-  RTree tree(FeatureDimension(config));
-  std::vector<Point> points = RandomPoints(&rng, 600, 4, -5.0, 5.0);
-  for (size_t i = 0; i < points.size(); ++i) {
-    tree.InsertPoint(points[i], static_cast<int64_t>(i));
-  }
+  const std::vector<Point> points = RandomPoints(&rng, 600, 4, -5.0, 5.0);
+  const std::unique_ptr<RTree> tree_ptr =
+      BulkLoaded(FeatureDimension(config), points);
+  const RTree& tree = *tree_ptr;
 
   for (int trial = 0; trial < 10; ++trial) {
     const std::vector<Complex> query = {
@@ -380,11 +300,9 @@ bool WithinEps(const Rect& a, const Rect& b, double eps) {
 
 TEST(RTreeTest, SynchronizedSelfJoinMatchesBruteForce) {
   Random rng(222);
-  RTree tree(3);
   const std::vector<Point> points = RandomPoints(&rng, 400, 3, -20.0, 20.0);
-  for (size_t i = 0; i < points.size(); ++i) {
-    tree.InsertPoint(points[i], static_cast<int64_t>(i));
-  }
+  const std::unique_ptr<RTree> tree_ptr = BulkLoaded(3, points);
+  const RTree& tree = *tree_ptr;
   const double eps = 2.0;
 
   std::set<std::pair<int64_t, int64_t>> expected;
@@ -415,18 +333,12 @@ TEST(RTreeTest, SynchronizedSelfJoinMatchesBruteForce) {
 
 TEST(RTreeTest, SynchronizedCrossJoinMatchesBruteForce) {
   Random rng(333);
-  RTree left(2);
-  RTree right(2);
   const std::vector<Point> left_points =
       RandomPoints(&rng, 300, 2, -20.0, 20.0);
   const std::vector<Point> right_points =
       RandomPoints(&rng, 250, 2, -20.0, 20.0);
-  for (size_t i = 0; i < left_points.size(); ++i) {
-    left.InsertPoint(left_points[i], static_cast<int64_t>(i));
-  }
-  for (size_t j = 0; j < right_points.size(); ++j) {
-    right.InsertPoint(right_points[j], static_cast<int64_t>(j));
-  }
+  const std::unique_ptr<RTree> left = BulkLoaded(2, left_points);
+  const std::unique_ptr<RTree> right = BulkLoaded(2, right_points);
   const double eps = 1.5;
 
   std::set<std::pair<int64_t, int64_t>> expected;
@@ -439,8 +351,8 @@ TEST(RTreeTest, SynchronizedCrossJoinMatchesBruteForce) {
     }
   }
   std::set<std::pair<int64_t, int64_t>> actual;
-  left.JoinWith(
-      right,
+  left->JoinWith(
+      *right,
       [&](const Rect& a, const Rect& b) { return WithinEps(a, b, eps); },
       [&](int64_t a, int64_t b) { actual.insert({a, b}); });
   EXPECT_EQ(actual, expected);
@@ -449,7 +361,7 @@ TEST(RTreeTest, SynchronizedCrossJoinMatchesBruteForce) {
 TEST(RTreeTest, JoinWithEmptyTreesEmitsNothing) {
   RTree a(2);
   RTree b(2);
-  a.InsertPoint({1.0, 1.0}, 0);
+  a.BulkLoad({{Rect::FromPoint({1.0, 1.0}), 0}});
   int emitted = 0;
   a.JoinWith(b, [](const Rect&, const Rect&) { return true; },
              [&](int64_t, int64_t) { ++emitted; });
@@ -465,12 +377,9 @@ TEST(RTreeTest, NodeAccessCountingIsSelective) {
   config.num_coefficients = 1;
   config.space = FeatureSpace::kRectangular;
   config.include_mean_std = false;
-  RTree tree(2);
-  for (int i = 0; i < 5000; ++i) {
-    tree.InsertPoint({rng.UniformDouble(-100.0, 100.0),
-                      rng.UniformDouble(-100.0, 100.0)},
-                     i);
-  }
+  const std::unique_ptr<RTree> tree_ptr =
+      BulkLoaded(2, RandomPoints(&rng, 5000, 2));
+  const RTree& tree = *tree_ptr;
   tree.ResetNodeAccesses();
   const SearchRegion region =
       SearchRegion::MakeRange({Complex(0.0, 0.0)}, 1.0, config);
@@ -483,14 +392,13 @@ TEST(RTreeTest, NodeAccessCountingIsSelective) {
 }
 
 TEST(RTreeTest, HeightGrowsLogarithmically) {
+  // STR fills nodes close to the fanout: 10k points at fanout 32 need
+  // ceil(log_32(10000)) = 3 levels.
   Random rng(111);
-  RTree tree(2);
-  for (int i = 0; i < 10000; ++i) {
-    tree.InsertPoint({rng.UniformDouble(0.0, 1.0), rng.UniformDouble(0.0, 1.0)},
-                     i);
-  }
-  EXPECT_TRUE(tree.CheckInvariants());
-  EXPECT_LE(tree.height(), 5);  // fanout >= 12 on 10k points
+  const std::unique_ptr<RTree> tree =
+      BulkLoaded(2, RandomPoints(&rng, 10000, 2, 0.0, 1.0));
+  ExpectWellFormed(*tree, RTree::Options().max_entries);
+  EXPECT_LE(tree->height(), 3);
 }
 
 }  // namespace

@@ -330,8 +330,10 @@ void ExpectSameStats(const ExecutionStats& a, const ExecutionStats& b,
 // methods a-d plus the filtered join, at 1 and 3 shards, freshly loaded
 // and again with delta rows and tombstones. Each query runs under
 // EXPLAIN, so per-shard estimates and actuals are compared too. The
-// filtered kNN is the exception: each block seeds its own radius, so its
-// work counts depend on the partition and only its answer is compared.
+// filtered kNN is the exception: the first scan unit runs alone as the
+// seed, and every later block starts from that unit's k best and radius
+// and shrinks the radius only over its own rows, so its work counts
+// depend on the partition and only its answer is compared.
 TEST(ShardEquivalence, WorkCountsDoNotDependOnTheBlockPartition) {
   // 512-value series make 512-row scan units, so one shard holds three
   // units and three shards one each: the full pool splits both into

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <limits>
 #include <set>
 #include <tuple>
 #include <vector>
@@ -98,7 +99,7 @@ TEST_P(SubsequenceSearchTest, RangeSearchMatchesScan) {
   }
   EXPECT_EQ(index.num_series(), 5);
   EXPECT_EQ(index.num_windows(), 5 * (700 - 48 + 1));
-  EXPECT_TRUE(index.rtree().CheckInvariants());
+  EXPECT_EQ(index.packed_rtree().size(), index.num_trails());
 
   Random rng(123);
   for (int trial = 0; trial < 10; ++trial) {
@@ -247,13 +248,99 @@ TEST(SubsequenceIndexTest, LongSeriesDriftStaysBounded) {
   EXPECT_EQ(matches[0].offset, offset);
 }
 
-TEST(SubsequenceIndexDeathTest, RejectsOversizedFanoutAtConstruction) {
-  // RangeSearch runs on the packed snapshot only, so a fanout past the
-  // packed layout's cap is refused up front.
+TEST(SubsequenceIndexTest, RejectsNonFiniteSeriesAndStoresNothing) {
+  // One inf or NaN used to ride the sliding DFT update into the features
+  // of the windows after it, until the next direct recompute 1024 offsets
+  // later, and RangeSearch then missed finite windows that ScanSearch
+  // found. Such a series is refused whole.
   SubsequenceIndex::Options options;
-  options.rtree.max_entries = PackedRTree::kMaxFanout + 1;
-  options.rtree.min_entries = 2;
+  options.window = 32;
+  const std::vector<TimeSeries> walk = workload::RandomWalkSeries(1, 600, 3);
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    SubsequenceIndex index(options);
+    TimeSeries poisoned = walk[0];
+    poisoned.values[100] = bad;
+    EXPECT_EQ(index.AddSeries(poisoned).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(index.num_series(), 0);
+    EXPECT_EQ(index.num_windows(), 0);
+    EXPECT_EQ(index.num_trails(), 0);
+
+    // The refusal leaves the index as it was: the clean series gets id 0
+    // and a later window is found by the index exactly as by the scan.
+    ASSERT_EQ(index.AddSeries(walk[0]).value(), 0);
+    const std::vector<double> query(walk[0].values.begin() + 300,
+                                    walk[0].values.begin() + 332);
+    const std::vector<Match> via_index = index.RangeSearch(query, 0.5);
+    ASSERT_FALSE(via_index.empty());
+    EXPECT_EQ(MatchPositions(via_index),
+              MatchPositions(index.ScanSearch(query, 0.5)));
+  }
+
+  // Finite values near the double range overflow the window DFT sums, and
+  // non-finite features are refused the same way.
+  SubsequenceIndex index(options);
+  TimeSeries huge;
+  huge.id = "huge";
+  huge.values.assign(600, 1.7e308);
+  EXPECT_EQ(index.AddSeries(huge).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(index.num_series(), 0);
+  EXPECT_EQ(index.num_trails(), 0);
+}
+
+TEST(SubsequenceIndexTest, AddSeriesBetweenSearchesRepacksTrails) {
+  // Each AddSeries drops the packed tree and the next search packs every
+  // trail again, so answers keep matching the scan as the index grows.
+  SubsequenceIndex::Options options;
+  options.window = 40;
+  options.max_entries = 4;  // several levels even for a few hundred trails
+  SubsequenceIndex index(options);
+  const std::vector<TimeSeries> walks =
+      workload::RandomWalkSeries(6, 500, 41);
+  Random rng(43);
+  for (size_t added = 0; added < walks.size(); ++added) {
+    ASSERT_TRUE(index.AddSeries(walks[added]).ok());
+    EXPECT_EQ(index.packed_rtree().size(), index.num_trails())
+        << "after series " << added;
+    for (int trial = 0; trial < 4; ++trial) {
+      // A window of any series added so far, plus noise.
+      const size_t series_id =
+          static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(added)));
+      const int offset = static_cast<int>(rng.UniformInt(0, 500 - 40));
+      std::vector<double> query(
+          walks[series_id].values.begin() + offset,
+          walks[series_id].values.begin() + offset + 40);
+      for (double& v : query) {
+        v += rng.UniformDouble(-0.1, 0.1);
+      }
+      const double epsilon = rng.UniformDouble(0.5, 3.0);
+      SubsequenceIndex::SearchStats stats;
+      const std::vector<Match> via_index =
+          index.RangeSearch(query, epsilon, &stats);
+      EXPECT_EQ(MatchPositions(via_index),
+                MatchPositions(index.ScanSearch(query, epsilon)))
+          << "after series " << added << " trial " << trial;
+      EXPECT_GT(stats.node_accesses, 0);
+    }
+  }
+  EXPECT_EQ(index.num_series(), static_cast<int64_t>(walks.size()));
+}
+
+TEST(SubsequenceIndexDeathTest, RejectsFanoutOutsideRangeAtConstruction) {
+  // RangeSearch runs on the packed tree only, so a fanout past the packed
+  // layout's cap is refused up front, and so is one below Database's
+  // floor of 4.
+  SubsequenceIndex::Options options;
+  options.max_entries = PackedRTree::kMaxFanout + 1;
   EXPECT_DEATH(SubsequenceIndex{options}, "kMaxFanout");
+  options.max_entries = 3;
+  EXPECT_DEATH(SubsequenceIndex{options}, "kMaxFanout");
+  options.max_entries = PackedRTree::kMaxFanout;
+  SubsequenceIndex at_limit(options);
+  EXPECT_EQ(at_limit.num_trails(), 0);
 }
 
 }  // namespace
